@@ -16,6 +16,7 @@ from .errors import (
     BadRange,
     BadShape,
     GaugeViolation,
+    NoConvergence,
     NormFailure,
     NotHermitian,
     NotPSD,
@@ -36,7 +37,11 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric tolerances used by validation, the purifiers, and the verifier."""
+    """Numeric tolerances used by validation, the purifiers, and the verifier.
+
+    ``eps_psd`` bounds the smallest eigenvalue: validation rejects a matrix
+    whose smallest eigenvalue lies below ``-eps_psd``.
+    """
 
     eps_herm: float = 1e-10
     eps_trace: float = 1e-10
@@ -170,15 +175,19 @@ class CoefficientMatrix:
 def validate_density(
     matrix, shape: QuditShape, tol: ToleranceConfig | None = None
 ) -> DensityMatrix:
-    """Check Hermiticity, unit trace, and positivity; return a DensityMatrix.
+    """Check finiteness, Hermiticity, unit trace and positivity; return a DensityMatrix.
 
     Asymmetry within ``eps_herm`` is symmetrized away (file round-trips carry
-    last-ulp noise); anything larger raises NotHermitian.
+    last-ulp noise); anything larger raises NotHermitian. Positivity is a
+    threshold decision on the smallest eigenvalue only, so it uses LAPACK's
+    values-only Hermitian solver; no output depends on that eigenvalue.
     """
     tol = tol or DEFAULT_TOL
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.shape != (shape.N, shape.N):
         raise ShapeMismatch(f"expected {shape.N}x{shape.N} matrix, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise BadRange("matrix has non-finite entries")
     asym = float(np.max(np.abs(arr - arr.conj().T)))
     if asym > tol.eps_herm:
         raise NotHermitian(f"asymmetry {asym!r} exceeds tolerance {tol.eps_herm!r}")
@@ -186,9 +195,10 @@ def validate_density(
     trace = float(np.trace(sym).real)
     if abs(trace - 1.0) > tol.eps_trace:
         raise TraceDeviation(f"trace {trace!r} deviates from 1 beyond {tol.eps_trace!r}")
-    from .linalg import hermitian_eigen
-
-    smallest = float(hermitian_eigen(sym).eigenvalues[-1])
+    try:
+        smallest = float(np.linalg.eigvalsh(sym)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigenvalue solver failed: {exc}") from exc
     if smallest < -tol.eps_psd:
         raise NotPSD(f"smallest eigenvalue {smallest!r} below -{tol.eps_psd!r}")
     return DensityMatrix(shape, sym)

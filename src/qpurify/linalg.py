@@ -3,7 +3,10 @@
 The Hermitian eigensolver and the reference Cholesky elimination are written
 out in full (no LAPACK-backed ``eigh``/``cholesky``) so the numeric streams
 are deterministic and the Cholesky oracle stays an independent check on the
-purifier rather than a relabelling of it.
+purifier rather than a relabelling of it. The cyclic Jacobi solver serves
+only spectral purification and the test oracle; density-matrix validation
+needs just a threshold decision on the smallest eigenvalue and takes it from
+LAPACK (``numpy.linalg.eigvalsh``) instead.
 """
 
 from __future__ import annotations

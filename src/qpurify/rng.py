@@ -44,6 +44,27 @@ def word(seed: int, index: int) -> int:
     return x
 
 
+def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
+    """Uniforms ``((word(seed, c - 1) >> 11) + 1) * 2^-53`` for each uint64 counter c.
+
+    numpy's uint64 arithmetic wraps mod 2^64, which is exactly the mixing
+    arithmetic of :func:`word`.
+    """
+    x = np.uint64(seed) + counters * np.uint64(_GAMMA)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return ((x >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _TO_UNIT
+
+
+def _box_muller(u1: float, u2: float) -> tuple[float, float]:
+    radius = math.sqrt(-2.0 * math.log(u1))
+    angle = 2.0 * math.pi * u2
+    return radius * math.cos(angle), radius * math.sin(angle)
+
+
 class CounterRng:
     """Stateful cursor over the counter stream of one seed."""
 
@@ -63,9 +84,7 @@ class CounterRng:
     def normal_pair(self) -> tuple[float, float]:
         u1 = self.uniform()
         u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        return radius * math.cos(angle), radius * math.sin(angle)
+        return _box_muller(u1, u2)
 
     def standard_normal(self, count: int) -> np.ndarray:
         out = np.empty(count)
@@ -76,11 +95,22 @@ class CounterRng:
         return out
 
     def complex_normal_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """Row-major fill, one normal pair per entry: the same values as
+        calling :meth:`normal_pair` ``rows * cols`` times.
+
+        The integer stream is mixed in numpy one row at a time (memory stays
+        O(cols)); Box-Muller stays on scalar ``math`` so the values keep
+        ``math``'s rounding.
+        """
         out = np.empty((rows, cols), dtype=np.complex128)
+        steps = np.arange(1, 2 * cols + 1, dtype=np.uint64)
         for r in range(rows):
-            for c in range(cols):
-                re, im = self.normal_pair()
-                out[r, c] = complex(re, im)
+            uniforms = _uniforms(self._seed, self._index + steps).tolist()
+            self._index += 2 * cols
+            out[r] = [
+                complex(*_box_muller(uniforms[k], uniforms[k + 1]))
+                for k in range(0, 2 * cols, 2)
+            ]
         return out
 
 

@@ -8,8 +8,11 @@ from qpurify import (
     QuditShape,
     ToleranceConfig,
     flat_index,
+    random_density,
+    random_unitary,
     validate_density,
 )
+from qpurify import linalg
 from qpurify.errors import (
     BadRange,
     BadShape,
@@ -115,6 +118,51 @@ class TestValidateDensity:
         rho = validate_density(np.eye(2) / 2, QuditShape(2, 1))
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries(self, bad):
+        matrix = np.eye(2, dtype=complex) / 2
+        matrix[0, 0] = bad
+        with pytest.raises(BadRange, match="non-finite"):
+            validate_density(matrix, QuditShape(2, 1))
+
+
+def with_smallest_eigenvalue(smallest, dim, seed):
+    """U diag(spectrum) U^dagger with unit trace and the given smallest eigenvalue."""
+    rest = np.linspace(1.0, 2.0, dim - 1)
+    spectrum = np.concatenate([[smallest], rest * (1.0 - smallest) / rest.sum()])
+    u = random_unitary(dim, seed)
+    return (u * spectrum) @ u.conj().T
+
+
+class TestPsdCriterion:
+    """The LAPACK check accepts exactly what the Jacobi oracle accepts."""
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    @pytest.mark.parametrize(
+        "smallest,accepted", [(-1e-6, False), (-2e-9, False), (-5e-10, True), (0.0, True), (1e-6, True)]
+    )
+    def test_matches_jacobi_oracle(self, dim, smallest, accepted):
+        shape = QuditShape(2, dim.bit_length() - 1)
+        matrix = with_smallest_eigenvalue(smallest, dim, seed=dim)
+        sym = (matrix + matrix.conj().T) / 2.0
+        tol = ToleranceConfig()
+        oracle_rejects = float(linalg.hermitian_eigen(sym).eigenvalues[-1]) < -tol.eps_psd
+        assert oracle_rejects == (not accepted)
+        if accepted:
+            validate_density(matrix, shape, tol)
+        else:
+            with pytest.raises(NotPSD, match="smallest eigenvalue"):
+                validate_density(matrix, shape, tol)
+
+    def test_validation_does_not_run_jacobi(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("validation called the Jacobi solver")
+
+        monkeypatch.setattr(linalg, "hermitian_eigen", fail)
+        validate_density(np.eye(4) / 4, QuditShape(2, 2))
+        random_density(2, 3, seed=4)
+        random_density(3, 2, seed=5, rank=2)
 
 
 class TestPureState:

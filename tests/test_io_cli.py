@@ -197,6 +197,25 @@ class TestCliErrors:
         assert res.exit_code == 2
         assert res.stderr.startswith("NotPSD:")
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_exit_2(self, runner, tmp_path, token):
+        path = tmp_path / "nonfinite.json"
+        path.write_text('{"d":2,"n":1,"matrix":[[[%s,0],[0,0]],[[0,0],[0.5,0]]]}' % token)
+        res = runner.invoke(main, ["purify", "--input", str(path), "--out", str(tmp_path / "x.json")])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("BadRange: matrix has non-finite entries")
+
+    def test_eigensolver_failure_exit_3(self, runner, tmp_path, monkeypatch):
+        rho_path = write_density(tmp_path / "rho.json", random_density(2, 1, seed=3))
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        res = runner.invoke(main, ["purify", "--input", rho_path, "--out", str(tmp_path / "x.json")])
+        assert res.exit_code == 3
+        assert res.stderr.startswith("NoConvergence:")
+
     def test_not_hermitian_exit_2(self, runner, tmp_path):
         data = {"d": 2, "n": 1, "matrix": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
         path = tmp_path / "noth.json"

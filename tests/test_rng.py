@@ -31,12 +31,28 @@ class TestCounterStream:
         assert abs(np.std(draws) - 1.0) < 0.1
 
     def test_matrix_fill_is_row_major(self):
-        direct = CounterRng(3)
-        matrix = CounterRng(3).complex_normal_matrix(2, 3)
-        for r in range(2):
-            for c in range(3):
-                re, im = direct.normal_pair()
-                assert matrix[r, c] == complex(re, im)
+        # the vectorized fill matches the scalar stream bit for bit, also
+        # after a prior draw (nonzero cursor) and for seeds beyond 2**63
+        cases = [
+            (3, None, (2, 3)),
+            (3, (4, 5), (17, 9)),
+            (2**63 + 12345, None, (17, 9)),
+            (2**64 - 1, (1, 3), (5, 2)),
+        ]
+        for seed, prior, shape in cases:
+            direct = CounterRng(seed)
+            filler = CounterRng(seed)
+            if prior is not None:
+                for _ in range(prior[0] * prior[1]):
+                    direct.normal_pair()
+                filler.complex_normal_matrix(*prior)
+            matrix = filler.complex_normal_matrix(*shape)
+            expected = np.array(
+                [complex(*direct.normal_pair()) for _ in range(shape[0] * shape[1])]
+            ).reshape(shape)
+            assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
+            # the cursor ends where the scalar stream does
+            assert filler.next_u64() == direct.next_u64()
 
 
 class TestRandomDensity:
