@@ -7,13 +7,12 @@ preparation circuit, and verifies every result by an independent
 partial-trace reconstruction.
 """
 
-from .bloch import BlochPoint, bloch_surface, density_from_bloch, mixture_weights
+from .bloch import BlochPoint, bloch_surface, density_from_bloch
 from .circuit import (
+    GATE,
     BranchParameters,
     CircuitParameters,
     GateSchedule,
-    PhaseGate,
-    RotationGate,
     apply_schedule,
     extract_parameters,
     invert_qubit,
@@ -32,7 +31,6 @@ from .core import (
 from .linalg import (
     EigenDecomposition,
     hermitian_eigen,
-    kron,
     max_abs_diff,
     partial_trace_ancilla,
     reference_cholesky,
@@ -60,11 +58,10 @@ __all__ = [
     "CounterRng",
     "DensityMatrix",
     "EigenDecomposition",
+    "GATE",
     "GateSchedule",
-    "PhaseGate",
     "PureState",
     "QuditShape",
-    "RotationGate",
     "ToleranceConfig",
     "VerificationReport",
     "apply_schedule",
@@ -77,9 +74,7 @@ __all__ = [
     "gauge_transform",
     "hermitian_eigen",
     "invert_qubit",
-    "kron",
     "max_abs_diff",
-    "mixture_weights",
     "partial_trace_ancilla",
     "qubit_closed_form",
     "random_density",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoefficientMatrix, DensityMatrix, QuditShape, ToleranceConfig, validate_density
+from .core import DensityMatrix, QuditShape, ToleranceConfig, validate_density
 from .errors import BadRange, OutsideBall
 
 HALF_PI = math.pi / 2.0
@@ -99,13 +99,3 @@ def density_from_bloch(
         [[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]], dtype=np.complex128
     )
     return validate_density(matrix, QuditShape(2, 1), tol)
-
-
-def mixture_weights(coeffs: CoefficientMatrix) -> np.ndarray:
-    """Mixture weights p_k of the purification: squared coefficient row norms.
-
-    Branch k's normalized row is a pure state supported on the first
-    N - k basis states, so rho = sum_k p_k |psi_k><psi_k| with branch
-    states living in nested subspaces of decreasing dimension.
-    """
-    return coeffs.row_weights()

@@ -13,7 +13,8 @@ A coefficient matrix factors into N^2 - 1 real parameters:
 
 Simulation offers two modes that must agree: the direct product formulas,
 and a gate schedule of two-level rotations and phase shifts applied to
-|0...0>.
+|0...0>. The schedule is one structured array (:data:`GATE`), one row per
+gate.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _wrap_phase(value: float) -> float:
 
 
 def _check_angles(angles: np.ndarray, label: str) -> None:
-    if angles.size and (np.min(angles) < 0.0 or np.max(angles) > HALF_PI):
+    if angles.size and not (np.min(angles) >= 0.0 and np.max(angles) <= HALF_PI):
         raise BadRange(f"{label} must lie in [0, pi/2]")
 
 
@@ -68,7 +69,7 @@ class BranchParameters:
                 f"branch of dimension {self.dim} needs {expected} angles and phases"
             )
         _check_angles(angles, "branch angles")
-        if phases.size and (np.min(phases) < 0.0 or np.max(phases) >= TWO_PI):
+        if phases.size and not (np.min(phases) >= 0.0 and np.max(phases) < TWO_PI):
             raise BadRange("phases must lie in [0, 2*pi)")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "phases", phases)
@@ -103,55 +104,67 @@ class CircuitParameters:
         )
 
 
-@dataclass(frozen=True)
-class RotationGate:
-    """Two-level rotation [[cos, -sin], [sin, cos]] on a basis-pair subspace.
+#: One row per gate of a :class:`GateSchedule`.
+#:
+#: * ``phase`` False: two-level rotation [[cos, -sin], [sin, cos]] on basis
+#:   lines ``a < b``.
+#: * ``phase`` True: phase shift on basis line ``a`` (``b`` unused, 0),
+#:   stored with the sign convention diag(1, e^{-i phi}): ``value`` holds
+#:   -phi and the line picks up e^{-i value} = e^{i phi}, which keeps each
+#:   branch's last amplitude real.
+#: * ``control`` -1: the gate acts on the ancilla register. Otherwise it acts
+#:   on the system register inside the block where the ancilla equals
+#:   ``control``.
+GATE = np.dtype(
+    [
+        ("phase", np.bool_),
+        ("control", np.int64),
+        ("a", np.int64),
+        ("b", np.int64),
+        ("value", np.float64),
+    ]
+)
 
-    ``control_value`` None: acts on the ancilla register. Otherwise: acts
-    on the system register inside the block where the ancilla equals the
-    control value.
-    """
 
-    control_value: int | None
-    subspace: tuple[int, int]
-    value: float
-
-
-@dataclass(frozen=True)
-class PhaseGate:
-    """Phase shift on a single basis line, stored with the sign convention
-    diag(1, e^{-i phi}): ``value`` holds -phi and the tagged line picks up
-    the factor e^{-i value} = e^{i phi}, which keeps each branch's last
-    amplitude real."""
-
-    control_value: int | None
-    basis: int
-    value: float
+def _first(bad: np.ndarray, *columns: np.ndarray) -> tuple:
+    """The entries of ``columns`` at the first row flagged in ``bad``."""
+    k = int(np.argmax(bad))
+    return tuple(int(column[k]) for column in columns)
 
 
 @dataclass(frozen=True, eq=False)
 class GateSchedule:
-    """Ordered gates whose application to |0...0> prepares the purification."""
+    """Ordered gates whose application to |0...0> prepares the purification.
+
+    ``gates`` is a read-only 1-D :data:`GATE` table, one row per gate.
+    """
 
     ancilla_dim: int
     system_dim: int
-    gates: tuple[RotationGate | PhaseGate, ...]
+    gates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for gate in self.gates:
-            ctrl = gate.control_value
-            if ctrl is not None and not 0 <= ctrl < self.ancilla_dim:
-                raise OutOfRange(f"control value {ctrl} outside ancilla register")
-            if isinstance(gate, RotationGate):
-                a, b = gate.subspace
-                dim = self.system_dim if ctrl is not None else self.ancilla_dim
-                if not (0 <= a < b < dim):
-                    raise OutOfRange(f"rotation subspace {gate.subspace} invalid for dim {dim}")
-            else:
-                dim = self.system_dim if ctrl is not None else self.ancilla_dim
-                if not 0 <= gate.basis < dim:
-                    raise OutOfRange(f"phase basis {gate.basis} outside register of dim {dim}")
+        try:
+            gates = _frozen_array(self.gates, GATE)
+        except OverflowError as exc:
+            raise OutOfRange(f"gate index beyond the int64 range: {exc}") from exc
+        if gates.ndim != 1:
+            raise ShapeMismatch(f"gate table must be 1-D, got shape {gates.shape}")
+        control, a, b = gates["control"], gates["a"], gates["b"]
+        bad = (control < -1) | (control >= self.ancilla_dim)
+        if bad.any():
+            raise OutOfRange("control value %d outside ancilla register" % _first(bad, control))
+        dim = np.where(control < 0, self.ancilla_dim, self.system_dim)
+        phase = gates["phase"]
+        bad = ~phase & ~((0 <= a) & (a < b) & (b < dim))
+        if bad.any():
+            raise OutOfRange("rotation subspace (%d, %d) invalid for dim %d" % _first(bad, a, b, dim))
+        bad = phase & ~((0 <= a) & (a < dim))
+        if bad.any():
+            raise OutOfRange("phase basis %d outside register of dim %d" % _first(bad, a, dim))
+        if not np.all(np.isfinite(gates["value"])):
+            raise BadRange("gate values must be finite")
+        object.__setattr__(self, "gates", gates)
 
 
 def _extract_weight_angles(weights: np.ndarray) -> np.ndarray:
@@ -276,49 +289,65 @@ def schedule_from_parameters(params: CircuitParameters) -> GateSchedule:
     """Gate realization: ancilla weight chain, then per-branch controlled gates.
 
     Each chain is a column-preparation sequence of rotations on subspace
-    pairs (0, t) with t descending; branch gates carry the ancilla value
-    they are controlled on. One gate per parameter, N^2 - 1 in total.
+    pairs (0, t) with t descending; branch k adds its rotations, then its
+    phases, all controlled on ancilla value k. One gate per parameter,
+    N^2 - 1 in total.
     """
     n = params.N
-    gates: list[RotationGate | PhaseGate] = []
-    for step in range(1, n):
-        gates.append(RotationGate(None, (0, n - step), float(params.weight_angles[step - 1])))
+    gates = np.zeros(n * n - 1, dtype=GATE)
+    chain = gates[: n - 1]
+    chain["control"] = -1
+    chain["b"] = np.arange(n - 1, 0, -1)
+    chain["value"] = params.weight_angles
+    start = n - 1
     for k, branch in enumerate(params.branches):
-        m = branch.dim
-        for step in range(1, m):
-            gates.append(RotationGate(k, (0, m - step), float(branch.angles[step - 1])))
-        for basis in range(m - 1):
-            gates.append(PhaseGate(k, basis, -float(branch.phases[basis])))
-    return GateSchedule(n, n, tuple(gates))
+        steps = branch.dim - 1
+        rotations = gates[start : start + steps]
+        phases = gates[start + steps : start + 2 * steps]
+        start += 2 * steps
+        rotations["control"] = k
+        rotations["b"] = np.arange(steps, 0, -1)
+        rotations["value"] = branch.angles
+        phases["phase"] = True
+        phases["control"] = k
+        phases["a"] = np.arange(steps)
+        phases["value"] = -branch.phases
+    return GateSchedule(n, n, gates)
 
 
 def apply_schedule(schedule: GateSchedule) -> PureState:
     """Apply the gates in order to |0...0> and return the resulting state."""
     m, n = schedule.ancilla_dim, schedule.system_dim
-    vec = np.zeros(m * n, dtype=np.complex128)
-    vec[0] = 1.0
-    system = np.arange(n)
-    for gate in schedule.gates:
-        ctrl = gate.control_value
-        if isinstance(gate, RotationGate):
-            a, b = gate.subspace
-            if ctrl is None:
-                ia, ib = a * n + system, b * n + system
-            else:
-                ia = np.array([ctrl * n + a])
-                ib = np.array([ctrl * n + b])
-            c = math.cos(gate.value)
-            s = math.sin(gate.value)
-            xa, xb = vec[ia].copy(), vec[ib].copy()
-            vec[ia] = c * xa - s * xb
-            vec[ib] = s * xa + c * xb
+    gates = schedule.gates
+    # an ancilla gate moves whole system blocks of n lines, a controlled
+    # gate single lines inside the block of its control value
+    ancilla = gates["control"] < 0
+    width = np.where(ancilla, n, 1)
+    offset = np.where(ancilla, 0, gates["control"] * n)
+    rows = zip(
+        gates["phase"].tolist(),
+        (offset + gates["a"] * width).tolist(),
+        (offset + gates["b"] * width).tolist(),
+        width.tolist(),
+        np.cos(gates["value"]).tolist(),
+        np.sin(gates["value"]).tolist(),
+    )
+    amps = [0j] * (m * n)
+    amps[0] = 1 + 0j
+    for phase, ia, ib, w, c, s in rows:
+        if phase:
+            factor = complex(c, -s)  # e^{-i value}, rounded as cmath.exp does
+            for i in range(ia, ia + w):
+                amps[i] *= factor
         else:
-            factor = cmath.exp(-1j * gate.value)
-            if ctrl is None:
-                vec[gate.basis * n + system] *= factor
-            else:
-                vec[ctrl * n + gate.basis] *= factor
-    return PureState(m, n, vec)
+            # complex operands, as numpy multiplies them: with a float operand
+            # Python 3.14+ skips the 0j terms, which can flip signed zeros
+            c, s = complex(c), complex(s)
+            for i, j in zip(range(ia, ia + w), range(ib, ib + w)):
+                xa, xb = amps[i], amps[j]
+                amps[i] = c * xa - s * xb
+                amps[j] = s * xa + c * xb
+    return PureState(m, n, np.array(amps))
 
 
 def invert_qubit(params: CircuitParameters) -> CoefficientMatrix:

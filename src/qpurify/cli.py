@@ -16,23 +16,7 @@ import numpy as np
 
 from . import io
 from .circuit import apply_schedule, extract_parameters, schedule_from_parameters
-from .errors import (
-    BadRange,
-    BadShape,
-    DegenerateBranch,
-    GaugeViolation,
-    NoConvergence,
-    NormFailure,
-    NotHermitian,
-    NotPSD,
-    NotUnitary,
-    OutOfRange,
-    OutsideBall,
-    ReconstructionFailure,
-    ShapeMismatch,
-    SizeOverflow,
-    TraceDeviation,
-)
+from .errors import QPurifyError
 from .purify import (
     cholesky_purify,
     coefficients_to_state,
@@ -42,21 +26,6 @@ from .purify import (
 )
 from .rng import random_density
 
-_VALIDATION_ERRORS = (
-    NotHermitian,
-    TraceDeviation,
-    NotPSD,
-    ShapeMismatch,
-    BadShape,
-    BadRange,
-    OutOfRange,
-    NotUnitary,
-    SizeOverflow,
-    GaugeViolation,
-    NormFailure,
-    OutsideBall,
-)
-_COMPUTE_ERRORS = (ReconstructionFailure, NoConvergence, DegenerateBranch)
 _PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 
@@ -65,12 +34,9 @@ def _guarded(body):
     def wrapper(*args, **kwargs):
         try:
             body(*args, **kwargs)
-        except _VALIDATION_ERRORS as exc:
+        except QPurifyError as exc:
             click.echo(f"{type(exc).__name__}: {exc}", err=True)
-            sys.exit(2)
-        except _COMPUTE_ERRORS as exc:
-            click.echo(f"{type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
+            sys.exit(exc.exit_code)
         except _PARSE_ERRORS as exc:
             click.echo(f"ParseError: {exc}", err=True)
             sys.exit(1)

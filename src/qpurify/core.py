@@ -132,7 +132,7 @@ class PureState:
         if amps.shape != (expected,):
             raise ShapeMismatch(f"expected {expected} amplitudes, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > DEFAULT_TOL.eps_norm:
+        if not abs(norm - 1.0) <= DEFAULT_TOL.eps_norm:
             raise NormFailure(f"state norm {norm!r} deviates from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", amps)
 

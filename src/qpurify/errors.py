@@ -2,7 +2,13 @@
 
 
 class QPurifyError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the CLI exit status: 2 for invalid input, 3 when a
+    computation on valid input fails.
+    """
+
+    exit_code = 2
 
 
 class ShapeMismatch(QPurifyError):
@@ -40,13 +46,13 @@ class NotUnitary(QPurifyError):
 class NoConvergence(QPurifyError):
     """Iterative eigensolver hit its sweep cap without converging."""
 
-
-class SizeOverflow(QPurifyError):
-    """Operation would produce a matrix beyond the dimension cap."""
+    exit_code = 3
 
 
 class ReconstructionFailure(QPurifyError):
     """Purification coefficients do not reproduce the density matrix."""
+
+    exit_code = 3
 
 
 class GaugeViolation(QPurifyError):
@@ -55,6 +61,8 @@ class GaugeViolation(QPurifyError):
 
 class DegenerateBranch(QPurifyError):
     """Branch peeling hit a vanishing cosine with amplitude left over."""
+
+    exit_code = 3
 
 
 class BadRange(QPurifyError):

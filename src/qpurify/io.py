@@ -14,13 +14,7 @@ import math
 import numpy as np
 
 from .bloch import bloch_surface, grid_angles
-from .circuit import (
-    BranchParameters,
-    CircuitParameters,
-    GateSchedule,
-    PhaseGate,
-    RotationGate,
-)
+from .circuit import BranchParameters, CircuitParameters, GateSchedule
 from .core import (
     DensityMatrix,
     PureState,
@@ -28,6 +22,7 @@ from .core import (
     ToleranceConfig,
     validate_density,
 )
+from .errors import OutOfRange
 
 
 def _dump(payload) -> str:
@@ -102,32 +97,29 @@ def dump_coefficients(matrix) -> str:
     return _dump({"N": arr.shape[0], "C": _complex_matrix(arr)})
 
 
-def _gate_record(gate) -> dict:
-    if isinstance(gate, RotationGate):
-        return {
-            "gate": "rotation",
-            "control_value": gate.control_value,
-            "subspace": [gate.subspace[0], gate.subspace[1]],
-            "value": float(gate.value),
-        }
-    return {
-        "gate": "phase",
-        "control_value": gate.control_value,
-        "basis": gate.basis,
-        "value": float(gate.value),
-    }
+def _gate_record(row: tuple) -> dict:
+    """JSON record of one gate-table row; control -1 (ancilla) is written as null."""
+    phase, control, a, b, value = row
+    control = None if control < 0 else control
+    if phase:
+        return {"gate": "phase", "control_value": control, "basis": a, "value": value}
+    return {"gate": "rotation", "control_value": control, "subspace": [a, b], "value": value}
 
 
-def _parse_gate(record) -> RotationGate | PhaseGate:
+def _parse_gate(record) -> tuple:
+    """Gate-table row of one JSON record (the inverse of :func:`_gate_record`)."""
     kind = record["gate"]
     control = record["control_value"]
-    control = None if control is None else int(control)
+    if control is None:
+        control = -1
+    elif int(control) < 0:
+        raise OutOfRange(f"control value {control} outside ancilla register")
     value = float(record["value"])
     if kind == "rotation":
         a, b = record["subspace"]
-        return RotationGate(control, (int(a), int(b)), value)
+        return (False, int(control), int(a), int(b), value)
     if kind == "phase":
-        return PhaseGate(control, int(record["basis"]), value)
+        return (True, int(control), int(record["basis"]), 0, value)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -148,7 +140,7 @@ def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSch
                     for b in params.branches
                 ],
             },
-            "schedule": [_gate_record(g) for g in schedule.gates],
+            "schedule": [_gate_record(row) for row in schedule.gates.tolist()],
         }
     )
 
@@ -171,7 +163,7 @@ def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule
     params = CircuitParameters(
         n, np.array([float(a) for a in block["weight_angles"]]), branches
     )
-    schedule = GateSchedule(n, n, tuple(_parse_gate(g) for g in data["schedule"]))
+    schedule = GateSchedule(n, n, [_parse_gate(g) for g in data["schedule"]])
     return shape, params, schedule
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIM_CAP, DEFAULT_TOL, PureState, ToleranceConfig, _frozen_array
-from .errors import NoConvergence, NotPSD, ShapeMismatch, SizeOverflow
+from .core import DEFAULT_TOL, PureState, ToleranceConfig, _frozen_array
+from .errors import NoConvergence, NotPSD, ShapeMismatch
 
 #: Sweep cap for the cyclic Jacobi iteration.
 MAX_SWEEPS = 100
@@ -122,19 +122,6 @@ def partial_trace_ancilla(state: PureState) -> np.ndarray:
     sigma[upper[1], upper[0]] = sigma[upper].conj()
     sigma[np.diag_indices(n)] = np.diagonal(sigma).real
     return sigma
-
-
-def kron(a, b, dim_cap: int = DIM_CAP) -> np.ndarray:
-    """Tensor product with block structure (a_ij * b); rejects oversized results."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch("kron expects two matrices")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > dim_cap or cols > dim_cap:
-        raise SizeOverflow(f"kron result {rows}x{cols} exceeds cap {dim_cap}")
-    return np.kron(a, b)
 
 
 def reference_cholesky(matrix, tol: ToleranceConfig | None = None) -> np.ndarray:

@@ -86,14 +86,6 @@ class CounterRng:
         u2 = self.uniform()
         return _box_muller(u1, u2)
 
-    def standard_normal(self, count: int) -> np.ndarray:
-        out = np.empty(count)
-        for i in range(0, count - 1, 2):
-            out[i], out[i + 1] = self.normal_pair()
-        if count % 2:
-            out[-1] = self.normal_pair()[0]
-        return out
-
     def complex_normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major fill, one normal pair per entry: the same values as
         calling :meth:`normal_pair` ``rows * cols`` times.

@@ -8,7 +8,6 @@ from qpurify import (
     bloch_surface,
     cholesky_purify,
     density_from_bloch,
-    mixture_weights,
     random_density,
     validate_density,
 )
@@ -148,18 +147,18 @@ class TestDensityFromBloch:
 class TestMixtureWeights:
     def test_maximally_mixed_qubit(self):
         rho = validate_density(np.eye(2) / 2, QuditShape(2, 1))
-        assert np.allclose(mixture_weights(cholesky_purify(rho)), [0.5, 0.5])
+        assert np.allclose(cholesky_purify(rho).row_weights(), [0.5, 0.5])
 
     def test_pure_state(self):
         rho = validate_density(np.diag([1.0, 0.0]), QuditShape(2, 1))
-        w = mixture_weights(cholesky_purify(rho))
+        w = cholesky_purify(rho).row_weights()
         assert abs(w[1] - 1.0) < 1e-12 and abs(w[0]) < 1e-12
 
     def test_qutrit_uniform(self):
         rho = validate_density(np.eye(3) / 3, QuditShape(3, 1))
-        assert np.allclose(mixture_weights(cholesky_purify(rho)), [1 / 3] * 3)
+        assert np.allclose(cholesky_purify(rho).row_weights(), [1 / 3] * 3)
 
     def test_sums_to_one(self):
         for seed in range(10):
-            w = mixture_weights(cholesky_purify(random_density(2, 2, seed=seed)))
+            w = cholesky_purify(random_density(2, 2, seed=seed)).row_weights()
             assert abs(np.sum(w) - 1.0) <= 1e-10

@@ -6,9 +6,8 @@ import pytest
 
 from qpurify import (
     BranchParameters,
+    GATE,
     CircuitParameters,
-    PhaseGate,
-    RotationGate,
     apply_schedule,
     cholesky_purify,
     coefficients_to_state,
@@ -45,6 +44,28 @@ def random_params(n, seed, low=0.15, high=0.8):
         phases = [2 * math.pi * rng.uniform() * 0.999 for _ in range(m - 1)]
         branch_data.append((angles, phases))
     return make_params(n, weights, branch_data)
+
+
+def reference_apply(schedule):
+    """Gate by gate with math/cmath on numpy slices: the arithmetic that
+    apply_schedule must reproduce bit for bit."""
+    m, n = schedule.ancilla_dim, schedule.system_dim
+    vec = np.zeros(m * n, dtype=np.complex128)
+    vec[0] = 1.0
+    for phase, ctrl, a, b, value in schedule.gates.tolist():
+        if ctrl < 0:
+            ia, ib = slice(a * n, a * n + n), slice(b * n, b * n + n)
+        else:
+            ia = slice(ctrl * n + a, ctrl * n + a + 1)
+            ib = slice(ctrl * n + b, ctrl * n + b + 1)
+        if phase:
+            vec[ia] *= cmath.exp(-1j * value)
+        else:
+            c, s = math.cos(value), math.sin(value)
+            xa, xb = vec[ia].copy(), vec[ib].copy()
+            vec[ia] = c * xa - s * xb
+            vec[ib] = s * xa + c * xb
+    return vec
 
 
 class TestCircuitParameters:
@@ -169,11 +190,22 @@ class TestGateSchedule:
         alpha, theta, phi = 0.4, 0.9, 1.1
         params = make_params(2, [alpha], [([theta], [phi]), ([], [])])
         schedule = schedule_from_parameters(params)
-        assert schedule.gates == (
-            RotationGate(None, (0, 1), alpha),
-            RotationGate(0, (0, 1), theta),
-            PhaseGate(0, 0, -phi),
-        )
+        # rows: (phase, control, a, b, value); control -1 is the ancilla register
+        assert schedule.gates.dtype == GATE
+        assert schedule.gates.tolist() == [
+            (False, -1, 0, 1, alpha),
+            (False, 0, 0, 1, theta),
+            (True, 0, 0, 0, -phi),
+        ]
+
+    def test_apply_matches_reference_bit_for_bit(self):
+        cases = [random_params(n, seed=60 + n) for n in (2, 3, 5, 8)]
+        # zero angles and phases exercise the signed zeros the state files print
+        cases.append(make_params(3, [0.0, HALF_PI], [([0.0, 0.7], [0.0, 2.0]), ([HALF_PI], [0.0]), ([], [])]))
+        for params in cases:
+            schedule = schedule_from_parameters(params)
+            got = apply_schedule(schedule).amplitudes
+            assert np.array_equal(got.view(np.uint64), reference_apply(schedule).view(np.uint64))
 
     def test_one_gate_per_parameter(self):
         for n in (2, 3, 4, 6):

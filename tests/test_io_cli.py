@@ -18,6 +18,7 @@ from qpurify import (
 )
 from qpurify import io
 from qpurify.cli import main
+from qpurify.errors import BadRange, NormFailure, QPurifyError
 
 
 @pytest.fixture
@@ -28,6 +29,17 @@ def runner():
 def write_density(path, rho):
     path.write_text(io.dump_density(rho))
     return str(path)
+
+
+def qutrit_circuit():
+    """Circuit JSON of a full-rank qutrit (N = 3), parsed into a dict.
+
+    Schedule rows: 0-1 ancilla rotations, 2-3 rotations and 4-5 phases
+    controlled on ancilla value 0, 6 rotation and 7 phase on value 1.
+    """
+    rho = random_density(3, 1, seed=5)
+    params = extract_parameters(cholesky_purify(rho))
+    return json.loads(io.dump_circuit(rho.shape, params, schedule_from_parameters(params)))
 
 
 class TestJsonFormats:
@@ -60,13 +72,29 @@ class TestJsonFormats:
         shape, params2, schedule2 = io.load_circuit(text)
         assert shape == rho.shape
         assert io.dump_circuit(shape, params2, schedule2) == text
-        assert schedule2.gates == schedule.gates
+        assert np.array_equal(schedule2.gates, schedule.gates)
         # a loaded circuit still prepares the purification
         from qpurify import apply_schedule
 
         prepared = apply_schedule(schedule2)
         target = coefficients_to_state(coeffs)
         assert np.max(np.abs(prepared.amplitudes - target.amplitudes)) <= 1e-10
+
+    def test_state_rejects_nan_amplitude(self):
+        with pytest.raises(NormFailure):
+            io.load_state('{"ancilla_dim":1,"system_dim":2,"amplitudes":[[NaN,0],[0,0]]}')
+
+    @pytest.mark.parametrize("where", ["weight angle", "branch phase", "gate value"])
+    def test_circuit_rejects_nan(self, where):
+        data = qutrit_circuit()
+        if where == "weight angle":
+            data["parameters"]["weight_angles"][0] = math.nan
+        elif where == "branch phase":
+            data["parameters"]["branches"][0]["phases"][1] = math.nan
+        else:
+            data["schedule"][3]["value"] = math.nan
+        with pytest.raises(BadRange):
+            io.load_circuit(json.dumps(data))
 
     def test_circuit_rejects_inconsistent_dims(self):
         rho = random_density(2, 1, seed=1)
@@ -223,6 +251,39 @@ class TestCliErrors:
         res = runner.invoke(main, ["purify", "--input", str(path), "--out", str(tmp_path / "x.json")])
         assert res.exit_code == 2
         assert res.stderr.startswith("NotHermitian:")
+
+    @pytest.mark.parametrize(
+        "row,field,value,code,kind",
+        [
+            (0, "control_value", 3, 2, "OutOfRange:"),
+            (2, "control_value", 3, 2, "OutOfRange:"),
+            (2, "control_value", -1, 2, "OutOfRange:"),
+            (2, "subspace", [1, 1], 2, "OutOfRange:"),
+            (2, "subspace", [0, 3], 2, "OutOfRange:"),
+            (0, "subspace", [0, 3], 2, "OutOfRange:"),
+            (6, "subspace", [2, 1], 2, "OutOfRange:"),
+            (6, "subspace", [0, 2**70], 2, "OutOfRange:"),
+            (4, "basis", 3, 2, "OutOfRange:"),
+            (7, "basis", -1, 2, "OutOfRange:"),
+            (6, "value", math.nan, 2, "BadRange:"),
+            (2, "gate", "swap", 1, "ParseError:"),
+        ],
+    )
+    def test_tampered_schedule_rejected(self, runner, tmp_path, row, field, value, code, kind):
+        data = qutrit_circuit()
+        data["schedule"][row][field] = value
+        path = tmp_path / "circ.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["simulate", "--circuit", str(path), "--out", str(out)])
+        assert res.exit_code == code
+        assert res.stderr.startswith(kind)
+        assert not out.exists()
+
+    def test_exit_code_per_error_class(self):
+        compute = {cls.__name__ for cls in QPurifyError.__subclasses__() if cls.exit_code == 3}
+        assert compute == {"NoConvergence", "ReconstructionFailure", "DegenerateBranch"}
+        assert all(cls.exit_code in (2, 3) for cls in QPurifyError.__subclasses__())
 
     def test_tampered_circuit_exit_3(self, runner, tmp_path):
         rho_path = write_density(tmp_path / "rho.json", random_density(2, 1, seed=42))

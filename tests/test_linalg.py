@@ -6,12 +6,11 @@ import pytest
 from qpurify import (
     PureState,
     hermitian_eigen,
-    kron,
     max_abs_diff,
     partial_trace_ancilla,
     reference_cholesky,
 )
-from qpurify.errors import NoConvergence, NotPSD, ShapeMismatch, SizeOverflow
+from qpurify.errors import NoConvergence, NotPSD, ShapeMismatch
 from qpurify.rng import CounterRng
 
 
@@ -97,7 +96,7 @@ class TestPartialTrace:
     def test_product_state_drops_ancilla(self):
         chi = np.array([0.6, 0.8j], dtype=complex)
         anc = np.array([0.28, 0.96], dtype=complex)
-        state = PureState(2, 2, np.kron(anc, chi))
+        state = PureState(2, 2, np.outer(anc, chi).reshape(-1))
         assert np.allclose(partial_trace_ancilla(state), np.outer(chi, chi.conj()), atol=1e-12)
 
     @pytest.mark.parametrize("m,n,seed", [(2, 2, 0), (3, 3, 1), (4, 4, 2), (2, 4, 3)])
@@ -111,30 +110,6 @@ class TestPartialTrace:
         assert np.array_equal(sigma, sigma.conj().T)
         assert abs(np.trace(sigma).real - 1.0) < 1e-10
         assert hermitian_eigen(sigma).eigenvalues[-1] > -1e-12
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_structure(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        out = kron(np.diag([1.0, 0.0]), x)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = x
-        assert np.array_equal(out, expected)
-
-    def test_factored_vectors(self):
-        rng = CounterRng(17)
-        a = rng.complex_normal_matrix(2, 2)
-        b = rng.complex_normal_matrix(2, 2)
-        x = rng.complex_normal_matrix(2, 1)
-        y = rng.complex_normal_matrix(2, 1)
-        assert np.allclose(kron(a, b) @ kron(x, y), kron(a @ x, b @ y), atol=1e-12)
-
-    def test_size_overflow(self):
-        with pytest.raises(SizeOverflow):
-            kron(np.eye(128), np.eye(64))
 
 
 class TestReferenceCholesky:
