@@ -51,15 +51,6 @@ def mixed_state_matrix(alpha: float, theta: float, phi: float) -> np.ndarray:
     return ca * ca * projector + sa * sa * ground
 
 
-def _read_bloch(rho: np.ndarray) -> BlochPoint:
-    # rho01 = (X - iY) / 2, Z = rho00 - rho11
-    return BlochPoint(
-        2.0 * float(rho[0, 1].real),
-        -2.0 * float(rho[0, 1].imag),
-        float((rho[0, 0] - rho[1, 1]).real),
-    )
-
-
 def bloch_surface(alpha: float, grid: tuple[int, int]) -> list[BlochPoint]:
     """Points of the contracted/translated sphere at mixing angle ``alpha``.
 

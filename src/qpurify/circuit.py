@@ -315,39 +315,77 @@ def schedule_from_parameters(params: CircuitParameters) -> GateSchedule:
     return GateSchedule(n, n, gates)
 
 
+def _group_starts(*keys: np.ndarray) -> np.ndarray:
+    """True at each row where any of ``keys`` differs from the row before."""
+    start = np.zeros(len(keys[0]), dtype=bool)
+    start[:1] = True
+    for key in keys:
+        start[1:] |= key[1:] != key[:-1]
+    return start
+
+
 def apply_schedule(schedule: GateSchedule) -> PureState:
-    """Apply the gates in order to |0...0> and return the resulting state."""
+    """Apply the gates in order to |0...0> and return the resulting state.
+
+    Gates controlled on different ancilla values act on disjoint lines, so
+    they commute. Each ancilla-register gate opens a run; inside a run, a
+    controlled gate's level is its rank among the run's gates on the same
+    control value. Runs go in order, each ancilla gate first as one step on
+    whole blocks of n lines, then one vector step per level (rotations and
+    phases apart). Every line still sees its gates in table order.
+    """
     m, n = schedule.ancilla_dim, schedule.system_dim
     gates = schedule.gates
-    # an ancilla gate moves whole system blocks of n lines, a controlled
-    # gate single lines inside the block of its control value
-    ancilla = gates["control"] < 0
+    count = len(gates)
+    control = gates["control"]
+    ancilla = control < 0
+    run = np.cumsum(ancilla)
+    order = np.lexsort((control, run))  # stable: table order inside a group
+    rank = np.arange(count)
+    start = _group_starts(run[order], control[order])
+    level = np.empty(count, dtype=np.int64)
+    level[order] = rank - np.maximum.accumulate(np.where(start, rank, 0))
+    level[ancilla] = -1  # first in its run
+    seq = np.lexsort((gates["phase"], level, run))
+    phase, ancilla = gates["phase"][seq], ancilla[seq]
+    starts = np.flatnonzero(_group_starts(run[seq], level[seq], phase))
+    # an ancilla gate's lines are where its two blocks of n lines begin; a
+    # controlled gate's lines lie inside the block of its control value
+    base = np.where(ancilla, 0, control[seq] * n)
     width = np.where(ancilla, n, 1)
-    offset = np.where(ancilla, 0, gates["control"] * n)
-    rows = zip(
-        gates["phase"].tolist(),
-        (offset + gates["a"] * width).tolist(),
-        (offset + gates["b"] * width).tolist(),
-        width.tolist(),
-        np.cos(gates["value"]).tolist(),
-        np.sin(gates["value"]).tolist(),
+    line_a = base + gates["a"][seq] * width
+    line_b = base + gates["b"][seq] * width
+    value = gates["value"][seq]
+    # complex with +0 imaginary parts, as numpy promotes a float operand, so
+    # no step has to cast
+    cos = np.zeros(count, dtype=np.complex128)
+    sin = np.zeros(count, dtype=np.complex128)
+    cos.real, sin.real = np.cos(value), np.sin(value)
+    factor = np.empty(count, dtype=np.complex128)
+    factor.real, factor.imag = cos.real, -sin.real  # e^{-i value}, as cmath.exp rounds it
+    vec = np.zeros(m * n, dtype=np.complex128)
+    vec[0] = 1.0
+    steps = zip(
+        starts.tolist(),
+        starts[1:].tolist() + [count],
+        ancilla[starts].tolist(),
+        phase[starts].tolist(),
     )
-    amps = [0j] * (m * n)
-    amps[0] = 1 + 0j
-    for phase, ia, ib, w, c, s in rows:
-        if phase:
-            factor = complex(c, -s)  # e^{-i value}, rounded as cmath.exp does
-            for i in range(ia, ia + w):
-                amps[i] *= factor
+    for lo, hi, whole_blocks, phase_step in steps:
+        if whole_blocks:
+            ia = slice(line_a[lo], line_a[lo] + n)
+            ib = slice(line_b[lo], line_b[lo] + n)
         else:
-            # complex operands, as numpy multiplies them: with a float operand
-            # Python 3.14+ skips the 0j terms, which can flip signed zeros
-            c, s = complex(c), complex(s)
-            for i, j in zip(range(ia, ia + w), range(ib, ib + w)):
-                xa, xb = amps[i], amps[j]
-                amps[i] = c * xa - s * xb
-                amps[j] = s * xa + c * xb
-    return PureState(m, n, np.array(amps))
+            ia, ib = line_a[lo:hi], line_b[lo:hi]
+        if phase_step:
+            vec[ia] *= factor[lo:hi]
+            continue
+        xa, xb = vec[ia], vec[ib]
+        c, s = cos[lo:hi], sin[lo:hi]
+        # both results before either write: block slices are views
+        new_a, new_b = c * xa - s * xb, s * xa + c * xb
+        vec[ia], vec[ib] = new_a, new_b
+    return PureState(m, n, vec)
 
 
 def invert_qubit(params: CircuitParameters) -> CoefficientMatrix:

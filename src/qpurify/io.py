@@ -14,7 +14,12 @@ import math
 import numpy as np
 
 from .bloch import bloch_surface, grid_angles
-from .circuit import BranchParameters, CircuitParameters, GateSchedule
+from .circuit import (
+    BranchParameters,
+    CircuitParameters,
+    GateSchedule,
+    schedule_from_parameters,
+)
 from .core import (
     DensityMatrix,
     PureState,
@@ -22,7 +27,7 @@ from .core import (
     ToleranceConfig,
     validate_density,
 )
-from .errors import OutOfRange
+from .errors import OutOfRange, ReconstructionFailure
 
 
 def _dump(payload) -> str:
@@ -75,12 +80,15 @@ def load_density(text: str, tol: ToleranceConfig | None = None) -> DensityMatrix
 
 
 def dump_state(state: PureState) -> str:
-    return _dump(
-        {
-            "ancilla_dim": state.ancilla_dim,
-            "system_dim": state.system_dim,
-            "amplitudes": [_pair(complex(a)) for a in state.amplitudes],
-        }
+    # the text json.dumps gives for the record, written straight from the arrays
+    amps = state.amplitudes
+    bad = ~np.isfinite(amps)
+    if bad.any():
+        json.dumps(_pair(amps[bad][0]), allow_nan=False)  # raises json's ValueError
+    pairs = ",".join([f"[{re!r},{im!r}]" for re, im in zip(amps.real.tolist(), amps.imag.tolist())])
+    return (
+        f'{{"ancilla_dim":{state.ancilla_dim},"system_dim":{state.system_dim},'
+        f'"amplitudes":[{pairs}]}}\n'
     )
 
 
@@ -97,17 +105,8 @@ def dump_coefficients(matrix) -> str:
     return _dump({"N": arr.shape[0], "C": _complex_matrix(arr)})
 
 
-def _gate_record(row: tuple) -> dict:
-    """JSON record of one gate-table row; control -1 (ancilla) is written as null."""
-    phase, control, a, b, value = row
-    control = None if control < 0 else control
-    if phase:
-        return {"gate": "phase", "control_value": control, "basis": a, "value": value}
-    return {"gate": "rotation", "control_value": control, "subspace": [a, b], "value": value}
-
-
 def _parse_gate(record) -> tuple:
-    """Gate-table row of one JSON record (the inverse of :func:`_gate_record`)."""
+    """Gate-table row of one JSON record (the inverse of :func:`_gate_records`)."""
     kind = record["gate"]
     control = record["control_value"]
     if control is None:
@@ -123,26 +122,41 @@ def _parse_gate(record) -> tuple:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSchedule) -> str:
-    return _dump(
-        {
-            "N": params.N,
-            "d": shape.d,
-            "n": shape.n,
-            "parameters": {
-                "weight_angles": [float(a) for a in params.weight_angles],
-                "branches": [
-                    {
-                        "dim": b.dim,
-                        "angles": [float(a) for a in b.angles],
-                        "phases": [float(p) for p in b.phases],
-                    }
-                    for b in params.branches
-                ],
-            },
-            "schedule": [_gate_record(row) for row in schedule.gates.tolist()],
-        }
+def _gate_records(gates: np.ndarray) -> str:
+    """JSON records of the gate table, comma-joined; control -1 (ancilla) is null.
+
+    :class:`GateSchedule` admits finite values only, so no value needs the
+    ``allow_nan`` check.
+    """
+    control = np.where(gates["control"] < 0, "null", gates["control"].astype(str))
+    rows = zip(
+        gates["phase"].tolist(),
+        control.tolist(),
+        gates["a"].tolist(),
+        gates["b"].tolist(),
+        gates["value"].tolist(),
     )
+    return ",".join(
+        [
+            f'{{"gate":"phase","control_value":{c},"basis":{a},"value":{v!r}}}'
+            if phase
+            else f'{{"gate":"rotation","control_value":{c},"subspace":[{a},{b}],"value":{v!r}}}'
+            for phase, c, a, b, v in rows
+        ]
+    )
+
+
+def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSchedule) -> str:
+    parameters = {
+        "weight_angles": params.weight_angles.tolist(),
+        "branches": [
+            {"dim": b.dim, "angles": b.angles.tolist(), "phases": b.phases.tolist()}
+            for b in params.branches
+        ],
+    }
+    head = _dump({"N": params.N, "d": shape.d, "n": shape.n, "parameters": parameters})
+    # the schedule joins the record as its last key: head ends in "}\n"
+    return f'{head[:-2]},"schedule":[{_gate_records(schedule.gates)}]}}\n'
 
 
 def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule]:
@@ -164,6 +178,13 @@ def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule
         n, np.array([float(a) for a in block["weight_angles"]]), branches
     )
     schedule = GateSchedule(n, n, [_parse_gate(g) for g in data["schedule"]])
+    # the schedule must be the one its parameters block prepares
+    expected = schedule_from_parameters(params).gates
+    rows = min(len(schedule.gates), len(expected))
+    differs = np.flatnonzero(schedule.gates[:rows] != expected[:rows])
+    if differs.size or len(schedule.gates) != len(expected):
+        k = int(differs[0]) if differs.size else rows
+        raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
     return shape, params, schedule
 
 

@@ -11,10 +11,19 @@ from qpurify import (
     random_density,
     validate_density,
 )
-from qpurify.bloch import BlochPoint, grid_angles, mixed_state_matrix, _read_bloch
+from qpurify.bloch import BlochPoint, grid_angles, mixed_state_matrix
 from qpurify.errors import BadRange, OutsideBall
 
 HALF_PI = math.pi / 2
+
+
+def read_bloch(rho):
+    """Ball coordinates of a 2x2 density matrix: rho01 = (X - iY) / 2, Z = rho00 - rho11."""
+    return BlochPoint(
+        2.0 * float(rho[0, 1].real),
+        -2.0 * float(rho[0, 1].imag),
+        float((rho[0, 0] - rho[1, 1]).real),
+    )
 
 
 def sphere_law_error(point, alpha):
@@ -53,7 +62,7 @@ class TestBlochSurface:
         k = 0
         for theta in thetas:
             for phi in phis:
-                ref = _read_bloch(mixed_state_matrix(alpha, float(theta), float(phi)))
+                ref = read_bloch(mixed_state_matrix(alpha, float(theta), float(phi)))
                 got = pts[k]
                 k += 1
                 assert max(abs(ref.x - got.x), abs(ref.y - got.y), abs(ref.z - got.z)) < 1e-14

@@ -8,6 +8,7 @@ from qpurify import (
     BranchParameters,
     GATE,
     CircuitParameters,
+    GateSchedule,
     apply_schedule,
     cholesky_purify,
     coefficients_to_state,
@@ -66,6 +67,21 @@ def reference_apply(schedule):
             vec[ia] = c * xa - s * xb
             vec[ib] = s * xa + c * xb
     return vec
+
+
+def random_table(rng, m, n, count):
+    """Gate rows in orders schedule_from_parameters never produces: ancilla
+    gates between controlled ones, phases on either register, and many gates
+    on the same lines."""
+    gates = np.zeros(count, dtype=GATE)
+    gates["control"] = rng.integers(-1, m, count)
+    gates["phase"] = rng.random(count) < 0.4
+    dim = np.where(gates["control"] < 0, m, n)
+    a = rng.integers(0, dim - 1)
+    gates["a"] = np.where(gates["phase"], rng.integers(0, dim), a)
+    gates["b"] = np.where(gates["phase"], 0, rng.integers(a + 1, dim))
+    gates["value"] = rng.uniform(-math.pi, math.pi, count)
+    return gates
 
 
 class TestCircuitParameters:
@@ -202,10 +218,33 @@ class TestGateSchedule:
         cases = [random_params(n, seed=60 + n) for n in (2, 3, 5, 8)]
         # zero angles and phases exercise the signed zeros the state files print
         cases.append(make_params(3, [0.0, HALF_PI], [([0.0, 0.7], [0.0, 2.0]), ([HALF_PI], [0.0]), ([], [])]))
+        # many levels per run of controlled gates
+        cases += [random_params(n, seed=60 + n) for n in (16, 64)]
         for params in cases:
             schedule = schedule_from_parameters(params)
             got = apply_schedule(schedule).amplitudes
             assert np.array_equal(got.view(np.uint64), reference_apply(schedule).view(np.uint64))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_apply_any_order_matches_reference(self, seed):
+        # apply reorders commuting gates, so its rounding may move by an ulp
+        # (numpy fuses complex products); every line must still see its gates
+        # in table order
+        rng = np.random.default_rng(seed)
+        canonical = schedule_from_parameters(random_params(16, seed=80 + seed)).gates
+        schedules = [
+            GateSchedule(16, 16, canonical[rng.permutation(canonical.size)]),
+            GateSchedule(3, 5, random_table(rng, 3, 5, 200)),
+            GateSchedule(16, 4, random_table(rng, 16, 4, 400)),
+            GateSchedule(2, 2, random_table(rng, 2, 2, 50)),
+        ]
+        for schedule in schedules:
+            got = apply_schedule(schedule).amplitudes
+            assert np.max(np.abs(got - reference_apply(schedule))) <= 1e-14
+
+    def test_apply_empty_table(self):
+        state = apply_schedule(GateSchedule(3, 2, np.zeros(0, dtype=GATE)))
+        assert state.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_one_gate_per_parameter(self):
         for n in (2, 3, 4, 6):

@@ -2,13 +2,19 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qpurify import (
+    BranchParameters,
+    CircuitParameters,
+    GateSchedule,
+    PureState,
     QuditShape,
+    apply_schedule,
     cholesky_purify,
     coefficients_to_state,
     extract_parameters,
@@ -16,9 +22,9 @@ from qpurify import (
     schedule_from_parameters,
     validate_density,
 )
-from qpurify import io
+from qpurify import cli, io
 from qpurify.cli import main
-from qpurify.errors import BadRange, NormFailure, QPurifyError
+from qpurify.errors import BadRange, NormFailure, QPurifyError, ReconstructionFailure
 
 
 @pytest.fixture
@@ -40,6 +46,47 @@ def qutrit_circuit():
     rho = random_density(3, 1, seed=5)
     params = extract_parameters(cholesky_purify(rho))
     return json.loads(io.dump_circuit(rho.shape, params, schedule_from_parameters(params)))
+
+
+def json_text(record):
+    """What the writers must emit: the record through json.dumps."""
+    return json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def state_record(state):
+    return {
+        "ancilla_dim": state.ancilla_dim,
+        "system_dim": state.system_dim,
+        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+    }
+
+
+def circuit_record(shape, params, schedule):
+    """The circuit as nested dicts, one per gate; control -1 is written as null."""
+    gates = []
+    for phase, control, a, b, value in schedule.gates.tolist():
+        control = None if control < 0 else control
+        if phase:
+            gates.append({"gate": "phase", "control_value": control, "basis": a, "value": value})
+        else:
+            gates.append({"gate": "rotation", "control_value": control, "subspace": [a, b], "value": value})
+    branches = [
+        {"dim": b.dim, "angles": [float(x) for x in b.angles], "phases": [float(x) for x in b.phases]}
+        for b in params.branches
+    ]
+    return {
+        "N": params.N,
+        "d": shape.d,
+        "n": shape.n,
+        "parameters": {"weight_angles": [float(x) for x in params.weight_angles], "branches": branches},
+        "schedule": gates,
+    }
+
+
+def qutrit_params(weights, branch0, branch1):
+    """N = 3 parameters from (angles, phases) of branches 0 and 1."""
+    branches = (BranchParameters(3, *branch0), BranchParameters(2, *branch1), BranchParameters(1, [], []))
+    return CircuitParameters(3, np.array(weights), branches)
 
 
 class TestJsonFormats:
@@ -79,6 +126,75 @@ class TestJsonFormats:
         prepared = apply_schedule(schedule2)
         target = coefficients_to_state(coeffs)
         assert np.max(np.abs(prepared.amplitudes - target.amplitudes)) <= 1e-10
+
+    def test_circuit_writer_matches_json(self):
+        rho = random_density(2, 2, seed=3)
+        params = extract_parameters(cholesky_purify(rho))
+        # zero phases give -0.0 gate values; 1.0 and 2.0 print as integer-valued floats
+        zeros = qutrit_params([0.0, 0.0], ([0.0, 0.0], [0.0, 0.0]), ([0.0], [0.0]))
+        whole = qutrit_params([1.0, 0.0], ([1.0, 0.0], [2.0, 0.0]), ([1.0], [3.0]))
+        extremes = GateSchedule(
+            3,
+            3,
+            [
+                (False, -1, 0, 2, -0.0),
+                (True, -1, 2, 0, 5e-324),
+                (False, 2, 1, 2, 1e300),
+                (True, 0, 2, 0, 2.0),
+                (False, 1, 0, 1, -7.0),
+                (True, 1, 0, 0, -5e-324),
+            ],
+        )
+        qutrit = QuditShape(3, 1)
+        cases = [
+            (rho.shape, params, schedule_from_parameters(params)),
+            (qutrit, zeros, schedule_from_parameters(zeros)),
+            (qutrit, whole, schedule_from_parameters(whole)),
+            (qutrit, whole, extremes),
+        ]
+        assert "-0.0" in io.dump_circuit(*cases[1]) and "null" in io.dump_circuit(*cases[1])
+        for shape, circuit_params, schedule in cases:
+            assert io.dump_circuit(shape, circuit_params, schedule) == json_text(
+                circuit_record(shape, circuit_params, schedule)
+            )
+
+    def test_state_writer_matches_json(self):
+        rho = random_density(2, 3, seed=8)
+        states = [
+            apply_schedule(schedule_from_parameters(extract_parameters(cholesky_purify(rho)))),
+            PureState(2, 2, [complex(1.0, -0.0), complex(5e-324, -5e-324), -0.0, complex(1e-300, 2e-300)]),
+        ]
+        for state in states:
+            assert io.dump_state(state) == json_text(state_record(state))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_state_writer_rejects_non_finite(self, runner, tmp_path, monkeypatch, bad):
+        state = SimpleNamespace(ancilla_dim=1, system_dim=2, amplitudes=np.array([1.0, complex(0.0, bad)]))
+        with pytest.raises(ValueError) as want:
+            json_text(state_record(state))
+        with pytest.raises(ValueError, match=str(want.value)):
+            io.dump_state(state)
+        # simulate reports it as a parse error and writes no state file
+        monkeypatch.setattr(cli, "apply_schedule", lambda schedule: state)
+        path = tmp_path / "circ.json"
+        path.write_text(json.dumps(qutrit_circuit()))
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["simulate", "--circuit", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("ParseError:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,row", [("value", 3), ("drop", 7), ("extra", 8)])
+    def test_schedule_must_match_parameters(self, edit, row):
+        data = qutrit_circuit()
+        if edit == "value":
+            data["schedule"][3]["value"] += 0.1
+        elif edit == "drop":
+            data["schedule"].pop()
+        else:
+            data["schedule"].append(data["schedule"][0])
+        with pytest.raises(ReconstructionFailure, match=f"schedule row {row} "):
+            io.load_circuit(json.dumps(data))
 
     def test_state_rejects_nan_amplitude(self):
         with pytest.raises(NormFailure):
@@ -299,6 +415,20 @@ class TestCliErrors:
         )
         assert res.exit_code == 3
         assert "ReconstructionFailure:" in res.stderr
+
+    def test_tampered_circuit_without_expect_exit_3(self, runner, tmp_path):
+        rho_path = write_density(tmp_path / "rho.json", random_density(2, 1, seed=42))
+        circ_path = tmp_path / "circ.json"
+        assert runner.invoke(main, ["synth", "--input", str(rho_path), "--out", str(circ_path)]).exit_code == 0
+        data = json.loads(circ_path.read_text())
+        data["schedule"][0]["value"] += 0.1
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(data))
+        out = tmp_path / "x.json"
+        res = runner.invoke(main, ["simulate", "--circuit", str(tampered), "--out", str(out)])
+        assert res.exit_code == 3
+        assert res.stderr.startswith("ReconstructionFailure: schedule row 0 ")
+        assert not out.exists()
 
     def test_bloch_bad_range_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["bloch", "--alpha", "2.0", "--grid", "4x4", "--out", str(tmp_path / "s.csv")])
