@@ -42,11 +42,6 @@ HALF_PI = math.pi / 2.0
 _LEFTOVER_LIMIT = 1e-8
 
 
-def _wrap_phase(value: float) -> float:
-    out = float(np.mod(value, TWO_PI))
-    return 0.0 if out >= TWO_PI else out
-
-
 def _check_angles(angles: np.ndarray, label: str) -> None:
     if angles.size and not (np.min(angles) >= 0.0 and np.max(angles) <= HALF_PI):
         raise BadRange(f"{label} must lie in [0, pi/2]")
@@ -180,32 +175,6 @@ def _extract_weight_angles(weights: np.ndarray) -> np.ndarray:
     return angles
 
 
-def _extract_branch(row: np.ndarray, dim: int, eps_pivot: float) -> tuple[np.ndarray, np.ndarray]:
-    angles = np.zeros(max(dim - 1, 0))
-    phases = np.zeros(max(dim - 1, 0))
-    if dim <= 1:
-        return angles, phases
-    work = np.array(row[:dim], dtype=np.complex128)
-    for step in range(1, dim):
-        j = dim - step
-        magnitude = min(abs(complex(work[j])), 1.0)
-        theta = math.asin(magnitude)
-        angles[step - 1] = theta
-        if j < dim - 1:
-            phases[j] = _wrap_phase(cmath.phase(complex(work[j])))
-        cos_theta = math.cos(theta)
-        if cos_theta > eps_pivot:
-            work[:j] /= cos_theta
-        else:
-            if float(np.max(np.abs(work[:j]))) > _LEFTOVER_LIMIT:
-                raise DegenerateBranch(
-                    "branch cosine underflowed with nonzero amplitudes remaining"
-                )
-            return angles, phases
-    phases[0] = _wrap_phase(cmath.phase(complex(work[0])))
-    return angles, phases
-
-
 def extract_parameters(
     coeffs: CoefficientMatrix, tol: ToleranceConfig | None = None
 ) -> CircuitParameters:
@@ -214,21 +183,70 @@ def extract_parameters(
     Rows whose weight does not exceed ``eps_pivot`` contribute all-zero
     branch parameters (their content is arbitrary; zero keeps the result
     deterministic).
+
+    All branches peel together, one step at a time. Each normalized row is
+    stored right-aligned, so at step s every branch still going peels
+    column N - s, and those branches are the first rows. Angles, cosines
+    and phases come from scalar ``math``/``cmath`` (numpy's ``arcsin``,
+    ``abs`` and ``angle`` round differently). A branch whose cosine falls
+    to ``eps_pivot`` or below stops there with its later angles and phases
+    zero, or raises DegenerateBranch when more than ``_LEFTOVER_LIMIT`` of
+    amplitude is left to peel.
     """
     tol = tol or DEFAULT_TOL
     n = coeffs.N
     weights = coeffs.row_weights()
     weight_angles = _extract_weight_angles(weights)
+    # weighted rows of dimension >= 2, in branch order; row i of work holds
+    # branch live[i] in columns live[i]..n-1
+    live = np.flatnonzero(weights[: n - 1] > tol.eps_pivot).tolist()
+    work = np.zeros((len(live), n), dtype=np.complex128)
+    for i, k in enumerate(live):
+        work[i, k:] = coeffs.C[k, : n - k]
+    work /= np.sqrt(weights[live])[:, None]
+    angles = np.zeros((len(live), n - 1))
+    stopped = {}
+    m = len(live)
+    for step in range(1, n):
+        col = n - step
+        while m and live[m - 1] >= col:
+            m -= 1  # branch live[m] has peeled all its columns
+        if not m:
+            break
+        theta = [math.asin(min(abs(v), 1.0)) for v in work[:m, col].tolist()]
+        cos = [math.cos(t) for t in theta]
+        angles[:m, step - 1] = theta
+        if not all(c > tol.eps_pivot for c in cos):
+            for i, c in enumerate(cos):
+                if c > tol.eps_pivot:
+                    continue
+                if i not in stopped:
+                    if float(np.max(np.abs(work[i, :col]))) > _LEFTOVER_LIMIT:
+                        raise DegenerateBranch(
+                            "branch cosine underflowed with nonzero amplitudes remaining"
+                        )
+                    stopped[i] = step
+                cos[i] = 1.0  # a stopped row is left as it is
+        work[:m, :col] /= np.array(cos)[:, None]
+    # phase j of branch live[i] is that of work[i, live[i] + j]
+    rows = work[:, : n - 1].tolist()
+    phases = np.mod([cmath.phase(v) for row, k in zip(rows, live) for v in row[k:]], TWO_PI)
+    phases[phases >= TWO_PI] = 0.0
+    index = dict(zip(live, range(len(live))))
     branches = []
+    start = 0
     for k in range(n):
         dim = n - k
-        if weights[k] > tol.eps_pivot:
-            row = coeffs.C[k, :dim] / math.sqrt(float(weights[k]))
-            angles, phases = _extract_branch(row, dim, tol.eps_pivot)
+        if k in index:
+            i = index[k]
+            angle, phase = angles[i, : dim - 1], phases[start : start + dim - 1]
+            start += dim - 1
+            if i in stopped:
+                angle[stopped[i] :] = 0.0
+                phase[: dim - stopped[i]] = 0.0
         else:
-            angles = np.zeros(max(dim - 1, 0))
-            phases = np.zeros(max(dim - 1, 0))
-        branches.append(BranchParameters(dim, angles, phases))
+            angle, phase = np.zeros(max(dim - 1, 0)), np.zeros(max(dim - 1, 0))
+        branches.append(BranchParameters(dim, angle, phase))
     return CircuitParameters(n, weight_angles, tuple(branches))
 
 

@@ -192,15 +192,13 @@ def bloch_csv(alphas, n_theta: int, n_phi: int) -> str:
     """CSV of surface points, one block per alpha: alpha,theta,phi,X,Y,Z."""
     lines = ["alpha,theta,phi,X,Y,Z"]
     thetas, phis = grid_angles(n_theta, n_phi)
+    # theta-major, phi-minor, as bloch_surface emits its points
+    grid = [f"{theta!r},{phi!r}" for theta in thetas.tolist() for phi in phis.tolist()]
     for alpha in alphas:
         alpha = float(alpha)
-        points = iter(bloch_surface(alpha, (n_theta, n_phi)))
-        for theta in thetas:
-            for phi in phis:
-                p = next(points)
-                lines.append(
-                    f"{alpha!r},{float(theta)!r},{float(phi)!r},{p.x!r},{p.y!r},{p.z!r}"
-                )
+        points = bloch_surface(alpha, (n_theta, n_phi))
+        head = repr(alpha)
+        lines += [f"{head},{at},{p.x!r},{p.y!r},{p.z!r}" for at, p in zip(grid, points)]
     return "\n".join(lines) + "\n"
 
 

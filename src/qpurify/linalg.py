@@ -7,6 +7,13 @@ purifier rather than a relabelling of it. The cyclic Jacobi solver serves
 only spectral purification and the test oracle; density-matrix validation
 needs just a threshold decision on the smallest eigenvalue and takes it from
 LAPACK (``numpy.linalg.eigvalsh``) instead.
+
+Each Jacobi rotation takes two broadcast products: one for rows p and q of
+the matrix, one for columns p and q of the matrix and the eigenvectors,
+stacked as one 2N x N array. Every product is a scalar times a contiguous
+row, as in the one-row-at-a-time updates the pinned ``purify --method
+spectral`` outputs were rounded with: numpy picks its complex-multiply
+kernel by operand layout, and kernels need not round alike.
 """
 
 from __future__ import annotations
@@ -51,7 +58,9 @@ def hermitian_eigen(matrix, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    vecs = np.eye(n, dtype=np.complex128)
+    # one column rotation updates a and the eigenvectors together
+    w = np.concatenate([a, np.eye(n, dtype=np.complex128)])
+    a, vecs = w[:n], w[n:]
     if n == 1:
         return EigenDecomposition(np.array([a[0, 0].real]), vecs)
 
@@ -80,16 +89,15 @@ def hermitian_eigen(matrix, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
                 t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = (t * c) * phase.conjugate()
-                # a <- U† a U with U embedding [[c, -conj(s)], [s, c]] at (p, q)
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp + np.conj(s) * rq
-                a[q, :] = -s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp + s * cq
-                a[:, q] = -np.conj(s) * cp + c * cq
-                vp, vq = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * vp + s * vq
-                vecs[:, q] = -np.conj(s) * vp + c * vq
+                # a <- U† a U and vecs <- vecs U, U embedding
+                # [[c, -conj(s)], [s, c]] at (p, q); columns are copied into
+                # contiguous rows before the product (see module docstring)
+                rows = a[p : q + 1 : q - p]
+                prod = np.array([[c, np.conj(s)], [-s, c]])[:, :, None] * rows
+                np.add(prod[:, 0], prod[:, 1], out=rows)
+                cols = w.T[p : q + 1 : q - p]
+                prod = np.array([[c, s], [-np.conj(s), c]])[:, :, None] * cols.copy()
+                np.add(prod[:, 0], prod[:, 1], out=cols)
     else:
         converged = float(np.max(np.abs(a - np.diag(np.diagonal(a))))) <= stop
     if not converged:

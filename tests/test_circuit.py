@@ -8,7 +8,10 @@ from qpurify import (
     BranchParameters,
     GATE,
     CircuitParameters,
+    CoefficientMatrix,
     GateSchedule,
+    QuditShape,
+    ToleranceConfig,
     apply_schedule,
     cholesky_purify,
     coefficients_to_state,
@@ -18,8 +21,8 @@ from qpurify import (
     random_density,
     schedule_from_parameters,
     simulate_circuit,
+    validate_density,
 )
-from qpurify.circuit import _extract_branch
 from qpurify.errors import BadRange, DegenerateBranch, ShapeMismatch
 from qpurify.rng import CounterRng
 
@@ -67,6 +70,62 @@ def reference_apply(schedule):
             vec[ia] = c * xa - s * xb
             vec[ib] = s * xa + c * xb
     return vec
+
+
+def reference_extract(coeffs, eps_pivot=1e-12):
+    """One branch at a time, one peeled amplitude at a time, with math/cmath:
+    the arithmetic extract_parameters must reproduce bit for bit. Returns the
+    weight angles and one (angles, phases) pair per branch."""
+
+    def wrap(value):
+        out = float(np.mod(value, 2 * math.pi))
+        return 0.0 if out >= 2 * math.pi else out
+
+    n = coeffs.N
+    weights = coeffs.row_weights()
+    cumulative = np.cumsum(weights)
+    weight_angles = np.zeros(n - 1)
+    for step in range(1, n):
+        remaining = float(cumulative[n - step])
+        if remaining > 0.0:
+            ratio = min(float(weights[n - step]) / remaining, 1.0)
+            weight_angles[step - 1] = math.asin(math.sqrt(ratio))
+    branches = []
+    for k in range(n):
+        dim = n - k
+        angles, phases = np.zeros(max(dim - 1, 0)), np.zeros(max(dim - 1, 0))
+        branches.append((angles, phases))
+        if dim <= 1 or not weights[k] > eps_pivot:
+            continue
+        work = coeffs.C[k, :dim] / math.sqrt(float(weights[k]))
+        for step in range(1, dim):
+            j = dim - step
+            theta = math.asin(min(abs(complex(work[j])), 1.0))
+            angles[step - 1] = theta
+            if j < dim - 1:
+                phases[j] = wrap(cmath.phase(complex(work[j])))
+            cos_theta = math.cos(theta)
+            if not cos_theta > eps_pivot:
+                if float(np.max(np.abs(work[:j]))) > 1e-8:
+                    raise DegenerateBranch("leftover amplitude")
+                break
+            work[:j] /= cos_theta
+        else:
+            phases[0] = wrap(cmath.phase(complex(work[0])))
+    return weight_angles, branches
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_extract_matches_reference(coeffs, eps_pivot=1e-12):
+    params = extract_parameters(coeffs, ToleranceConfig(eps_pivot=eps_pivot))
+    weight_angles, branches = reference_extract(coeffs, eps_pivot)
+    assert same_bits(params.weight_angles, weight_angles)
+    for k, (branch, (angles, phases)) in enumerate(zip(params.branches, branches)):
+        assert same_bits(branch.angles, angles), k
+        assert same_bits(branch.phases, phases), k  # signed zeros included
 
 
 def random_table(rng, m, n, count):
@@ -140,9 +199,60 @@ class TestExtractParameters:
                 assert np.all(branch.phases >= 0) and np.all(branch.phases < 2 * math.pi)
 
     def test_degenerate_branch_guard(self):
-        # malformed (non-normalized) row: unit last amplitude with leftovers
+        # malformed row: its unit last amplitude leaves cos(pi/2) ~ 6e-17 to
+        # divide the leftover 1.05e-8 by
+        c = np.zeros((3, 3), dtype=complex)
+        c[0] = [1.05e-8, 0.0, 1.0]
         with pytest.raises(DegenerateBranch):
-            _extract_branch(np.array([1.0, 0.0, 1.0], dtype=complex), 3, 1e-12)
+            extract_parameters(CoefficientMatrix(3, c))
+        with pytest.raises(DegenerateBranch):
+            reference_extract(CoefficientMatrix(3, c))
+
+    def test_degenerate_branch_stops(self):
+        # a leftover at or below 1e-8 stops the branch: later angles and all
+        # phases stay zero
+        c = np.zeros((3, 3), dtype=complex)
+        c[0] = [0.9e-8, 0.0, 1.0]
+        branch = extract_parameters(CoefficientMatrix(3, c)).branches[0]
+        assert branch.angles.tolist() == [HALF_PI, 0.0]
+        assert branch.phases.tolist() == [0.0, 0.0]
+        assert_extract_matches_reference(CoefficientMatrix(3, c))
+
+    def test_diagonal_rho_stops_every_branch_at_once(self):
+        rho = validate_density(np.diag([0.1, 0.2, 0.3, 0.4]), QuditShape(2, 2))
+        coeffs = cholesky_purify(rho)
+        params = extract_parameters(coeffs)
+        for branch in params.branches[:-1]:
+            assert branch.angles[0] == HALF_PI
+            assert not branch.angles[1:].any() and not branch.phases.any()
+        assert_extract_matches_reference(coeffs)
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (2, 6)])
+    def test_extract_matches_reference_bit_for_bit(self, d, n):
+        size = d**n
+        for rank in (size, -(-size // 2), 1):
+            for seed in range(3):
+                rho = random_density(d, n, seed=100 * size + seed, rank=rank)
+                assert_extract_matches_reference(cholesky_purify(rho))
+
+    def test_extract_matches_reference_with_gaps_and_stops(self):
+        # a zero-weight row between weighted ones, and branches that stop
+        # part way (an angle of pi/2 leaves cos(pi/2) ~ 6e-17 to divide by)
+        rho = validate_density(np.diag([0.25, 0.25, 0.0, 0.5]), QuditShape(2, 2))
+        assert_extract_matches_reference(cholesky_purify(rho))
+        for n, seed in [(3, 1), (5, 2), (8, 3), (16, 4)]:
+            params = random_params(n, seed)
+            weights = params.weight_angles.copy()
+            weights[seed % (n - 1)] = 0.0  # one zero-weight branch
+            branches = [
+                BranchParameters(b.dim, np.where(np.arange(b.dim - 1) == k % 3, HALF_PI, b.angles), b.phases)
+                if k % 2 else b
+                for k, b in enumerate(params.branches)
+            ]
+            state = simulate_circuit(CircuitParameters(n, weights, tuple(branches)))
+            coeffs = CoefficientMatrix(n, state.amplitudes.reshape(n, n))
+            assert_extract_matches_reference(coeffs)
+            assert_extract_matches_reference(coeffs, eps_pivot=1e-3)
 
 
 class TestSimulateCircuit:

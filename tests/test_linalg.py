@@ -19,6 +19,80 @@ def random_hermitian(dim, seed):
     return (g + g.conj().T) / 2.0
 
 
+def reference_jacobi(matrix, max_sweeps=100):
+    """Cyclic Jacobi with one numpy update per row and per column of a and of
+    the eigenvectors: the arithmetic hermitian_eigen must reproduce bit for
+    bit, down to the tie-breaking sort."""
+    a = np.array(matrix, dtype=np.complex128)
+    n = a.shape[0]
+    vecs = np.eye(n, dtype=np.complex128)
+    if n == 1:
+        return np.array([a[0, 0].real]), vecs
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        return np.zeros(n), vecs
+    stop = 1e-15 * scale
+    skip = 0.01 * stop
+    for _ in range(max_sweeps):
+        if float(np.max(np.abs(a - np.diag(np.diagonal(a))))) <= stop:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = abs(a[p, q])
+                if g <= skip:
+                    continue
+                app = a[p, p].real
+                aqq = a[q, q].real
+                phase = a[p, q] / g
+                tau = (app - aqq) / (2.0 * g)
+                sign = 1.0 if tau >= 0.0 else -1.0
+                t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = (t * c) * phase.conjugate()
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp + np.conj(s) * rq
+                a[q, :] = -s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp + s * cq
+                a[:, q] = -np.conj(s) * cp + c * cq
+                vp, vq = vecs[:, p].copy(), vecs[:, q].copy()
+                vecs[:, p] = c * vp + s * vq
+                vecs[:, q] = -np.conj(s) * vp + c * vq
+    else:
+        if float(np.max(np.abs(a - np.diag(np.diagonal(a))))) > stop:
+            raise NoConvergence("reference Jacobi did not converge")
+    values = np.diagonal(a).real.copy()
+    keys = np.empty((2 * n + 1, n))
+    for row, comp in enumerate(range(n - 1, -1, -1)):
+        keys[2 * row] = -vecs[comp, :].imag
+        keys[2 * row + 1] = -vecs[comp, :].real
+    keys[2 * n] = -values
+    order = np.lexsort(keys)
+    return values[order], vecs[:, order]
+
+
+def same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def jacobi_cases(dim):
+    """Full rank, rank one, tied eigenvalues (a rotated repeat and a diagonal
+    with repeats), I/N and zero."""
+    h = random_hermitian(dim, seed=dim)
+    v = CounterRng(50 + dim).complex_normal_matrix(dim, 1)
+    u = np.linalg.qr(CounterRng(70 + dim).complex_normal_matrix(dim, dim))[0]
+    repeats = np.repeat([0.5, 0.3, 0.2], -(-dim // 3))[:dim]
+    return [
+        h,
+        v @ v.conj().T,
+        (u * repeats) @ u.conj().T,
+        np.diag(repeats),
+        np.eye(dim) / dim,
+        np.zeros((dim, dim)),
+    ]
+
+
 def brute_partial_trace(amplitudes, m, n):
     out = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -72,6 +146,14 @@ class TestHermitianEigen:
     def test_degenerate_ties_resolve_deterministically(self):
         dec = hermitian_eigen(np.eye(3) / 3)
         assert np.array_equal(dec.eigenvectors, np.eye(3))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9, 16])
+    def test_matches_reference_bit_for_bit(self, dim):
+        for matrix in jacobi_cases(dim):
+            dec = hermitian_eigen(matrix)
+            values, vecs = reference_jacobi(matrix)
+            assert same_bits(dec.eigenvalues, values)
+            assert same_bits(dec.eigenvectors, vecs)
 
     def test_sweep_cap(self):
         with pytest.raises(NoConvergence):
