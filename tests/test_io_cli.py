@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from qpurify import (
 )
 from qpurify import cli, io
 from qpurify.cli import main
-from qpurify.errors import BadRange, NormFailure, QPurifyError, ReconstructionFailure
+from qpurify.errors import BadRange, NormFailure, OutOfRange, QPurifyError, ReconstructionFailure
 
 
 @pytest.fixture
@@ -53,12 +54,27 @@ def json_text(record):
     return json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def pair_record(values):
+    """[re, im] pairs of a 1-D or 2-D complex array, nested like the array."""
+    if np.ndim(values) == 2:
+        return [pair_record(row) for row in values]
+    return [[float(a.real), float(a.imag)] for a in values]
+
+
 def state_record(state):
     return {
         "ancilla_dim": state.ancilla_dim,
         "system_dim": state.system_dim,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+        "amplitudes": pair_record(state.amplitudes),
     }
+
+
+def density_record(rho):
+    return {"d": rho.shape.d, "n": rho.shape.n, "matrix": pair_record(rho.entries)}
+
+
+def coefficient_record(matrix):
+    return {"N": len(matrix), "C": pair_record(matrix)}
 
 
 def circuit_record(shape, params, schedule):
@@ -81,6 +97,119 @@ def circuit_record(shape, params, schedule):
         "parameters": {"weight_angles": [float(x) for x in params.weight_angles], "branches": branches},
         "schedule": gates,
     }
+
+
+def reference_gate(record):
+    kind = record["gate"]
+    control = record["control_value"]
+    if control is None:
+        control = -1
+    elif int(control) < 0:
+        raise OutOfRange(f"control value {control} outside ancilla register")
+    value = float(record["value"])
+    if kind == "rotation":
+        a, b = record["subspace"]
+        return (False, int(control), int(a), int(b), value)
+    if kind == "phase":
+        return (True, int(control), int(record["basis"]), 0, value)
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def reference_load_circuit(text):
+    """The full parse: every schedule record read with json and checked row by
+    row against the table the parameters give. load_circuit must return what
+    this returns, or raise the same exception type and message."""
+    data = json.loads(text)
+    shape = QuditShape(int(data["d"]), int(data["n"]))
+    n = int(data["N"])
+    if n != shape.N:
+        raise ValueError(f"declared N={n} disagrees with d**n={shape.N}")
+    block = data["parameters"]
+    branches = tuple(
+        BranchParameters(
+            int(b["dim"]),
+            np.array([float(a) for a in b["angles"]]),
+            np.array([float(p) for p in b["phases"]]),
+        )
+        for b in block["branches"]
+    )
+    params = CircuitParameters(n, np.array([float(a) for a in block["weight_angles"]]), branches)
+    schedule = GateSchedule(n, n, [reference_gate(g) for g in data["schedule"]])
+    expected = schedule_from_parameters(params).gates
+    rows = min(len(schedule.gates), len(expected))
+    differs = np.flatnonzero(schedule.gates[:rows] != expected[:rows])
+    if differs.size or len(schedule.gates) != len(expected):
+        k = int(differs[0]) if differs.size else rows
+        raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
+    return shape, params, schedule
+
+
+def load_outcome(load, text):
+    """What a circuit loader gives, bit for bit: shape, parameters and table,
+    or the exception type and message."""
+    try:
+        shape, params, schedule = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    branches = [(b.dim, b.angles.tobytes(), b.phases.tobytes()) for b in params.branches]
+    return shape, params.N, params.weight_angles.tobytes(), branches, schedule.gates.tobytes()
+
+
+#: (d, n, rank) of the canonical circuit files: N in {2, 3, 4, 9, 16, 64},
+#: full rank and rank-deficient (zero branches give -0.0 gate values).
+CIRCUIT_SHAPES = [
+    (d, n, rank)
+    for d, n in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (2, 6)]
+    for rank in (None, 1, (d**n + 1) // 2)
+]
+
+
+def canonical_circuit(d, n, rank):
+    rho = random_density(d, n, seed=d**n, rank=rank)
+    params = extract_parameters(cholesky_purify(rho))
+    return io.dump_circuit(rho.shape, params, schedule_from_parameters(params))
+
+
+def negative_zero_phases(text):
+    """The canonical file of the same circuit with every zero phase written -0.0
+    (the schedule then holds +0.0), or None if it has no zero phase."""
+    shape, params, _ = io.load_circuit(text)
+    if not any((b.phases == 0.0).any() for b in params.branches):
+        return None
+    branches = tuple(
+        BranchParameters(b.dim, b.angles, np.where(b.phases == 0.0, -0.0, b.phases)) for b in params.branches
+    )
+    params = CircuitParameters(params.N, params.weight_angles, branches)
+    return io.dump_circuit(shape, params, schedule_from_parameters(params))
+
+
+def circuit_variants(text):
+    """Valid and invalid texts of one canonical circuit file, by label."""
+    data = json.loads(text)
+    cut = text.index(',"schedule":[')
+    head, block = text[:cut], text[cut:]
+    garbage = ',"schedule":[{"gate":"swap"}]'
+    variants = {
+        "canonical": text,
+        "indent": json.dumps(data, indent=1),
+        "schedule first": json_text({"schedule": data["schedule"], **data}),
+        "head keys reordered": json_text({key: data[key] for key in ("parameters", "n", "d", "N", "schedule")}),
+        "garbage schedule first": head + garbage + block,
+        "garbage schedule last": text[:-2] + garbage + "}\n",
+        "1.50 token": head + re.sub(r'("value":-?\d+\.\d+)}', r"\g<1>0}", block, count=1),
+        "0 token": head + block.replace('"value":-0.0}', '"value":-0}', 1).replace('"value":0.0}', '"value":0}', 1),
+        "0 token in parameters": text.replace('"phases":[0.0', '"phases":[0', 1),
+        "-0.0 phase in parameters": text.replace('"phases":[0.0', '"phases":[-0.0', 1),
+        "-0.0 phases, canonical": negative_zero_phases(text),
+        "edited value": head + re.sub(r'"value":(-?[\d.e+-]+)}', lambda m: f'"value":{float(m[1]) + 0.1!r}}}', block, count=1),
+        "truncated": text[: len(text) // 2],
+        "trailing whitespace": text + "  \n",
+        "no final newline": text[:-1],
+        "missing schedule": json_text({key: value for key, value in data.items() if key != "schedule"}),
+    }
+    data["parameters"]["weight_angles"][0] = math.nan
+    variants["NaN in parameters"] = json.dumps(data, separators=(",", ":")) + "\n"
+    return {label: variant for label, variant in variants.items() if variant is not None}
 
 
 def qutrit_params(weights, branch0, branch1):
@@ -133,6 +262,8 @@ class TestJsonFormats:
         # zero phases give -0.0 gate values; 1.0 and 2.0 print as integer-valued floats
         zeros = qutrit_params([0.0, 0.0], ([0.0, 0.0], [0.0, 0.0]), ([0.0], [0.0]))
         whole = qutrit_params([1.0, 0.0], ([1.0, 0.0], [2.0, 0.0]), ([1.0], [3.0]))
+        # equal to the zeros' schedule under ==, but +0.0 where it holds -0.0
+        signed = qutrit_params([0.0, 0.0], ([0.0, 0.0], [-0.0, -0.0]), ([0.0], [-0.0]))
         extremes = GateSchedule(
             3,
             3,
@@ -151,6 +282,8 @@ class TestJsonFormats:
             (qutrit, zeros, schedule_from_parameters(zeros)),
             (qutrit, whole, schedule_from_parameters(whole)),
             (qutrit, whole, extremes),
+            (qutrit, zeros, schedule_from_parameters(signed)),
+            (qutrit, signed, schedule_from_parameters(signed)),
         ]
         assert "-0.0" in io.dump_circuit(*cases[1]) and "null" in io.dump_circuit(*cases[1])
         for shape, circuit_params, schedule in cases:
@@ -159,6 +292,8 @@ class TestJsonFormats:
             )
 
     def test_state_writer_matches_json(self):
+        # -0.0, subnormal, huge and integer-valued floats, in states, density
+        # matrices and coefficient matrices alike
         rho = random_density(2, 3, seed=8)
         states = [
             apply_schedule(schedule_from_parameters(extract_parameters(cholesky_purify(rho)))),
@@ -166,14 +301,28 @@ class TestJsonFormats:
         ]
         for state in states:
             assert io.dump_state(state) == json_text(state_record(state))
+        extremes = np.array([[complex(1.0, -0.0), complex(5e-324, 1e300)], [complex(-2.0, 3.0), -0.0]])
+        densities = [rho, SimpleNamespace(shape=QuditShape(2, 1), entries=extremes)]
+        for density in densities:
+            assert io.dump_density(density) == json_text(density_record(density))
+        for matrix in (cholesky_purify(rho).C, extremes):
+            assert io.dump_coefficients(matrix) == json_text(coefficient_record(matrix))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_state_writer_rejects_non_finite(self, runner, tmp_path, monkeypatch, bad):
         state = SimpleNamespace(ancilla_dim=1, system_dim=2, amplitudes=np.array([1.0, complex(0.0, bad)]))
-        with pytest.raises(ValueError) as want:
-            json_text(state_record(state))
-        with pytest.raises(ValueError, match=str(want.value)):
-            io.dump_state(state)
+        matrix = np.array([[1.0, 0.0], [complex(0.0, 1.0), complex(bad, 0.0)]])
+        density = SimpleNamespace(shape=QuditShape(2, 1), entries=matrix)
+        cases = [
+            (io.dump_state, state, state_record),
+            (io.dump_density, density, density_record),
+            (io.dump_coefficients, matrix, coefficient_record),
+        ]
+        for writer, value, record in cases:
+            with pytest.raises(ValueError) as want:
+                json_text(record(value))
+            with pytest.raises(ValueError, match=str(want.value)):
+                writer(value)
         # simulate reports it as a parse error and writes no state file
         monkeypatch.setattr(cli, "apply_schedule", lambda schedule: state)
         path = tmp_path / "circ.json"
@@ -183,6 +332,62 @@ class TestJsonFormats:
         assert res.exit_code == 1
         assert res.stderr.startswith("ParseError:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("d,n,rank", CIRCUIT_SHAPES)
+    def test_circuit_reader_matches_full_parse(self, d, n, rank):
+        for label, text in circuit_variants(canonical_circuit(d, n, rank)).items():
+            assert load_outcome(io.load_circuit, text) == load_outcome(reference_load_circuit, text), label
+
+    def test_canonical_circuit_skips_record_parse(self, monkeypatch):
+        # a file as dump_circuit writes it is checked by bytes, not parsed row by row
+        def refuse(record):
+            raise AssertionError("a canonical schedule block was parsed record by record")
+
+        monkeypatch.setattr(io, "_parse_gate", refuse)
+        for d, n, rank in CIRCUIT_SHAPES:
+            text = canonical_circuit(d, n, rank)
+            assert load_outcome(io.load_circuit, text) == load_outcome(reference_load_circuit, text)
+            again = negative_zero_phases(text)
+            if again is not None:
+                io.load_circuit(again)
+
+    @pytest.mark.parametrize("value", [2.9, "2", True, 2.0])
+    @pytest.mark.parametrize(
+        "kind,field",
+        [
+            ("density", "d"),
+            ("density", "n"),
+            ("state", "ancilla_dim"),
+            ("state", "system_dim"),
+            ("circuit", "N"),
+            ("circuit", "d"),
+            ("circuit", "n"),
+            ("circuit", "dim"),
+        ],
+    )
+    def test_dimension_fields_must_be_integers(self, runner, tmp_path, kind, field, value):
+        rho = random_density(2, 1, seed=1)
+        if kind == "density":
+            text, load, command = io.dump_density(rho), io.load_density, "purify --input"
+        elif kind == "state":
+            text, load, command = io.dump_state(coefficients_to_state(cholesky_purify(rho))), io.load_state, None
+        else:
+            params = extract_parameters(cholesky_purify(rho))
+            text = io.dump_circuit(rho.shape, params, schedule_from_parameters(params))
+            load, command = io.load_circuit, "simulate --circuit"
+        data = json.loads(text)
+        (data["parameters"]["branches"][0] if field == "dim" else data)[field] = value
+        text = json_text(data)  # the canonical layout, so a circuit's head is read first
+        message = re.escape(f"{field!r} must be a JSON integer")
+        with pytest.raises(ValueError, match=message):
+            load(text)
+        if command:
+            path, out = tmp_path / "in.json", tmp_path / "out.json"
+            path.write_text(text)
+            res = runner.invoke(main, [*command.split(), str(path), "--out", str(out)])
+            assert res.exit_code == 1
+            assert res.stderr.startswith("ParseError:") and re.search(message, res.stderr)
+            assert not out.exists()
 
     @pytest.mark.parametrize("edit,row", [("value", 3), ("drop", 7), ("extra", 8)])
     def test_schedule_must_match_parameters(self, edit, row):
