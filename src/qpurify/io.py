@@ -6,18 +6,33 @@ the shortest decimal that round-trips to the same IEEE double (Python's
 repr). Complex numbers are stored as [re, im] pairs. The writers build the
 text json.dumps would give straight from the arrays.
 
-A circuit file's ``schedule`` block is derived from its ``parameters``
-block, and one renderer, :func:`_schedule_text`, writes it. The reader
-parses only the record before the block, rebuilds the gate table and
-compares the block's bytes with the rendered text in place; any other
-layout of the same record goes through a full parse with the same errors.
-Dimension fields must be JSON integers.
+The readers first check that a file has the layout the writers produce,
+and read such a file with no Python work per entry:
+
+* a state or density file is parsed up to its array; the array's text,
+  once its number tokens are deleted, must be exactly the bracket-and-comma
+  skeleton its dimensions imply, and one ``json.loads`` of the tokens as a
+  flat list gives its doubles;
+* a circuit file's ``schedule`` block is derived from its ``parameters``
+  block, and one renderer, :func:`_schedule_text`, writes it. The reader
+  takes the parameter tokens from the head with one regular expression,
+  accepts them only if they are float literals that re-render the head
+  byte for byte (:func:`_circuit_text`, shared with the writer), rebuilds
+  the gate table and compares the block's bytes in place with the text of
+  the table and those same tokens.
+
+Any other layout goes through a full parse with the same errors. Dimension
+fields and gate indices must be JSON integers, and every other number a
+JSON int or float (not a string or bool).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from collections.abc import Iterator
+from itertools import chain, islice
 
 import numpy as np
 
@@ -38,12 +53,18 @@ from .core import (
 from .errors import OutOfRange, ReconstructionFailure
 
 
-def _integer(record, key: str) -> int:
-    """``record[key]``, which must be a JSON integer (not a float, string or bool)."""
-    value = record[key]
+def _integer(value, name: str) -> int:
+    """``value``, which must be a JSON integer (not a float, string or bool)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{name!r} must be a JSON integer, got {value!r}")
     return value
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float; it must be a JSON int or float (not a string or bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name!r} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _pairs(values: np.ndarray) -> str:
@@ -67,6 +88,49 @@ def _complex_items(values) -> str:
     return _pairs(values)
 
 
+#: The characters of a JSON number token.
+_NUMBER_CHARS = b"0123456789+-.eE"
+
+
+def _skeleton(shape: tuple[int, ...]) -> bytes:
+    """What the writers' text of a complex array of ``shape`` (1-D or 2-D)
+    leaves once its outer brackets and number tokens are deleted."""
+    pairs = b",".join([b"[,]"] * shape[-1])
+    return pairs if len(shape) == 1 else b",".join([b"[" + pairs + b"]"] * shape[0])
+
+
+def _canonical_complex(text: str, key: str, shape_of):
+    """``(record, values)`` of a file whose last key, ``key``, holds a complex
+    array as the writers write it; None for any other text.
+
+    ``record`` is the JSON object before ``key``, and ``shape_of(record)``
+    the shape of the array it declares. Once its number tokens are deleted,
+    the array's text must be exactly the skeleton of that shape: that
+    proves the [re, im] structure. With the separators between pairs and
+    rows turned into commas, one ``json.loads`` of what is left (a flat list
+    of the tokens; for a matrix, wrapped in one more list) proves each token
+    a JSON number; a stray token beside a bracket keeps that bracket, which
+    makes it fail.
+    """
+    cut = text.find(key)
+    if cut < 0 or not text.endswith("]}\n"):
+        return None
+    try:
+        record = json.loads(text[:cut] + "}")
+        shape = shape_of(record)
+        body = text[cut + len(key) : -3]
+        # each pair takes at least 6 characters, so a huge declared shape builds nothing
+        if 6 * math.prod(shape) - 1 > len(body):
+            return None
+        if body.encode().translate(None, _NUMBER_CHARS) != _skeleton(shape):
+            return None
+        flat = json.loads(body.replace("]],[[", ",").replace("],[", ","))
+        values = np.array(flat, dtype=np.float64).view(np.complex128)
+        return record, values.reshape(shape)
+    except Exception:
+        return None  # whatever is wrong, the full parse raises it as it always has
+
+
 def _parse_complex_matrix(data, rows: int, cols: int) -> np.ndarray:
     out = np.empty((rows, cols), dtype=np.complex128)
     if not isinstance(data, list) or len(data) != rows:
@@ -82,18 +146,26 @@ def _parse_complex_matrix(data, rows: int, cols: int) -> np.ndarray:
 def _parse_complex(pair) -> complex:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ValueError("complex entries must be [re, im] pairs")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_number(pair[0], "re"), _number(pair[1], "im"))
 
 
 def dump_density(rho: DensityMatrix) -> str:
     return f'{{"d":{rho.shape.d},"n":{rho.shape.n},"matrix":[{_complex_items(rho.entries)}]}}\n'
 
 
+def _density_shape(record) -> QuditShape:
+    return QuditShape(_integer(record["d"], "d"), _integer(record["n"], "n"))
+
+
 def load_density(text: str, tol: ToleranceConfig | None = None) -> DensityMatrix:
+    canonical = _canonical_complex(text, ',"matrix":[', lambda r: (_density_shape(r).N,) * 2)
+    if canonical is not None:
+        record, matrix = canonical
+        return validate_density(matrix, _density_shape(record), tol)
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("matrix file must be a JSON object")
-    shape = QuditShape(_integer(data, "d"), _integer(data, "n"))
+    shape = _density_shape(data)
     matrix = _parse_complex_matrix(data["matrix"], shape.N, shape.N)
     return validate_density(matrix, shape, tol)
 
@@ -105,10 +177,20 @@ def dump_state(state: PureState) -> str:
     )
 
 
+def _state_dims(record) -> tuple[int, int]:
+    return (
+        _integer(record["ancilla_dim"], "ancilla_dim"),
+        _integer(record["system_dim"], "system_dim"),
+    )
+
+
 def load_state(text: str) -> PureState:
+    canonical = _canonical_complex(text, ',"amplitudes":[', lambda r: (math.prod(_state_dims(r)),))
+    if canonical is not None:
+        record, amps = canonical
+        return PureState(*_state_dims(record), amps)
     data = json.loads(text)
-    m = _integer(data, "ancilla_dim")
-    n = _integer(data, "system_dim")
+    m, n = _state_dims(data)
     amps = np.array([_parse_complex(p) for p in data["amplitudes"]], dtype=np.complex128)
     return PureState(m, n, amps)
 
@@ -126,7 +208,41 @@ _SCHEDULE_KEY = ',"schedule":['
 _BLOCK_ROWS = 4096
 
 
-def _schedule_text(gates: np.ndarray, values: list[str] | None = None):
+def _negated(tokens: str) -> str:
+    """The comma-joined tokens of -x, from those of finite floats x: a sign
+    flip as text, which float() reads back as the negated double."""
+    return ("-" + tokens.replace(",", ",-")).replace("--", "") if tokens else ""
+
+
+def _circuit_text(shape: QuditShape, lists: list[str]) -> tuple[Iterator[str], Iterator[str]]:
+    """Head of a circuit file (the text before ``,"schedule":[``), in pieces,
+    and the value tokens of its gate table, in table order.
+
+    ``lists`` are the parameter lists as comma-joined float tokens: the
+    weight angles, then each branch's angles and phases. A phase is stored
+    negated in the table (see :data:`~qpurify.circuit.GATE`). Both come
+    lazily, one branch at a time: the writer joins them, the reader compares
+    them in place.
+    """
+    weights, angles, phases = lists[0], lists[1::2], lists[2::2]
+    N = len(angles)  # one branch per ancilla value
+
+    def head():
+        yield (
+            f'{{"N":{N},"d":{shape.d},"n":{shape.n},"parameters":'
+            f'{{"weight_angles":[{weights}],"branches":['
+        )
+        for k, (a, p) in enumerate(zip(angles, phases)):
+            yield f'{"," if k else ""}{{"dim":{N - k},"angles":[{a}],"phases":[{p}]}}'
+        yield "]}"
+
+    values = [weights]
+    for a, p in zip(angles, phases):
+        values += [a, _negated(p)]
+    return head(), chain.from_iterable(v.split(",") for v in values if v)
+
+
+def _schedule_text(gates: np.ndarray, values: Iterator[str] | None = None):
     """Canonical text of the schedule block, from ``,"schedule":[`` to the
     file's end, in pieces of at most ``_BLOCK_ROWS`` gate records.
 
@@ -142,7 +258,7 @@ def _schedule_text(gates: np.ndarray, values: list[str] | None = None):
         if values is None:
             tokens = map(repr, block["value"].tolist())
         else:
-            tokens = values[lo : lo + _BLOCK_ROWS]
+            tokens = islice(values, _BLOCK_ROWS)
         rows = zip(
             block["phase"].tolist(),
             block["control"].tolist(),
@@ -167,21 +283,11 @@ def _schedule_text(gates: np.ndarray, values: list[str] | None = None):
 def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSchedule) -> str:
     # one repr per parameter; the table of these parameters holds the weight
     # angles, then each branch's angles and its phases negated
-    weights = list(map(repr, params.weight_angles.tolist()))
-    values, branches, stored = list(weights), [], [params.weight_angles]
+    arrays, stored = [params.weight_angles], [params.weight_angles]
     for b in params.branches:
-        angles = list(map(repr, b.angles.tolist()))
-        phases = list(map(repr, b.phases.tolist()))
-        branches.append(
-            f'{{"dim":{b.dim},"angles":[{",".join(angles)}],"phases":[{",".join(phases)}]}}'
-        )
-        values += angles
-        values += [t[1:] if t[0] == "-" else "-" + t for t in phases]  # repr(-x), for finite x
+        arrays += [b.angles, b.phases]
         stored += [b.angles, -b.phases]
-    head = (
-        f'{{"N":{params.N},"d":{shape.d},"n":{shape.n},"parameters":'
-        f'{{"weight_angles":[{",".join(weights)}],"branches":[{",".join(branches)}]}}'
-    )
+    head, values = _circuit_text(shape, [",".join(map(repr, a.tolist())) for a in arrays])
     gates = schedule.gates
     stored = np.concatenate(stored)
     # bit for bit, so that -0.0 and 0.0 differ: otherwise repr the table's own values
@@ -189,7 +295,7 @@ def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSch
         gates["value"].view(np.int64), stored.view(np.int64)
     ):
         values = None
-    return "".join([head, *_schedule_text(gates, values)])
+    return "".join([*head, *_schedule_text(gates, values)])
 
 
 def _parse_gate(record) -> tuple:
@@ -198,51 +304,86 @@ def _parse_gate(record) -> tuple:
     control = record["control_value"]
     if control is None:
         control = -1
-    elif int(control) < 0:
+    elif _integer(control, "control_value") < 0:
         raise OutOfRange(f"control value {control} outside ancilla register")
-    value = float(record["value"])
+    value = _number(record["value"], "value")
     if kind == "rotation":
         a, b = record["subspace"]
-        return (False, int(control), int(a), int(b), value)
+        return (False, control, _integer(a, "subspace"), _integer(b, "subspace"), value)
     if kind == "phase":
-        return (True, int(control), int(record["basis"]), 0, value)
+        return (True, control, _integer(record["basis"], "basis"), 0, value)
     raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    return np.array([_number(v, name) for v in values], dtype=np.float64)
 
 
 def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
     """Shape and parameters of a parsed circuit record."""
-    shape = QuditShape(_integer(data, "d"), _integer(data, "n"))
-    n = _integer(data, "N")
+    shape = QuditShape(_integer(data["d"], "d"), _integer(data["n"], "n"))
+    n = _integer(data["N"], "N")
     if n != shape.N:
         raise ValueError(f"declared N={n} disagrees with d**n={shape.N}")
     block = data["parameters"]
     branches = tuple(
         BranchParameters(
-            _integer(b, "dim"),
-            np.array([float(a) for a in b["angles"]]),
-            np.array([float(p) for p in b["phases"]]),
+            _integer(b["dim"], "dim"),
+            _numbers(b["angles"], "angles"),
+            _numbers(b["phases"], "phases"),
         )
         for b in block["branches"]
     )
-    params = CircuitParameters(
-        n, np.array([float(a) for a in block["weight_angles"]]), branches
-    )
+    params = CircuitParameters(n, _numbers(block["weight_angles"], "weight_angles"), branches)
     return shape, params
 
 
+#: The dimensions that open a canonical circuit file.
+_CIRCUIT_DIMS = re.compile(r'\{"N":(\d+),"d":(\d+),"n":(\d+),')
+
+#: An innermost JSON array: in a circuit head, one parameter list.
+_TOKEN_LIST = re.compile(r"\[([^\[\]]*)\]")
+
+
+def _float_array(tokens: str) -> np.ndarray:
+    """The doubles of the comma-joined ``tokens``, each of which must be a
+    float literal with a '.', 'e' or 'E', as repr writes it (ValueError if
+    not). Without the mark json reads an int, and a text sign flip of "0"
+    does not give -0.0."""
+    marks = tokens.encode().translate(None, b"0123456789+-")
+    # a float leaves its '.', 'e' or 'E'; an integer leaves an empty item
+    if tokens and (marks.translate(None, b".eE,") or b",," in b"," + marks + b","):
+        raise ValueError("parameter tokens are not all float literals")
+    return np.array(json.loads(f"[{tokens}]"), dtype=np.float64)
+
+
 def _load_canonical_circuit(text: str):
-    """The circuit in ``text`` if its schedule block is, byte for byte, the
-    one its parameters give (as :func:`dump_circuit` writes it); else None."""
+    """The circuit in ``text`` if it is, byte for byte, the text its own
+    parameter tokens render to (as :func:`dump_circuit` renders the tokens
+    ``repr`` writes); else None."""
     cut = text.find(_SCHEDULE_KEY)
     if cut < 0:
         return None
+    dims = _CIRCUIT_DIMS.match(text, 0, cut)
+    if dims is None:
+        return None
+    lists = _TOKEN_LIST.findall(text, 0, cut)
     try:
-        shape, params = _circuit_head(json.loads(text[:cut] + "}"))
+        N, d, n = map(int, dims.groups())
+        shape = QuditShape(d, n)
+        if N != shape.N:
+            return None
+        weights, *rest = [_float_array(item) for item in lists]
+        branches = tuple(
+            BranchParameters(N - k, a, p) for k, (a, p) in enumerate(zip(rest[::2], rest[1::2]))
+        )
+        params = CircuitParameters(N, weights, branches)
     except Exception:
         return None  # whatever is wrong, the full parse raises it as it always has
     schedule = schedule_from_parameters(params)
-    pos = cut
-    for piece in _schedule_text(schedule.gates):
+    head, values = _circuit_text(shape, lists)
+    pos = 0
+    for piece in chain(head, _schedule_text(schedule.gates, values)):
         if not text.startswith(piece, pos):
             return None
         pos += len(piece)
@@ -253,7 +394,7 @@ def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule
     """Shape, parameters and gate table of a circuit file.
 
     A file as :func:`dump_circuit` writes it is accepted by comparing its
-    schedule block with the text the parameters give. Any other layout is
+    text with the text its parameter tokens render to. Any other layout is
     parsed in full, and its schedule must agree with its parameters.
     """
     circuit = _load_canonical_circuit(text)

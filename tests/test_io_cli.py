@@ -99,20 +99,38 @@ def circuit_record(shape, params, schedule):
     }
 
 
+def json_integer(value, name):
+    """The full parse's rule for dimensions and gate indices: a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_number(value, name):
+    """The full parse's rule for every other number: a JSON int or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name!r} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def reference_gate(record):
     kind = record["gate"]
     control = record["control_value"]
     if control is None:
         control = -1
-    elif int(control) < 0:
+    elif json_integer(control, "control_value") < 0:
         raise OutOfRange(f"control value {control} outside ancilla register")
-    value = float(record["value"])
+    value = json_number(record["value"], "value")
     if kind == "rotation":
         a, b = record["subspace"]
-        return (False, int(control), int(a), int(b), value)
+        return (False, control, json_integer(a, "subspace"), json_integer(b, "subspace"), value)
     if kind == "phase":
-        return (True, int(control), int(record["basis"]), 0, value)
+        return (True, control, json_integer(record["basis"], "basis"), 0, value)
     raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def reference_numbers(values, name):
+    return np.array([json_number(v, name) for v in values], dtype=np.float64)
 
 
 def reference_load_circuit(text):
@@ -120,20 +138,20 @@ def reference_load_circuit(text):
     row against the table the parameters give. load_circuit must return what
     this returns, or raise the same exception type and message."""
     data = json.loads(text)
-    shape = QuditShape(int(data["d"]), int(data["n"]))
-    n = int(data["N"])
+    shape = QuditShape(json_integer(data["d"], "d"), json_integer(data["n"], "n"))
+    n = json_integer(data["N"], "N")
     if n != shape.N:
         raise ValueError(f"declared N={n} disagrees with d**n={shape.N}")
     block = data["parameters"]
     branches = tuple(
         BranchParameters(
-            int(b["dim"]),
-            np.array([float(a) for a in b["angles"]]),
-            np.array([float(p) for p in b["phases"]]),
+            json_integer(b["dim"], "dim"),
+            reference_numbers(b["angles"], "angles"),
+            reference_numbers(b["phases"], "phases"),
         )
         for b in block["branches"]
     )
-    params = CircuitParameters(n, np.array([float(a) for a in block["weight_angles"]]), branches)
+    params = CircuitParameters(n, reference_numbers(block["weight_angles"], "weight_angles"), branches)
     schedule = GateSchedule(n, n, [reference_gate(g) for g in data["schedule"]])
     expected = schedule_from_parameters(params).gates
     rows = min(len(schedule.gates), len(expected))
@@ -142,6 +160,36 @@ def reference_load_circuit(text):
         k = int(differs[0]) if differs.size else rows
         raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
     return shape, params, schedule
+
+
+def reference_load_state(text):
+    """The full parse of a state file: json, then one io._parse_complex call per
+    amplitude. load_state must return what this returns, or raise the same
+    exception type and message."""
+    data = json.loads(text)
+    m = json_integer(data["ancilla_dim"], "ancilla_dim")
+    n = json_integer(data["system_dim"], "system_dim")
+    amps = np.array([io._parse_complex(p) for p in data["amplitudes"]], dtype=np.complex128)
+    return PureState(m, n, amps)
+
+
+def reference_load_density(text):
+    """The full parse of a matrix file, one io._parse_complex call per entry, as
+    reference_load_state is for states."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("matrix file must be a JSON object")
+    shape = QuditShape(json_integer(data["d"], "d"), json_integer(data["n"], "n"))
+    rows = data["matrix"]
+    matrix = np.empty((shape.N, shape.N), dtype=np.complex128)
+    if not isinstance(rows, list) or len(rows) != shape.N:
+        raise ValueError(f"expected {shape.N} matrix rows")
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != shape.N:
+            raise ValueError(f"row {r}: expected {shape.N} entries")
+        for c, pair in enumerate(row):
+            matrix[r, c] = io._parse_complex(pair)
+    return validate_density(matrix, shape)
 
 
 def load_outcome(load, text):
@@ -201,6 +249,9 @@ def circuit_variants(text):
         "0 token in parameters": text.replace('"phases":[0.0', '"phases":[0', 1),
         "-0.0 phase in parameters": text.replace('"phases":[0.0', '"phases":[-0.0', 1),
         "-0.0 phases, canonical": negative_zero_phases(text),
+        "0 phase in parameters, -0 in its schedule record": zero_phase_as_int(text),
+        "1.50 in the head and in the matching schedule value": padded_weight_angle(text),
+        "branch dim edited": re.sub(r'"dim":(\d+)', lambda m: f'"dim":{int(m[1]) + 1}', text, count=1),
         "edited value": head + re.sub(r'"value":(-?[\d.e+-]+)}', lambda m: f'"value":{float(m[1]) + 0.1!r}}}', block, count=1),
         "truncated": text[: len(text) // 2],
         "trailing whitespace": text + "  \n",
@@ -212,10 +263,118 @@ def circuit_variants(text):
     return {label: variant for label, variant in variants.items() if variant is not None}
 
 
+def zero_phase_as_int(text):
+    """The file with its first leading zero phase written 0 in ``parameters``
+    and -0 in its schedule record, or None if no phase list starts with 0.0.
+    Both are integer tokens: the table gets +0.0 where the phase gives -0.0."""
+    data = json.loads(text)
+    k = next((k for k, b in enumerate(data["parameters"]["branches"]) if b["phases"][:1] == [0.0]), None)
+    if k is None:
+        return None
+    record = f'{{"gate":"phase","control_value":{k},"basis":0,"value":-0.0}}'
+    head, block = text.split(',"schedule":[')
+    assert record in block
+    return head.replace('"phases":[0.0', '"phases":[0', 1) + ',"schedule":[' + block.replace(record, record.replace("-0.0", "-0"), 1)
+
+
+def padded_weight_angle(text):
+    """The file with its first weight angle written with a trailing 0, in the
+    parameters block and in the schedule record that holds it."""
+    head, block = text.split(',"schedule":[')
+    token = re.search(r'"weight_angles":\[([^,\]]+)', head)[1]
+    return (
+        head.replace(f'"weight_angles":[{token}', f'"weight_angles":[{token}0', 1)
+        + ',"schedule":['
+        + block.replace(f'"value":{token}}}', f'"value":{token}0}}', 1)
+    )
+
+
 def qutrit_params(weights, branch0, branch1):
     """N = 3 parameters from (angles, phases) of branches 0 and 1."""
     branches = (BranchParameters(3, *branch0), BranchParameters(2, *branch1), BranchParameters(1, [], []))
     return CircuitParameters(3, np.array(weights), branches)
+
+
+def array_outcome(load, text):
+    """What a state or matrix loader gives, bit for bit: dimensions and array,
+    or the exception type and message."""
+    try:
+        result = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, PureState):
+        return result.ancilla_dim, result.system_dim, result.amplitudes.tobytes()
+    return result.shape, result.entries.tobytes()
+
+
+def canonical_state(d, n, rank):
+    rho = random_density(d, n, seed=d**n, rank=rank)
+    return io.dump_state(coefficients_to_state(cholesky_purify(rho)))
+
+
+def canonical_density(d, n, rank):
+    return io.dump_density(random_density(d, n, seed=d**n, rank=rank))
+
+
+#: Per array format: its reader, the full parse, a canonical file and the array's key.
+ARRAY_FORMATS = {
+    "state": (io.load_state, reference_load_state, canonical_state, "amplitudes"),
+    "density": (io.load_density, reference_load_density, canonical_density, "matrix"),
+}
+
+#: (d, n, rank) of the canonical state and matrix files: N in {2, 3, 4, 16, 64}.
+ARRAY_SHAPES = [(2, 1, None), (3, 1, None), (2, 2, 1), (2, 4, None), (2, 6, 3)]
+
+#: A number token of an array file.
+NUMBER = r"-?\d[\d.eE+-]*"
+
+
+def array_variants(text, key):
+    """Valid and invalid texts of one canonical state or matrix file, by label."""
+    data = json.loads(text)
+    cut = text.index(f'"{key}":[') + len(key) + 4
+    head, body = text[:cut], text[cut:]
+
+    def first_token(new):
+        return head + re.sub(NUMBER, new, body, count=1)
+
+    def first_pairs(pairs):
+        """The file with its first two [re, im] pairs replaced by ``pairs``."""
+        copy = json.loads(text)
+        row = copy[key] if key == "amplitudes" else copy[key][0]
+        row[:2] = pairs
+        return json_text(copy)
+
+    row = data[key] if key == "amplitudes" else data[key][0]
+    (re0, im0), (re1, im1) = row[:2]
+    first = next(iter(data))
+    return {
+        "canonical": text,
+        "indent": json.dumps(data, indent=1),
+        "keys reordered": json_text(dict(reversed(data.items()))),
+        "duplicated dimension key": f'{{"{first}":0,{text[1:]}',
+        "duplicated array key": f'{text[:-2]},"{key}":[]}}\n',
+        "1.50 token": head + re.sub(r"(-?\d+\.\d+)(?=[,\]])", r"\g<1>0", body, count=1),
+        "0 token": head + re.sub(r"(?<=[\[,])-?0\.0(?=[,\]])", "0", body, count=1),
+        "-0 token": head + re.sub(r"(?<=[\[,])-?0\.0(?=[,\]])", "-0", body, count=1),
+        "integer token": first_token("9007199254740993"),
+        "huge integer token": first_token("1" + "0" * 400),
+        "1e400 token": first_token("1e400"),
+        "NaN": first_token("NaN"),
+        "Infinity": first_token("Infinity"),
+        "string entry": head + re.sub(NUMBER, lambda m: f'"{m[0]}"', body, count=1),
+        "[a,b,c],[d]": first_pairs([[re0, im0, re1], [im1]]),
+        "[a],[b,c,d]": first_pairs([[re0], [im0, re1, im1]]),
+        "space after a pair": head + body.replace("],[", "], [", 1),
+        "number after a pair": head + body.replace("],[", "]0,[", 1),
+        "number before a pair": head + body.replace("],[", "],0[", 1),
+        "number between rows": head + body.replace("]],[[", "]],0[[", 1),
+        "number before the first pair": head + "0" + body,
+        "truncated": text[: len(text) // 2],
+        "trailing whitespace": text + "  \n",
+        "no final newline": text[:-1],
+        "empty list": json_text({**data, key: []}),
+    }
 
 
 class TestJsonFormats:
@@ -347,9 +506,47 @@ class TestJsonFormats:
         for d, n, rank in CIRCUIT_SHAPES:
             text = canonical_circuit(d, n, rank)
             assert load_outcome(io.load_circuit, text) == load_outcome(reference_load_circuit, text)
+            io.load_circuit(padded_weight_angle(text))
             again = negative_zero_phases(text)
             if again is not None:
                 io.load_circuit(again)
+
+    def test_circuit_codec_repr_calls(self, monkeypatch):
+        # the writer renders each parameter once; the canonical reader renders none
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return float.__repr__(value)
+
+        monkeypatch.setattr(io, "repr", counting, raising=False)
+        for d, n, rank in CIRCUIT_SHAPES:
+            rho = random_density(d, n, seed=d**n, rank=rank)
+            params = extract_parameters(cholesky_purify(rho))
+            schedule = schedule_from_parameters(params)
+            calls.clear()
+            text = io.dump_circuit(rho.shape, params, schedule)
+            assert len(calls) == params.parameter_count == rho.shape.N**2 - 1
+            calls.clear()
+            io.load_circuit(text)
+            assert calls == []
+
+    @pytest.mark.parametrize("kind", sorted(ARRAY_FORMATS))
+    @pytest.mark.parametrize("d,n,rank", ARRAY_SHAPES)
+    def test_array_reader_matches_full_parse(self, kind, d, n, rank):
+        load, reference, canonical, key = ARRAY_FORMATS[kind]
+        for label, text in array_variants(canonical(d, n, rank), key).items():
+            assert array_outcome(load, text) == array_outcome(reference, text), label
+
+    def test_canonical_arrays_skip_entry_parse(self, monkeypatch):
+        # a file as the writers write it is read without one call per entry
+        def refuse(pair):
+            raise AssertionError("a canonical array was parsed entry by entry")
+
+        monkeypatch.setattr(io, "_parse_complex", refuse)
+        for load, _, canonical, _ in ARRAY_FORMATS.values():
+            for d, n, rank in ARRAY_SHAPES:
+                load(canonical(d, n, rank))
 
     @pytest.mark.parametrize("value", [2.9, "2", True, 2.0])
     @pytest.mark.parametrize(
@@ -388,6 +585,70 @@ class TestJsonFormats:
             assert res.exit_code == 1
             assert res.stderr.startswith("ParseError:") and re.search(message, res.stderr)
             assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["string", True])
+    @pytest.mark.parametrize(
+        "kind,field",
+        [
+            ("density", "re"),
+            ("state", "im"),
+            ("circuit", "weight_angles"),
+            ("circuit", "angles"),
+            ("circuit", "phases"),
+            ("circuit", "value"),
+        ],
+    )
+    def test_number_fields_must_be_numbers(self, runner, tmp_path, kind, field, value):
+        rho = random_density(2, 1, seed=1)
+        if kind == "density":
+            data, load, command = json.loads(io.dump_density(rho)), io.load_density, "purify --input"
+            entries = data["matrix"][0][0]
+        elif kind == "state":
+            data, load, command = json.loads(io.dump_state(coefficients_to_state(cholesky_purify(rho)))), io.load_state, None
+            entries = data["amplitudes"][0]
+        else:
+            params = extract_parameters(cholesky_purify(rho))
+            data = json.loads(io.dump_circuit(rho.shape, params, schedule_from_parameters(params)))
+            load, command = io.load_circuit, "simulate --circuit"
+            branch = data["parameters"]["branches"][0]
+            entries = {
+                "weight_angles": data["parameters"]["weight_angles"],
+                "angles": branch["angles"],
+                "phases": branch["phases"],
+                "value": data["schedule"][1],
+            }[field]
+        index = {"re": 0, "im": 1, "value": "value"}.get(field, 0)
+        entries[index] = str(entries[index]) if value == "string" else value
+        text = json_text(data)  # the canonical layout, so the canonical reader sees it first
+        message = re.escape(f"{field!r} must be a JSON number")
+        with pytest.raises(ValueError, match=message):
+            load(text)
+        if command:
+            path, out = tmp_path / "in.json", tmp_path / "out.json"
+            path.write_text(text)
+            res = runner.invoke(main, [*command.split(), str(path), "--out", str(out)])
+            assert res.exit_code == 1
+            assert res.stderr.startswith("ParseError:") and re.search(message, res.stderr)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0.4, "1", True])
+    @pytest.mark.parametrize("row,field", [(2, "control_value"), (2, "subspace"), (4, "basis")])
+    def test_gate_indices_must_be_integers(self, runner, tmp_path, row, field, value):
+        data = qutrit_circuit()
+        record = data["schedule"][row]
+        if field == "subspace":
+            record[field] = [value, record[field][1]]
+        else:
+            record[field] = value
+        message = re.escape(f"{field!r} must be a JSON integer")
+        with pytest.raises(ValueError, match=message):
+            io.load_circuit(json.dumps(data))
+        path, out = tmp_path / "circ.json", tmp_path / "x.json"
+        path.write_text(json.dumps(data))
+        res = runner.invoke(main, ["simulate", "--circuit", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("ParseError:") and re.search(message, res.stderr)
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit,row", [("value", 3), ("drop", 7), ("extra", 8)])
     def test_schedule_must_match_parameters(self, edit, row):
