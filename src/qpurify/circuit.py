@@ -311,6 +311,11 @@ def schedule_from_parameters(params: CircuitParameters) -> GateSchedule:
     phases, all controlled on ancilla value k. One gate per parameter,
     N^2 - 1 in total.
     """
+    return GateSchedule(params.N, params.N, _gate_table(params))
+
+
+def _gate_table(params: CircuitParameters) -> np.ndarray:
+    """The :data:`GATE` table of :func:`schedule_from_parameters`, unvalidated."""
     n = params.N
     gates = np.zeros(n * n - 1, dtype=GATE)
     chain = gates[: n - 1]
@@ -330,7 +335,7 @@ def schedule_from_parameters(params: CircuitParameters) -> GateSchedule:
         phases["control"] = k
         phases["a"] = np.arange(steps)
         phases["value"] = -branch.phases
-    return GateSchedule(n, n, gates)
+    return gates
 
 
 def _group_starts(*keys: np.ndarray) -> np.ndarray:

@@ -73,6 +73,9 @@ class QuditShape:
             raise BadShape(f"local dimension must be >= 2, got d={self.d}")
         if self.n < 1:
             raise BadShape(f"qudit count must be >= 1, got n={self.n}")
+        # d**n >= 2**n > dim_cap past the cap's bit length: no power, no huge message
+        if self.n > self.dim_cap.bit_length() or self.d > self.dim_cap:
+            raise BadShape(f"N = {self.d}**{self.n} exceeds cap {self.dim_cap}")
         total = self.d ** self.n
         if total > self.dim_cap:
             raise BadShape(f"N = {self.d}**{self.n} = {total} exceeds cap {self.dim_cap}")

@@ -14,12 +14,12 @@ and read such a file with no Python work per entry:
   skeleton its dimensions imply, and one ``json.loads`` of the tokens as a
   flat list gives its doubles;
 * a circuit file's ``schedule`` block is derived from its ``parameters``
-  block, and one renderer, :func:`_schedule_text`, writes it. The reader
-  takes the parameter tokens from the head with one regular expression,
-  accepts them only if they are float literals that re-render the head
-  byte for byte (:func:`_circuit_text`, shared with the writer), rebuilds
-  the gate table and compares the block's bytes in place with the text of
-  the table and those same tokens.
+  block. One renderer, :func:`_schedule_text`, writes it from N and the
+  value tokens, with every other byte built once per N; the writer refuses
+  a table that disagrees with its parameters. The reader takes the head's
+  innermost lists as the tokens, accepts them only if they are float
+  literals that re-render the head (:func:`_circuit_text`, shared with the
+  writer), and compares the block in place with their text.
 
 Any other layout goes through a full parse with the same errors. Dimension
 fields and gate indices must be JSON integers, and every other number a
@@ -32,7 +32,7 @@ import json
 import math
 import re
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .circuit import (
     BranchParameters,
     CircuitParameters,
     GateSchedule,
+    _gate_table,
     schedule_from_parameters,
 )
 from .core import (
@@ -242,60 +243,59 @@ def _circuit_text(shape: QuditShape, lists: list[str]) -> tuple[Iterator[str], I
     return head(), chain.from_iterable(v.split(",") for v in values if v)
 
 
-def _schedule_text(gates: np.ndarray, values: Iterator[str] | None = None):
-    """Canonical text of the schedule block, from ``,"schedule":[`` to the
-    file's end, in pieces of at most ``_BLOCK_ROWS`` gate records.
+def _schedule_text(N: int, values: Iterator[str]) -> Iterator[str]:
+    """Canonical text of the schedule block of an N-line circuit, from
+    ``,"schedule":[`` to the file's end, in pieces of ``_BLOCK_ROWS`` records.
 
-    ``values`` are the gates' value tokens; None renders each value with
-    ``repr``. Control -1 (ancilla register) is written null. The writer joins
-    the pieces; the reader compares each one in place, so the whole block
-    never has to exist twice. :class:`GateSchedule` admits finite values
-    only, so no value needs the ``allow_nan`` check.
+    ``values`` are the table's value tokens, in order; parameters and tables
+    admit finite values only, so none needs ``allow_nan``. Every other byte
+    depends on N only (see :func:`~qpurify.circuit.schedule_from_parameters`):
+    a record joins strings built once per call, with no formatting per gate
+    (a separator, its group's head, its subspace or basis line, its value).
+    The writer joins the pieces; the reader compares each in place.
     """
+    gate = '{"gate":"%s","control_value":%s'
+    rot = [f',"subspace":[0,{t}],"value":' for t in range(N - 1, 0, -1)]
+    basis = [f',"basis":{a},"value":' for a in range(N - 1)]
+    heads, lines = [repeat(gate % ("rotation", "null"), N - 1)], [rot]
+    for k in range(N - 1):
+        steps = N - 1 - k
+        heads += [repeat(gate % ("rotation", k), steps), repeat(gate % ("phase", k), steps)]
+        lines += [rot[k:], basis[:steps]]
+    seps = chain(("",), repeat("},"))  # "}" closes the record before
+    cells = chain.from_iterable(zip(seps, chain(*heads), chain(*lines), values))
     yield _SCHEDULE_KEY
-    for lo in range(0, len(gates), _BLOCK_ROWS):
-        block = gates[lo : lo + _BLOCK_ROWS]
-        if values is None:
-            tokens = map(repr, block["value"].tolist())
-        else:
-            tokens = islice(values, _BLOCK_ROWS)
-        rows = zip(
-            block["phase"].tolist(),
-            block["control"].tolist(),
-            block["a"].tolist(),
-            block["b"].tolist(),
-            tokens,
-        )
-        if lo:
-            yield ","
-        yield ",".join(
-            [
-                f'{{"gate":"phase","control_value":{"null" if c < 0 else c},"basis":{a},"value":{v}}}'
-                if phase
-                else f'{{"gate":"rotation","control_value":{"null" if c < 0 else c},'
-                f'"subspace":[{a},{b}],"value":{v}}}'
-                for phase, c, a, b, v in rows
-            ]
-        )
-    yield "]}\n"
+    while block := "".join(islice(cells, 4 * _BLOCK_ROWS)):
+        yield block
+    yield "}]}\n" if N > 1 else "]}\n"
+
+
+def _check_schedule(gates: np.ndarray, params: CircuitParameters) -> bool:
+    """Raise ReconstructionFailure, naming the first differing row, unless
+    ``gates`` equals the table ``params`` prepare under ==; return whether the
+    values agree bit for bit too (they can differ in the signs of zeros)."""
+    expected = _gate_table(params)
+    rows = min(len(gates), len(expected))
+    differs = np.flatnonzero(gates[:rows] != expected[:rows])
+    if differs.size or len(gates) != len(expected):
+        k = int(differs[0]) if differs.size else rows
+        raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
+    return np.array_equal(gates["value"].view(np.int64), expected["value"].view(np.int64))
 
 
 def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSchedule) -> str:
+    """Canonical text of a circuit; a table load_circuit would reject is refused."""
+    gates = schedule.gates
+    same_bits = _check_schedule(gates, params)
     # one repr per parameter; the table of these parameters holds the weight
     # angles, then each branch's angles and its phases negated
-    arrays, stored = [params.weight_angles], [params.weight_angles]
+    arrays = [params.weight_angles]
     for b in params.branches:
         arrays += [b.angles, b.phases]
-        stored += [b.angles, -b.phases]
     head, values = _circuit_text(shape, [",".join(map(repr, a.tolist())) for a in arrays])
-    gates = schedule.gates
-    stored = np.concatenate(stored)
-    # bit for bit, so that -0.0 and 0.0 differ: otherwise repr the table's own values
-    if len(gates) != len(stored) or not np.array_equal(
-        gates["value"].view(np.int64), stored.view(np.int64)
-    ):
-        values = None
-    return "".join([*head, *_schedule_text(gates, values)])
+    if not same_bits:
+        values = map(repr, gates["value"].tolist())  # the table's own signed zeros
+    return "".join([*head, *_schedule_text(params.N, values)])
 
 
 def _parse_gate(record) -> tuple:
@@ -341,9 +341,6 @@ def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
 #: The dimensions that open a canonical circuit file.
 _CIRCUIT_DIMS = re.compile(r'\{"N":(\d+),"d":(\d+),"n":(\d+),')
 
-#: An innermost JSON array: in a circuit head, one parameter list.
-_TOKEN_LIST = re.compile(r"\[([^\[\]]*)\]")
-
 
 def _float_array(tokens: str) -> np.ndarray:
     """The doubles of the comma-joined ``tokens``, each of which must be a
@@ -367,7 +364,8 @@ def _load_canonical_circuit(text: str):
     dims = _CIRCUIT_DIMS.match(text, 0, cut)
     if dims is None:
         return None
-    lists = _TOKEN_LIST.findall(text, 0, cut)
+    # the innermost arrays of the head: its parameter lists
+    lists = [p.partition("]")[0] for p in text[:cut].split("[")[1:] if "]" in p]
     try:
         N, d, n = map(int, dims.groups())
         shape = QuditShape(d, n)
@@ -383,7 +381,7 @@ def _load_canonical_circuit(text: str):
     schedule = schedule_from_parameters(params)
     head, values = _circuit_text(shape, lists)
     pos = 0
-    for piece in chain(head, _schedule_text(schedule.gates, values)):
+    for piece in chain(head, _schedule_text(N, values)):
         if not text.startswith(piece, pos):
             return None
         pos += len(piece)
@@ -404,13 +402,7 @@ def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule
     shape, params = _circuit_head(data)
     n = params.N
     schedule = GateSchedule(n, n, [_parse_gate(g) for g in data["schedule"]])
-    # the schedule must be the one its parameters block prepares
-    expected = schedule_from_parameters(params).gates
-    rows = min(len(schedule.gates), len(expected))
-    differs = np.flatnonzero(schedule.gates[:rows] != expected[:rows])
-    if differs.size or len(schedule.gates) != len(expected):
-        k = int(differs[0]) if differs.size else rows
-        raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
+    _check_schedule(schedule.gates, params)
     return shape, params, schedule
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -38,9 +40,16 @@ class TestQuditShape:
             QuditShape(d, n)
 
     def test_rejects_beyond_cap(self):
-        with pytest.raises(BadShape):
-            QuditShape(2, 13)  # 8192 > 4096
+        with pytest.raises(BadShape, match=r"^N = 2\*\*13 = 8192 exceeds cap 4096$"):
+            QuditShape(2, 13)
         assert QuditShape(2, 13, dim_cap=10000).N == 8192
+
+    @pytest.mark.parametrize("d,n", [(3, 10_000), (2, 10**6)])
+    def test_rejects_huge_power_without_computing_it(self, d, n):
+        start = time.perf_counter()
+        with pytest.raises(BadShape, match=rf"^N = {d}\*\*{n} exceeds cap 4096$"):
+            QuditShape(d, n)
+        assert time.perf_counter() - start < 0.01
 
     def test_equality_ignores_cap(self):
         assert QuditShape(2, 2) == QuditShape(2, 2, dim_cap=64)

@@ -423,32 +423,54 @@ class TestJsonFormats:
         whole = qutrit_params([1.0, 0.0], ([1.0, 0.0], [2.0, 0.0]), ([1.0], [3.0]))
         # equal to the zeros' schedule under ==, but +0.0 where it holds -0.0
         signed = qutrit_params([0.0, 0.0], ([0.0, 0.0], [-0.0, -0.0]), ([0.0], [-0.0]))
-        extremes = GateSchedule(
-            3,
-            3,
-            [
-                (False, -1, 0, 2, -0.0),
-                (True, -1, 2, 0, 5e-324),
-                (False, 2, 1, 2, 1e300),
-                (True, 0, 2, 0, 2.0),
-                (False, 1, 0, 1, -7.0),
-                (True, 1, 0, 0, -5e-324),
-            ],
-        )
         qutrit = QuditShape(3, 1)
         cases = [
             (rho.shape, params, schedule_from_parameters(params)),
             (qutrit, zeros, schedule_from_parameters(zeros)),
             (qutrit, whole, schedule_from_parameters(whole)),
-            (qutrit, whole, extremes),
             (qutrit, zeros, schedule_from_parameters(signed)),
             (qutrit, signed, schedule_from_parameters(signed)),
         ]
+        for d, n, rank in CIRCUIT_SHAPES:
+            rho = random_density(d, n, seed=d**n, rank=rank)
+            params = extract_parameters(cholesky_purify(rho))
+            cases.append((rho.shape, params, schedule_from_parameters(params)))
         assert "-0.0" in io.dump_circuit(*cases[1]) and "null" in io.dump_circuit(*cases[1])
         for shape, circuit_params, schedule in cases:
-            assert io.dump_circuit(shape, circuit_params, schedule) == json_text(
-                circuit_record(shape, circuit_params, schedule)
-            )
+            text = io.dump_circuit(shape, circuit_params, schedule)
+            assert text == json_text(circuit_record(shape, circuit_params, schedule))
+            # a table equal to its parameters' under == loads back bit for bit
+            assert io.load_circuit(text)[2].gates.tobytes() == schedule.gates.tobytes()
+
+    def test_circuit_writer_refuses_foreign_table(self):
+        # a table load_circuit would reject against the parameters is never written
+        whole = qutrit_params([1.0, 0.0], ([1.0, 0.0], [2.0, 0.0]), ([1.0], [3.0]))
+        gates = schedule_from_parameters(whole).gates
+        extremes = [
+            (False, -1, 0, 2, -0.0),
+            (True, -1, 2, 0, 5e-324),
+            (False, 2, 1, 2, 1e300),
+            (True, 0, 2, 0, 2.0),
+            (False, 1, 0, 1, -7.0),
+            (True, 1, 0, 0, -5e-324),
+        ]
+
+        def edited(row, field, value):
+            table = gates.copy()
+            table[field][row] = value
+            return table
+
+        tables = {
+            0: extremes,
+            7: gates[:-1],
+            8: np.concatenate([gates, gates[-1:]]),
+            3: edited(3, "value", 0.5),
+            6: edited(6, "control", 2),
+            2: edited(2, "b", 1),
+        }
+        for row, table in tables.items():
+            with pytest.raises(ReconstructionFailure, match=f"^schedule row {row} disagrees"):
+                io.dump_circuit(QuditShape(3, 1), whole, GateSchedule(3, 3, table))
 
     def test_state_writer_matches_json(self):
         # -0.0, subnormal, huge and integer-valued floats, in states, density
@@ -905,6 +927,15 @@ class TestCliErrors:
         res = runner.invoke(main, ["random", "--d", "1", "--n", "1", "--seed", "0", "--out", str(tmp_path / "r.json")])
         assert res.exit_code == 2
         assert res.stderr.startswith("BadShape:")
+
+    def test_purify_huge_shape_exit_2(self, runner, tmp_path):
+        # d**n has thousands of digits; the cap is decided without it
+        path, out = tmp_path / "rho.json", tmp_path / "out.json"
+        path.write_text('{"d":3,"n":10000,"matrix":[[[1.0,0.0]]]}\n')
+        res = runner.invoke(main, ["purify", "--input", str(path), "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("BadShape: N = 3**10000 exceeds cap 4096")
+        assert not out.exists()
 
     def test_bloch_requires_one_alpha_flavor(self, runner, tmp_path):
         res = runner.invoke(main, ["bloch", "--grid", "4x4", "--out", str(tmp_path / "s.csv")])

@@ -1,12 +1,15 @@
-"""Property tests of the state and matrix codecs: any finite doubles round-trip
-through the writers and the canonical readers bit for bit."""
+"""Property tests of the codecs: any finite doubles in a state or matrix, and
+any valid circuit parameters, round-trip through the writers and the
+canonical readers bit for bit."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_io_cli import circuit_record, json_text
 
-from qpurify import QuditShape, io
+from qpurify import BranchParameters, CircuitParameters, QuditShape, io, schedule_from_parameters
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -68,3 +71,48 @@ def test_matrix_round_trip_is_bit_exact(dims, data):
         loaded = io.load_density(io.dump_density(rho))
     assert loaded.shape == shape
     assert same_bits(loaded.entries, rho.entries)
+
+
+#: Valid circuit angles, [0, pi/2], with the ends, signed zeros and subnormals
+#: drawn often.
+ANGLES = st.one_of(
+    st.floats(0.0, math.pi / 2),
+    st.sampled_from([0.0, -0.0, math.pi / 2, 5e-324, 1e-310, 2.2250738585072014e-308]),
+)
+#: Valid phases, [0, 2 pi), with signed zeros, a subnormal and the largest
+#: double below 2 pi drawn often.
+PHASES = st.one_of(
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 5e-324, math.nextafter(2 * math.pi, 0.0)]),
+)
+
+
+def refuse_gate(record):
+    raise AssertionError("a canonical schedule block was parsed record by record")
+
+
+@SETTINGS
+@hypothesis.given(
+    dims=st.sampled_from([(2, 1), (3, 1), (2, 2), (6, 1)]),
+    data=st.data(),
+)
+def test_circuit_round_trip_is_bit_exact(dims, data):
+    shape = QuditShape(*dims)
+    N = shape.N
+
+    def draw(values, size):
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64)
+
+    branches = tuple(BranchParameters(N - k, draw(ANGLES, N - k - 1), draw(PHASES, N - k - 1)) for k in range(N))
+    params = CircuitParameters(N, draw(ANGLES, N - 1), branches)
+    schedule = schedule_from_parameters(params)
+    text = io.dump_circuit(shape, params, schedule)
+    assert text == json_text(circuit_record(shape, params, schedule))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_parse_gate", refuse_gate)
+        loaded_shape, loaded, loaded_schedule = io.load_circuit(text)
+    assert loaded_shape == shape
+    assert same_bits(loaded.weight_angles, params.weight_angles)
+    for got, want in zip(loaded.branches, params.branches, strict=True):
+        assert same_bits(got.angles, want.angles) and same_bits(got.phases, want.phases)
+    assert loaded_schedule.gates.tobytes() == schedule.gates.tobytes()
