@@ -7,7 +7,7 @@ preparation circuit, and verifies every result by an independent
 partial-trace reconstruction.
 """
 
-from .bloch import BlochPoint, bloch_surface, density_from_bloch
+from .bloch import bloch_surface, density_from_bloch
 from .circuit import (
     GATE,
     BranchParameters,
@@ -51,7 +51,6 @@ from .rng import CounterRng, random_density, random_unitary
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochPoint",
     "BranchParameters",
     "CircuitParameters",
     "CoefficientMatrix",

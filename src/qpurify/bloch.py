@@ -9,7 +9,6 @@ north pole. As a runs from 0 to pi/2 these spheres fill the whole ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +16,6 @@ from .core import DensityMatrix, QuditShape, ToleranceConfig, validate_density
 from .errors import BadRange, OutsideBall
 
 HALF_PI = math.pi / 2.0
-
-
-@dataclass(frozen=True)
-class BlochPoint:
-    x: float
-    y: float
-    z: float
 
 
 def grid_angles(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,32 +43,33 @@ def mixed_state_matrix(alpha: float, theta: float, phi: float) -> np.ndarray:
     return ca * ca * projector + sa * sa * ground
 
 
-def bloch_surface(alpha: float, grid: tuple[int, int]) -> list[BlochPoint]:
+def bloch_surface(alpha: float, grid: tuple[int, int]) -> np.ndarray:
     """Points of the contracted/translated sphere at mixing angle ``alpha``.
 
-    Each point evaluates the mixture entrywise (same arithmetic as
-    :func:`mixed_state_matrix`, composed scalar-by-scalar for speed) and
-    reads off the ball coordinates. Every emitted point satisfies
-    x^2 + y^2 + (z - sin^2 a)^2 = cos^4 a. Points are emitted theta-major,
-    phi-minor, matching the CSV layout.
+    Returns an ``(n_theta * n_phi, 3)`` array of ball coordinates (X, Y, Z),
+    theta-major and phi-minor, matching the CSV layout. The mixture is
+    evaluated entrywise with the arithmetic of :func:`mixed_state_matrix`:
+    rho00 = cos^2 a cos^2 t + sin^2 a, rho11 = cos^2 a sin^2 t and
+    rho01 = cos^2 a cos t sin t e^{i phi}, with ``math`` cosines and sines
+    taken once per theta and once per phi. Every point satisfies
+    x^2 + y^2 + (z - sin^2 a)^2 = cos^4 a.
     """
     if not 0.0 <= alpha <= HALF_PI:
         raise BadRange(f"alpha {alpha!r} outside [0, pi/2]")
     thetas, phis = grid_angles(*grid)
     ca, sa = math.cos(alpha), math.sin(alpha)
     ca2, sa2 = ca * ca, sa * sa
-    points = []
-    for theta in thetas:
-        ct, st = math.cos(float(theta)), math.sin(float(theta))
-        for phi in phis:
-            rho00 = ca2 * ct * ct + sa2
-            rho11 = ca2 * st * st
-            rho01 = ca2 * ct * st * complex(math.cos(float(phi)), math.sin(float(phi)))
-            # +0.0 normalizes IEEE negative zeros out of the emitted data
-            points.append(
-                BlochPoint(2.0 * rho01.real + 0.0, -2.0 * rho01.imag + 0.0, rho00 - rho11 + 0.0)
-            )
-    return points
+    ct = np.array([math.cos(t) for t in thetas.tolist()])
+    st = np.array([math.sin(t) for t in thetas.tolist()])
+    cp = np.array([math.cos(p) for p in phis.tolist()])
+    sp = np.array([math.sin(p) for p in phis.tolist()])
+    r = (ca2 * ct * st)[:, None]  # |rho01|
+    points = np.empty((thetas.size, phis.size, 3))
+    # +0.0 normalizes IEEE negative zeros out of the emitted data
+    points[:, :, 0] = 2.0 * (r * cp) + 0.0
+    points[:, :, 1] = -2.0 * (r * sp) + 0.0
+    points[:, :, 2] = ((ca2 * ct * ct + sa2) - ca2 * st * st + 0.0)[:, None]
+    return points.reshape(-1, 3)
 
 
 def density_from_bloch(

@@ -180,73 +180,53 @@ def extract_parameters(
 ) -> CircuitParameters:
     """Invert a coefficient matrix into weight angles, branch angles, phases.
 
-    Rows whose weight does not exceed ``eps_pivot`` contribute all-zero
-    branch parameters (their content is arbitrary; zero keeps the result
-    deterministic).
+    All branches peel together in one N x N work matrix. Row k holds
+    coefficient row k, normalized, in columns k..N-1, so at step s the
+    branches that peel column N - s are exactly rows 0..N-s-1, and one
+    division updates them all. A row whose weight does not exceed
+    ``eps_pivot`` stays zero (its content is arbitrary; zero keeps the
+    result deterministic). Angles, cosines and phases come from scalar
+    ``math``/``cmath`` (numpy's ``arcsin``, ``abs`` and ``angle`` round
+    differently).
 
-    All branches peel together, one step at a time. Each normalized row is
-    stored right-aligned, so at step s every branch still going peels
-    column N - s, and those branches are the first rows. Angles, cosines
-    and phases come from scalar ``math``/``cmath`` (numpy's ``arcsin``,
-    ``abs`` and ``angle`` round differently). A branch whose cosine falls
-    to ``eps_pivot`` or below stops there with its later angles and phases
-    zero, or raises DegenerateBranch when more than ``_LEFTOVER_LIMIT`` of
-    amplitude is left to peel.
+    Stop rule: when a branch's cosine falls to ``eps_pivot`` or below, the
+    amplitudes it has left to peel are zeroed, or DegenerateBranch is
+    raised if any exceeds ``_LEFTOVER_LIMIT``. A zero row peels as
+    asin(0) = 0 with phase 0, so zero-weight and stopped branches get zero
+    angles and phases from the same arithmetic as the others.
     """
     tol = tol or DEFAULT_TOL
     n = coeffs.N
     weights = coeffs.row_weights()
     weight_angles = _extract_weight_angles(weights)
-    # weighted rows of dimension >= 2, in branch order; row i of work holds
-    # branch live[i] in columns live[i]..n-1
-    live = np.flatnonzero(weights[: n - 1] > tol.eps_pivot).tolist()
-    work = np.zeros((len(live), n), dtype=np.complex128)
-    for i, k in enumerate(live):
-        work[i, k:] = coeffs.C[k, : n - k]
-    work /= np.sqrt(weights[live])[:, None]
-    angles = np.zeros((len(live), n - 1))
-    stopped = {}
-    m = len(live)
+    weighted = weights > tol.eps_pivot
+    work = np.zeros((n, n), dtype=np.complex128)
+    for k in np.flatnonzero(weighted).tolist():
+        work[k, k:] = coeffs.C[k, : n - k]
+    work /= np.sqrt(np.where(weighted, weights, 1.0))[:, None]
+    angles = np.zeros((n, n - 1))
     for step in range(1, n):
-        col = n - step
-        while m and live[m - 1] >= col:
-            m -= 1  # branch live[m] has peeled all its columns
-        if not m:
-            break
-        theta = [math.asin(min(abs(v), 1.0)) for v in work[:m, col].tolist()]
+        col = n - step  # branches 0..col-1 peel this column
+        theta = [math.asin(min(abs(v), 1.0)) for v in work[:col, col].tolist()]
         cos = [math.cos(t) for t in theta]
-        angles[:m, step - 1] = theta
-        if not all(c > tol.eps_pivot for c in cos):
+        angles[:col, step - 1] = theta
+        if min(cos) <= tol.eps_pivot:
             for i, c in enumerate(cos):
-                if c > tol.eps_pivot:
-                    continue
-                if i not in stopped:
+                if c <= tol.eps_pivot:
                     if float(np.max(np.abs(work[i, :col]))) > _LEFTOVER_LIMIT:
                         raise DegenerateBranch(
                             "branch cosine underflowed with nonzero amplitudes remaining"
                         )
-                    stopped[i] = step
-                cos[i] = 1.0  # a stopped row is left as it is
-        work[:m, :col] /= np.array(cos)[:, None]
-    # phase j of branch live[i] is that of work[i, live[i] + j]
-    rows = work[:, : n - 1].tolist()
-    phases = np.mod([cmath.phase(v) for row, k in zip(rows, live) for v in row[k:]], TWO_PI)
+                    work[i, :col] = 0.0  # the branch stops: what is left peels as zeros
+                    cos[i] = 1.0
+        work[:col, :col] /= np.array(cos)[:, None]
+    # phase j of branch k is that of work[k, k + j]
+    phases = np.zeros((n, n - 1))
+    for k, row in enumerate(work[:, : n - 1].tolist()):
+        phases[k, k:] = [cmath.phase(v) for v in row[k:]]
+    phases = np.mod(phases, TWO_PI)
     phases[phases >= TWO_PI] = 0.0
-    index = dict(zip(live, range(len(live))))
-    branches = []
-    start = 0
-    for k in range(n):
-        dim = n - k
-        if k in index:
-            i = index[k]
-            angle, phase = angles[i, : dim - 1], phases[start : start + dim - 1]
-            start += dim - 1
-            if i in stopped:
-                angle[stopped[i] :] = 0.0
-                phase[: dim - stopped[i]] = 0.0
-        else:
-            angle, phase = np.zeros(max(dim - 1, 0)), np.zeros(max(dim - 1, 0))
-        branches.append(BranchParameters(dim, angle, phase))
+    branches = (BranchParameters(n - k, angles[k, : n - 1 - k], phases[k, k:]) for k in range(n))
     return CircuitParameters(n, weight_angles, tuple(branches))
 
 

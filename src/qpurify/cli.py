@@ -67,19 +67,16 @@ def purify(input_path, method, reshuffle, out_path, coeffs_path):
         raise click.UsageError("--reshuffle requires --method cholesky")
     rho = io.load_density(Path(input_path).read_text())
     if method == "spectral":
-        coeff_array = None
         state = spectral_purify(rho)
-        coeff_array = state.amplitudes.reshape(state.ancilla_dim, state.system_dim)
     elif reshuffle:
-        coeff_array, state = reshuffle_purify(rho)
+        _, state = reshuffle_purify(rho)
     else:
-        coeffs = cholesky_purify(rho)
-        coeff_array = coeffs.C
-        state = coefficients_to_state(coeffs)
+        state = coefficients_to_state(cholesky_purify(rho))
     report = verify_purification(state, rho)
     Path(out_path).write_text(io.dump_state(state))
     if coeffs_path:
-        Path(coeffs_path).write_text(io.dump_coefficients(coeff_array))
+        coeffs = state.amplitudes.reshape(state.ancilla_dim, state.system_dim)
+        Path(coeffs_path).write_text(io.dump_coefficients(coeffs))
     click.echo(f"max_abs_error={report.max_abs_error!r}")
     if not report.passed:
         click.echo(f"ReconstructionFailure: round-trip error {report.max_abs_error!r}", err=True)

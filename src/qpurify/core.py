@@ -65,7 +65,6 @@ class QuditShape:
 
     d: int
     n: int
-    dim_cap: int = field(default=DIM_CAP, repr=False, compare=False)
     N: int = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -73,12 +72,12 @@ class QuditShape:
             raise BadShape(f"local dimension must be >= 2, got d={self.d}")
         if self.n < 1:
             raise BadShape(f"qudit count must be >= 1, got n={self.n}")
-        # d**n >= 2**n > dim_cap past the cap's bit length: no power, no huge message
-        if self.n > self.dim_cap.bit_length() or self.d > self.dim_cap:
-            raise BadShape(f"N = {self.d}**{self.n} exceeds cap {self.dim_cap}")
+        # d**n >= 2**n > DIM_CAP past the cap's bit length: no power, no huge message
+        if self.n > DIM_CAP.bit_length() or self.d > DIM_CAP:
+            raise BadShape(f"N = {self.d}**{self.n} exceeds cap {DIM_CAP}")
         total = self.d ** self.n
-        if total > self.dim_cap:
-            raise BadShape(f"N = {self.d}**{self.n} = {total} exceeds cap {self.dim_cap}")
+        if total > DIM_CAP:
+            raise BadShape(f"N = {self.d}**{self.n} = {total} exceeds cap {DIM_CAP}")
         object.__setattr__(self, "N", total)
 
 

@@ -51,7 +51,7 @@ from .core import (
     ToleranceConfig,
     validate_density,
 )
-from .errors import OutOfRange, ReconstructionFailure
+from .errors import BadRange, OutOfRange, ReconstructionFailure
 
 
 def _integer(value, name: str) -> int:
@@ -414,16 +414,16 @@ def bloch_csv(alphas, n_theta: int, n_phi: int) -> str:
     grid = [f"{theta!r},{phi!r}" for theta in thetas.tolist() for phi in phis.tolist()]
     for alpha in alphas:
         alpha = float(alpha)
-        points = bloch_surface(alpha, (n_theta, n_phi))
+        points = bloch_surface(alpha, (n_theta, n_phi)).tolist()
         head = repr(alpha)
-        lines += [f"{head},{at},{p.x!r},{p.y!r},{p.z!r}" for at, p in zip(grid, points)]
+        lines += [f"{head},{at},{x!r},{y!r},{z!r}" for at, (x, y, z) in zip(grid, points)]
     return "\n".join(lines) + "\n"
 
 
 def sweep_alphas(count: int) -> list[float]:
     """``count`` mixing angles spanning [0, pi/2] uniformly."""
     if count < 1:
-        raise ValueError(f"alpha count must be >= 1, got {count}")
+        raise BadRange(f"alpha count must be >= 1, got {count}")
     if count == 1:
         return [0.0]
     step = (math.pi / 2.0) / (count - 1)

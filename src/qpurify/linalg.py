@@ -46,7 +46,7 @@ class EigenDecomposition:
         object.__setattr__(self, "eigenvectors", vecs)
 
 
-def hermitian_eigen(matrix, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
+def hermitian_eigen(matrix) -> EigenDecomposition:
     """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
 
     Deterministic for a fixed input: the sweep order is fixed (p < q
@@ -71,7 +71,7 @@ def hermitian_eigen(matrix, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
     skip = 0.01 * stop
 
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = float(np.max(np.abs(a - np.diag(np.diagonal(a)))))
         if off <= stop:
             converged = True
@@ -101,7 +101,7 @@ def hermitian_eigen(matrix, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
     else:
         converged = float(np.max(np.abs(a - np.diag(np.diagonal(a))))) <= stop
     if not converged:
-        raise NoConvergence(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+        raise NoConvergence(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
 
     values = np.diagonal(a).real.copy()
     # lexsort keys, last row is primary: eigenvalue descending, then the

@@ -189,12 +189,10 @@ def test_criterion_8_bloch_invasion_law():
     for alpha in alphas:
         center = math.sin(alpha) ** 2
         radius_sq = math.cos(alpha) ** 4
-        for p in bloch_surface(alpha, (50, 50)):
-            law = abs(p.x**2 + p.y**2 + (p.z - center) ** 2 - radius_sq)
-            worst = max(worst, law)
-    pole = 0.0
-    for p in bloch_surface(math.pi / 2, (50, 50)):
-        pole = max(pole, abs(p.x), abs(p.y), abs(p.z - 1.0))
+        x, y, z = bloch_surface(alpha, (50, 50)).T
+        law = float(np.max(np.abs(x**2 + y**2 + (z - center) ** 2 - radius_sq)))
+        worst = max(worst, law)
+    pole = float(np.max(np.abs(bloch_surface(math.pi / 2, (50, 50)) - [0.0, 0.0, 1.0])))
     _report(
         8,
         f"contraction/translation law holds to {worst:.3e} <= 1e-12; pole collapse {pole:.3e}",

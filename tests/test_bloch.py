@@ -11,7 +11,7 @@ from qpurify import (
     random_density,
     validate_density,
 )
-from qpurify.bloch import BlochPoint, grid_angles, mixed_state_matrix
+from qpurify.bloch import grid_angles, mixed_state_matrix
 from qpurify.errors import BadRange, OutsideBall
 
 HALF_PI = math.pi / 2
@@ -19,32 +19,32 @@ HALF_PI = math.pi / 2
 
 def read_bloch(rho):
     """Ball coordinates of a 2x2 density matrix: rho01 = (X - iY) / 2, Z = rho00 - rho11."""
-    return BlochPoint(
-        2.0 * float(rho[0, 1].real),
-        -2.0 * float(rho[0, 1].imag),
-        float((rho[0, 0] - rho[1, 1]).real),
+    return np.array(
+        [2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
     )
 
 
-def sphere_law_error(point, alpha):
+def sphere_law_error(points, alpha):
+    """Largest deviation of the rows of ``points`` from the sphere at ``alpha``."""
+    x, y, z = points.T
     center = math.sin(alpha) ** 2
     radius_sq = math.cos(alpha) ** 4
-    return abs(point.x**2 + point.y**2 + (point.z - center) ** 2 - radius_sq)
+    return float(np.max(np.abs(x**2 + y**2 + (z - center) ** 2 - radius_sq)))
 
 
 class TestBlochSurface:
     def test_alpha_zero_is_unit_sphere(self):
-        for p in bloch_surface(0.0, (10, 10)):
-            assert abs(p.x**2 + p.y**2 + p.z**2 - 1.0) <= 1e-12
+        pts = bloch_surface(0.0, (10, 10))
+        assert pts.shape == (100, 3)
+        assert np.max(np.abs(np.sum(pts**2, axis=1) - 1.0)) <= 1e-12
 
     def test_alpha_half_pi_is_north_pole(self):
-        for p in bloch_surface(HALF_PI, (10, 10)):
-            assert abs(p.x) <= 1e-12 and abs(p.y) <= 1e-12 and abs(p.z - 1.0) <= 1e-12
+        pts = bloch_surface(HALF_PI, (10, 10))
+        assert np.max(np.abs(pts - [0.0, 0.0, 1.0])) <= 1e-12
 
     def test_alpha_quarter_pi_center_and_radius(self):
         pts = bloch_surface(math.pi / 4, (20, 20))
-        for p in pts:
-            assert sphere_law_error(p, math.pi / 4) <= 1e-12
+        assert sphere_law_error(pts, math.pi / 4) <= 1e-12
         # the equatorial sample theta = pi/2, phi = 0 sits at the ball center
         thetas, phis = grid_angles(20, 20)
         rho = mixed_state_matrix(math.pi / 4, HALF_PI, 0.0)
@@ -52,20 +52,19 @@ class TestBlochSurface:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.7, 1.1, HALF_PI])
     def test_contraction_translation_law(self, alpha):
-        for p in bloch_surface(alpha, (15, 17)):
-            assert sphere_law_error(p, alpha) <= 1e-12
+        assert sphere_law_error(bloch_surface(alpha, (15, 17)), alpha) <= 1e-12
 
     def test_matches_matrix_mixture(self):
         alpha = 0.63
         pts = bloch_surface(alpha, (6, 8))
         thetas, phis = grid_angles(6, 8)
-        k = 0
-        for theta in thetas:
-            for phi in phis:
-                ref = read_bloch(mixed_state_matrix(alpha, float(theta), float(phi)))
-                got = pts[k]
-                k += 1
-                assert max(abs(ref.x - got.x), abs(ref.y - got.y), abs(ref.z - got.z)) < 1e-14
+        ref = [
+            read_bloch(mixed_state_matrix(alpha, float(theta), float(phi)))
+            for theta in thetas
+            for phi in phis
+        ]
+        assert pts.shape == (48, 3)
+        assert np.max(np.abs(pts - np.array(ref))) < 1e-14
 
     def test_bad_alpha(self):
         with pytest.raises(BadRange):
@@ -101,8 +100,7 @@ class TestInvasionCoverage:
     @staticmethod
     def _nearest_emitted(alpha, grid, target):
         pts = bloch_surface(alpha, grid)
-        arr = np.array([(p.x, p.y, p.z) for p in pts])
-        return float(np.min(np.linalg.norm(arr - np.array(target), axis=1)))
+        return float(np.min(np.linalg.norm(pts - np.array(target), axis=1)))
 
     def test_stated_sweep_reaches_grid_resolution(self):
         # 100 alpha values quantize the sphere family to ~1.6e-2 in center
@@ -145,12 +143,7 @@ class TestDensityFromBloch:
     def test_round_trip_identity(self):
         for x, y, z in [(0.1, -0.4, 0.2), (0.0, 0.9, -0.3), (-0.5, -0.5, 0.5), (0.33, 0.1, -0.85)]:
             rho = density_from_bloch(x, y, z)
-            point = BlochPoint(
-                2 * rho.entries[0, 1].real,
-                -2 * rho.entries[0, 1].imag,
-                (rho.entries[0, 0] - rho.entries[1, 1]).real,
-            )
-            assert max(abs(point.x - x), abs(point.y - y), abs(point.z - z)) <= 1e-14
+            assert np.max(np.abs(read_bloch(rho.entries) - [x, y, z])) <= 1e-14
 
 
 class TestMixtureWeights:

@@ -227,19 +227,35 @@ class TestExtractParameters:
             assert not branch.angles[1:].any() and not branch.phases.any()
         assert_extract_matches_reference(coeffs)
 
-    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (2, 6)])
+    #: (rank, seed) of the inputs the benchmark's CLI sessions purify, by
+    #: shape; the rank-16 ones keep 2 and 1 rows of weight in (0, 1e-12]
+    CLI_POOL = {(2, 6): [(64, 1000), (16, 1002)], (4, 3): [(64, 1001), (16, 1003)]}
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (2, 6), (4, 3)])
     def test_extract_matches_reference_bit_for_bit(self, d, n):
         size = d**n
-        for rank in (size, -(-size // 2), 1):
-            for seed in range(3):
-                rho = random_density(d, n, seed=100 * size + seed, rank=rank)
-                assert_extract_matches_reference(cholesky_purify(rho))
+        draws = [(rank, 100 * size + seed) for rank in (size, -(-size // 2), 1) for seed in range(3)]
+        for rank, seed in draws + self.CLI_POOL.get((d, n), []):
+            coeffs = cholesky_purify(random_density(d, n, seed=seed, rank=rank))
+            assert_extract_matches_reference(coeffs)
+            if rank < size:
+                assert_extract_matches_reference(coeffs, eps_pivot=1e-3)
 
     def test_extract_matches_reference_with_gaps_and_stops(self):
         # a zero-weight row between weighted ones, and branches that stop
         # part way (an angle of pi/2 leaves cos(pi/2) ~ 6e-17 to divide by)
         rho = validate_density(np.diag([0.25, 0.25, 0.0, 0.5]), QuditShape(2, 2))
         assert_extract_matches_reference(cholesky_purify(rho))
+        # a rank-3 random block beside a diagonal block with zeros: zero-weight
+        # rows, stopped branches and full branches in one matrix
+        block = random_density(2, 3, seed=7, rank=3).entries
+        diagonal = np.diag([0.3, 0.0, 0.2, 0.1, 0.0, 0.25, 0.15, 0.0])
+        for blocks in ([block, diagonal], [diagonal, block]):
+            mixed = np.zeros((16, 16), dtype=complex)
+            mixed[:8, :8], mixed[8:, 8:] = blocks
+            coeffs = cholesky_purify(validate_density(mixed / np.trace(mixed).real, QuditShape(2, 4)))
+            assert_extract_matches_reference(coeffs)
+            assert_extract_matches_reference(coeffs, eps_pivot=1e-3)
         for n, seed in [(3, 1), (5, 2), (8, 3), (16, 4)]:
             params = random_params(n, seed)
             weights = params.weight_angles.copy()

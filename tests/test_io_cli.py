@@ -723,6 +723,8 @@ class TestJsonFormats:
         assert values[0] == 0.0
         assert abs(values[-1] - math.pi / 2) < 1e-15
         assert abs(values[1] - math.pi / 10) < 1e-15
+        with pytest.raises(BadRange):
+            io.sweep_alphas(0)
 
 
 class TestCliPipeline:
@@ -772,6 +774,23 @@ class TestCliPipeline:
         expected = np.zeros(4, dtype=complex)
         expected[1] = expected[2] = math.sqrt(0.5)
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--reshuffle"], ["--method", "spectral"]], ids=["cholesky", "reshuffle", "spectral"]
+    )
+    def test_coeffs_are_the_state_amplitudes(self, runner, tmp_path, flags):
+        rho_path = write_density(tmp_path / "rho.json", random_density(2, 2, seed=8, rank=3))
+        psi_path, coeff_path = tmp_path / "psi.json", tmp_path / "coeffs.json"
+        res = runner.invoke(
+            main,
+            ["purify", "--input", rho_path, *flags, "--out", str(psi_path), "--coeffs", str(coeff_path)],
+        )
+        assert res.exit_code == 0, res.output
+        state = io.load_state(psi_path.read_text())
+        coeffs = json.loads(coeff_path.read_text())
+        assert coeffs["N"] == 4
+        matrix = np.array(coeffs["C"], dtype=float)
+        assert np.array_equal(matrix[..., 0] + 1j * matrix[..., 1], state.amplitudes.reshape(4, 4))
 
     def test_spectral_method(self, runner, tmp_path):
         rho_path = write_density(tmp_path / "rho.json", random_density(2, 2, seed=8))
@@ -919,9 +938,12 @@ class TestCliErrors:
         assert not out.exists()
 
     def test_bloch_bad_range_exit_2(self, runner, tmp_path):
-        res = runner.invoke(main, ["bloch", "--alpha", "2.0", "--grid", "4x4", "--out", str(tmp_path / "s.csv")])
-        assert res.exit_code == 2
-        assert res.stderr.startswith("BadRange:")
+        out = tmp_path / "s.csv"
+        for flag, value in [("--alpha", "2.0"), ("--alphas", "0"), ("--alphas", "-3")]:
+            res = runner.invoke(main, ["bloch", flag, value, "--grid", "4x4", "--out", str(out)])
+            assert res.exit_code == 2, value
+            assert res.stderr.startswith("BadRange:"), res.stderr
+            assert not out.exists()
 
     def test_random_bad_shape_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["random", "--d", "1", "--n", "1", "--seed", "0", "--out", str(tmp_path / "r.json")])

@@ -10,6 +10,7 @@ from qpurify import (
     partial_trace_ancilla,
     reference_cholesky,
 )
+from qpurify import linalg
 from qpurify.errors import NoConvergence, NotPSD, ShapeMismatch
 from qpurify.rng import CounterRng
 
@@ -155,9 +156,10 @@ class TestHermitianEigen:
             assert same_bits(dec.eigenvalues, values)
             assert same_bits(dec.eigenvectors, vecs)
 
-    def test_sweep_cap(self):
-        with pytest.raises(NoConvergence):
-            hermitian_eigen(np.array([[0.5, 0.5], [0.5, 0.5]]), max_sweeps=0)
+    def test_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergence, match="in 0 sweeps"):
+            hermitian_eigen(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeMismatch):
