@@ -28,31 +28,15 @@ def grid_angles(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def mixed_state_matrix(alpha: float, theta: float, phi: float) -> np.ndarray:
-    """cos^2(alpha) times the pure-state projector plus sin^2(alpha) |0><0|."""
-    ct, st = math.cos(theta), math.sin(theta)
-    projector = np.array(
-        [
-            [ct * ct, ct * st * complex(math.cos(phi), math.sin(phi))],
-            [ct * st * complex(math.cos(phi), -math.sin(phi)), st * st],
-        ],
-        dtype=np.complex128,
-    )
-    ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    return ca * ca * projector + sa * sa * ground
-
-
 def bloch_surface(alpha: float, grid: tuple[int, int]) -> np.ndarray:
     """Points of the contracted/translated sphere at mixing angle ``alpha``.
 
     Returns an ``(n_theta * n_phi, 3)`` array of ball coordinates (X, Y, Z),
     theta-major and phi-minor, matching the CSV layout. The mixture is
-    evaluated entrywise with the arithmetic of :func:`mixed_state_matrix`:
-    rho00 = cos^2 a cos^2 t + sin^2 a, rho11 = cos^2 a sin^2 t and
-    rho01 = cos^2 a cos t sin t e^{i phi}, with ``math`` cosines and sines
-    taken once per theta and once per phi. Every point satisfies
-    x^2 + y^2 + (z - sin^2 a)^2 = cos^4 a.
+    evaluated entrywise: rho00 = cos^2 a cos^2 t + sin^2 a,
+    rho11 = cos^2 a sin^2 t and rho01 = cos^2 a cos t sin t e^{i phi}, with
+    ``math`` cosines and sines taken once per theta and once per phi. Every
+    point satisfies x^2 + y^2 + (z - sin^2 a)^2 = cos^4 a.
     """
     if not 0.0 <= alpha <= HALF_PI:
         raise BadRange(f"alpha {alpha!r} outside [0, pi/2]")

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import io
 from .circuit import apply_schedule, extract_parameters, schedule_from_parameters
+from .core import DEFAULT_TOL
 from .errors import QPurifyError
 from .purify import (
     cholesky_purify,
@@ -38,7 +39,9 @@ def _guarded(body):
             click.echo(f"{type(exc).__name__}: {exc}", err=True)
             sys.exit(exc.exit_code)
         except _PARSE_ERRORS as exc:
-            click.echo(f"ParseError: {exc}", err=True)
+            # str(KeyError) is only the key's repr
+            message = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            click.echo(f"ParseError: {message}", err=True)
             sys.exit(1)
 
     return wrapper
@@ -98,8 +101,10 @@ def synth(input_path, out_path):
     deviation = float(np.max(np.abs(prepared.amplitudes - target.amplitudes)))
     Path(out_path).write_text(io.dump_circuit(rho.shape, params, schedule))
     click.echo(f"parameters={params.parameter_count} max_deviation={deviation!r}")
-    if deviation > 1e-10:
-        click.echo(f"ReconstructionFailure: schedule deviates by {deviation!r}", err=True)
+    eps = DEFAULT_TOL.eps_recon
+    if deviation > eps:
+        message = f"schedule deviates by {deviation!r} above eps_recon {eps!r}"
+        click.echo(f"ReconstructionFailure: {message}", err=True)
         sys.exit(3)
 
 

@@ -8,12 +8,16 @@ only spectral purification and the test oracle; density-matrix validation
 needs just a threshold decision on the smallest eigenvalue and takes it from
 LAPACK (``numpy.linalg.eigvalsh``) instead.
 
-Each Jacobi rotation takes two broadcast products: one for rows p and q of
-the matrix, one for columns p and q of the matrix and the eigenvectors,
-stacked as one 2N x N array. Every product is a scalar times a contiguous
-row, as in the one-row-at-a-time updates the pinned ``purify --method
-spectral`` outputs were rounded with: numpy picks its complex-multiply
-kernel by operand layout, and kernels need not round alike.
+Each Jacobi rotation works out its angles in Python floats from entries read
+with ``item``. The phase a_pq / |a_pq| and the sine take numpy's formulas for
+the complex-by-real quotient and the full complex product, so they round as
+numpy's scalars do on every Python version. The rotation then takes two
+broadcast products into buffers allocated once per call: one for rows p and q
+of the matrix, one for columns p and q of the matrix and the eigenvectors
+(stacked as one 2N x N array), copied into a contiguous pair. Every product
+is a scalar times a contiguous row, as in the row-at-a-time updates that the
+pinned ``purify --method spectral`` outputs were rounded with: numpy picks a
+complex-multiply kernel by operand layout, and kernels need not round alike.
 """
 
 from __future__ import annotations
@@ -70,48 +74,54 @@ def hermitian_eigen(matrix) -> EigenDecomposition:
     stop = 1e-15 * scale
     skip = 0.01 * stop
 
-    converged = False
-    for _ in range(MAX_SWEEPS):
-        off = float(np.max(np.abs(a - np.diag(np.diagonal(a)))))
-        if off <= stop:
-            converged = True
+    # rotation buffers, allocated once: coefficients, products, column pair
+    row_coef, col_coef = coef = np.empty((2, 2, 2, 1), dtype=np.complex128)
+    row_prod = np.empty((2, 2, n), dtype=np.complex128)
+    col_pair = np.empty((2, 2 * n), dtype=np.complex128)
+    col_prod = np.empty((2, 2, 2 * n), dtype=np.complex128)
+    (rc, cc), wt, item = coef.reshape(2, 4), w.T, a.item
+    (rp0, rp1), (cp0, cp1) = row_prod.transpose(1, 0, 2), col_prod.transpose(1, 0, 2)
+
+    for sweep in range(MAX_SWEEPS + 1):
+        if float(np.max(np.abs(a - np.diag(np.diagonal(a))))) <= stop:
             break
+        if sweep == MAX_SWEEPS:
+            raise NoConvergence(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
         for p in range(n - 1):
             for q in range(p + 1, n):
-                g = abs(a[p, q])
+                apq = item(p, q)
+                g = abs(apq)
                 if g <= skip:
                     continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = a[p, q] / g
-                tau = (app - aqq) / (2.0 * g)
+                # numpy's quotient apq / (g + 0j) by Smith's formula and its full
+                # product (t * c + 0j) * conj(phase): Python's apq / g, apq * (1 / g)
+                # and (from 3.14) float * complex round signed zeros differently
+                inv = 1.0 / g
+                phase = complex((apq.real + apq.imag * 0.0) * inv, (apq.imag - apq.real * 0.0) * inv)
+                tau = (item(p, p).real - item(q, q).real) / (2.0 * g)
                 sign = 1.0 if tau >= 0.0 else -1.0
                 t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
-                s = (t * c) * phase.conjugate()
+                s = complex(t * c, 0.0) * phase.conjugate()
                 # a <- U† a U and vecs <- vecs U, U embedding
                 # [[c, -conj(s)], [s, c]] at (p, q); columns are copied into
                 # contiguous rows before the product (see module docstring)
+                rc[0], rc[1], rc[2], rc[3] = c, s.conjugate(), -s, c
+                cc[0], cc[1], cc[2], cc[3] = c, s, -s.conjugate(), c
                 rows = a[p : q + 1 : q - p]
-                prod = np.array([[c, np.conj(s)], [-s, c]])[:, :, None] * rows
-                np.add(prod[:, 0], prod[:, 1], out=rows)
-                cols = w.T[p : q + 1 : q - p]
-                prod = np.array([[c, s], [-np.conj(s), c]])[:, :, None] * cols.copy()
-                np.add(prod[:, 0], prod[:, 1], out=cols)
-    else:
-        converged = float(np.max(np.abs(a - np.diag(np.diagonal(a))))) <= stop
-    if not converged:
-        raise NoConvergence(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
+                np.multiply(row_coef, rows, out=row_prod)
+                np.add(rp0, rp1, out=rows)
+                cols = wt[p : q + 1 : q - p]
+                np.copyto(col_pair, cols)
+                np.multiply(col_coef, col_pair, out=col_prod)
+                np.add(cp0, cp1, out=cols)
 
     values = np.diagonal(a).real.copy()
     # lexsort keys, last row is primary: eigenvalue descending, then the
     # eigenvector components (real before imaginary) descending
     keys = np.empty((2 * n + 1, n))
-    row = 0
-    for comp in range(n - 1, -1, -1):
-        keys[row] = -vecs[comp, :].imag
-        keys[row + 1] = -vecs[comp, :].real
-        row += 2
+    keys[0 : 2 * n : 2] = -vecs[::-1].imag
+    keys[1 : 2 * n : 2] = -vecs[::-1].real
     keys[2 * n] = -values
     order = np.lexsort(keys)
     return EigenDecomposition(values[order], vecs[:, order])
@@ -162,8 +172,7 @@ def reference_cholesky(matrix, tol: ToleranceConfig | None = None) -> np.ndarray
 
 def max_abs_diff(a, b) -> float:
     """Largest entrywise absolute difference between two equal-shape matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))

@@ -157,14 +157,16 @@ def gauge_transform(state: PureState, unitary) -> PureState:
     """Apply an ancilla-only unitary (U_A tensor identity) to a purification.
 
     Any such transform maps one purification of rho onto another; the
-    partial trace is unchanged.
+    partial trace is unchanged. ``unitary`` is refused when max|U†U - I|
+    exceeds ``DEFAULT_TOL.eps_norm``.
     """
     u = np.asarray(unitary, dtype=np.complex128)
     m = state.ancilla_dim
     if u.shape != (m, m):
         raise ShapeMismatch(f"expected {m}x{m} ancilla unitary, got {u.shape}")
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(m))))
-    if defect > 1e-10:
-        raise NotUnitary(f"unitarity defect {defect!r} exceeds 1e-10")
+    eps = DEFAULT_TOL.eps_norm
+    if defect > eps:
+        raise NotUnitary(f"unitarity defect {defect!r} exceeds eps_norm {eps!r}")
     rotated = u @ state.amplitudes.reshape(m, state.system_dim)
     return PureState(m, state.system_dim, rotated.reshape(-1))

@@ -11,10 +11,26 @@ from qpurify import (
     random_density,
     validate_density,
 )
-from qpurify.bloch import grid_angles, mixed_state_matrix
+from qpurify.bloch import grid_angles
 from qpurify.errors import BadRange, OutsideBall
 
 HALF_PI = math.pi / 2
+
+
+def mixed_state_matrix(alpha, theta, phi):
+    """cos^2(alpha) times the pure-state projector plus sin^2(alpha) |0><0|,
+    as a 2x2 matrix: the reference the entrywise surface must reproduce."""
+    ct, st = math.cos(theta), math.sin(theta)
+    projector = np.array(
+        [
+            [ct * ct, ct * st * complex(math.cos(phi), math.sin(phi))],
+            [ct * st * complex(math.cos(phi), -math.sin(phi)), st * st],
+        ],
+        dtype=np.complex128,
+    )
+    ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    return ca * ca * projector + sa * sa * ground
 
 
 def read_bloch(rho):

@@ -15,6 +15,7 @@ from qpurify import (
     GateSchedule,
     PureState,
     QuditShape,
+    ToleranceConfig,
     apply_schedule,
     cholesky_purify,
     coefficients_to_state,
@@ -835,6 +836,29 @@ class TestCliErrors:
         res = runner.invoke(main, ["purify", "--input", str(bad), "--out", str(tmp_path / "x.json")])
         assert res.exit_code == 1
         assert "ParseError:" in res.stderr
+
+    @pytest.mark.parametrize("command,flag,key", [("simulate", "--circuit", "N"), ("purify", "--input", "matrix")])
+    def test_missing_key_exit_1(self, runner, tmp_path, command, flag, key):
+        # each command reads the other's input file, which lacks its first key
+        rho = random_density(2, 1, seed=3)
+        params = extract_parameters(cholesky_purify(rho))
+        inputs = {
+            "simulate": io.dump_density(rho),
+            "purify": io.dump_circuit(rho.shape, params, schedule_from_parameters(params)),
+        }
+        path, out = tmp_path / "input.json", tmp_path / "out.json"
+        path.write_text(inputs[command])
+        res = runner.invoke(main, [command, flag, str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr == f"ParseError: missing key {key!r}\n"
+        assert not out.exists()
+
+    def test_synth_compares_with_eps_recon(self, runner, tmp_path, monkeypatch):
+        rho_path = write_density(tmp_path / "rho.json", random_density(2, 2, seed=4))
+        monkeypatch.setattr(cli, "DEFAULT_TOL", ToleranceConfig(eps_recon=0.0))
+        res = runner.invoke(main, ["synth", "--input", rho_path, "--out", str(tmp_path / "c.json")])
+        assert res.exit_code == 3
+        assert re.fullmatch(r"ReconstructionFailure: schedule deviates by \S+ above eps_recon 0\.0\n", res.stderr)
 
     def test_missing_file_exit_1(self, runner, tmp_path):
         res = runner.invoke(main, ["purify", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")])

@@ -8,6 +8,7 @@ from qpurify import (
     hermitian_eigen,
     max_abs_diff,
     partial_trace_ancilla,
+    random_density,
     reference_cholesky,
 )
 from qpurify import linalg
@@ -77,9 +78,17 @@ def same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def assert_matches_reference(matrix):
+    dec = hermitian_eigen(matrix)
+    values, vecs = reference_jacobi(matrix)
+    assert same_bits(dec.eigenvalues, values)
+    assert same_bits(dec.eigenvectors, vecs)
+
+
 def jacobi_cases(dim):
     """Full rank, rank one, tied eigenvalues (a rotated repeat and a diagonal
-    with repeats), I/N and zero."""
+    with repeats), I/N and zero; from N = 3 on, also the edge cases of the
+    rotation angles (see ``angle_cases``)."""
     h = random_hermitian(dim, seed=dim)
     v = CounterRng(50 + dim).complex_normal_matrix(dim, 1)
     u = np.linalg.qr(CounterRng(70 + dim).complex_normal_matrix(dim, dim))[0]
@@ -91,7 +100,27 @@ def jacobi_cases(dim):
         np.diag(repeats),
         np.eye(dim) / dim,
         np.zeros((dim, dim)),
-    ]
+    ] + (angle_cases(h) if dim >= 3 else [])
+
+
+def angle_cases(h):
+    """Variants of the Hermitian ``h``: real symmetric; purely imaginary
+    off-diagonals; off-diagonals whose real part is -0.0 (where a phase of
+    a_pq * (1 / |a_pq|) would round a zero's sign apart from numpy's
+    quotient); and the first pair (0, 1), rotated first, exactly at and one
+    ulp above the skip bound 0.01 * 1e-15 * max|a|, with the rest still
+    needing a sweep."""
+    off = ~np.eye(len(h), dtype=bool)
+    imaginary = np.diag(h.diagonal().real) + 1j * h.imag
+    signed_zero = imaginary.copy()
+    signed_zero.real[off] = -0.0
+    at_skip = h.copy()
+    at_skip[0, 1] = at_skip[1, 0] = 0.0
+    skip = 0.01 * (1e-15 * float(np.max(np.abs(at_skip))))
+    above_skip = at_skip.copy()
+    at_skip[0, 1] = at_skip[1, 0] = skip
+    above_skip[0, 1] = above_skip[1, 0] = np.nextafter(skip, 1.0)
+    return [h.real.copy(), imaginary, signed_zero, at_skip, above_skip]
 
 
 def brute_partial_trace(amplitudes, m, n):
@@ -151,10 +180,12 @@ class TestHermitianEigen:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9, 16])
     def test_matches_reference_bit_for_bit(self, dim):
         for matrix in jacobi_cases(dim):
-            dec = hermitian_eigen(matrix)
-            values, vecs = reference_jacobi(matrix)
-            assert same_bits(dec.eigenvalues, values)
-            assert same_bits(dec.eigenvectors, vecs)
+            assert_matches_reference(matrix)
+
+    @pytest.mark.parametrize("d,n,seed,rank", [(2, 6, 1000, None), (4, 3, 1003, 16)])
+    def test_roundtrip_inputs_bit_for_bit(self, d, n, seed, rank):
+        # a full-rank and a rank-16 input of the pinned CLI sessions, N = 64
+        assert_matches_reference(random_density(d, n, seed, rank=rank).entries)
 
     def test_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)

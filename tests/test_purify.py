@@ -258,6 +258,19 @@ class TestGaugeTransform:
         with pytest.raises(NotUnitary):
             gauge_transform(state, np.array([[1.0, 0.0], [0.0, 0.5]]))
 
+    def test_compares_with_eps_norm(self, monkeypatch):
+        from qpurify import PureState, purify
+
+        # max|U†U - I| of diag(1, 0.5) is 0.75; ancilla row 1 is empty, so
+        # the norm survives once the unitarity check lets U through
+        state = PureState(2, 2, np.array([0.6, 0.8, 0.0, 0.0], dtype=complex))
+        u = np.diag([1.0, 0.5])
+        with pytest.raises(NotUnitary, match=r"defect 0\.75 exceeds eps_norm 1e-10"):
+            gauge_transform(state, u)
+        monkeypatch.setattr(purify, "DEFAULT_TOL", ToleranceConfig(eps_norm=0.8))
+        moved = gauge_transform(state, u)
+        assert np.array_equal(moved.amplitudes, state.amplitudes)
+
 
 class TestReshuffle:
     def test_still_purifies(self):
