@@ -7,15 +7,13 @@ preparation circuit, and verifies every result by an independent
 partial-trace reconstruction.
 """
 
-from .bloch import bloch_surface, density_from_bloch
+from .bloch import bloch_surface
 from .circuit import (
     GATE,
-    BranchParameters,
     CircuitParameters,
     GateSchedule,
     apply_schedule,
     extract_parameters,
-    invert_qubit,
     schedule_from_parameters,
     simulate_circuit,
 )
@@ -25,7 +23,6 @@ from .core import (
     PureState,
     QuditShape,
     ToleranceConfig,
-    flat_index,
     validate_density,
 )
 from .linalg import (
@@ -51,7 +48,6 @@ from .rng import CounterRng, random_density, random_unitary
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchParameters",
     "CircuitParameters",
     "CoefficientMatrix",
     "CounterRng",
@@ -67,12 +63,9 @@ __all__ = [
     "bloch_surface",
     "cholesky_purify",
     "coefficients_to_state",
-    "density_from_bloch",
     "extract_parameters",
-    "flat_index",
     "gauge_transform",
     "hermitian_eigen",
-    "invert_qubit",
     "max_abs_diff",
     "partial_trace_ancilla",
     "qubit_closed_form",

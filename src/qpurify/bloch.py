@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .core import DensityMatrix, QuditShape, ToleranceConfig, validate_density
-from .errors import BadRange, OutsideBall
+from .errors import BadRange
 
 HALF_PI = math.pi / 2.0
 
@@ -54,16 +53,3 @@ def bloch_surface(alpha: float, grid: tuple[int, int]) -> np.ndarray:
     points[:, :, 1] = -2.0 * (r * sp) + 0.0
     points[:, :, 2] = ((ca2 * ct * ct + sa2) - ca2 * st * st + 0.0)[:, None]
     return points.reshape(-1, 3)
-
-
-def density_from_bloch(
-    x: float, y: float, z: float, tol: ToleranceConfig | None = None
-) -> DensityMatrix:
-    """Single-qubit state 0.5 * [[1+Z, X-iY], [X+iY, 1-Z]] for a point in the ball."""
-    radius_sq = x * x + y * y + z * z
-    if radius_sq > 1.0 + 1e-12:
-        raise OutsideBall(f"|r|^2 = {radius_sq!r} exceeds 1")
-    matrix = 0.5 * np.array(
-        [[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]], dtype=np.complex128
-    )
-    return validate_density(matrix, QuditShape(2, 1), tol)

@@ -1,27 +1,32 @@
 """Circuit parameterization of a purification and its simulator.
 
-A coefficient matrix factors into N^2 - 1 real parameters:
+A coefficient matrix factors into N^2 - 1 real parameters, held as arrays
+(:class:`CircuitParameters`):
 
-* N - 1 weight angles. A chain of rotations on the ancilla register turns
-  |0> into sum_k sqrt(w_k) |k>, where w_k is the squared norm of
-  coefficient row k. The first angle peels off w_{N-1}, the next w_{N-2}
-  within the remaining mass, and so on.
-* Per branch k (a normalized coefficient row, a pure state on the first
-  m = N - k basis states), m - 1 angles and m - 1 phases. Rotations peel
-  amplitudes from the last (real, nonnegative by the gauge) down to the
-  first; each stripped amplitude's argument becomes a phase.
+* ``weight_angles``, N - 1 of them. A chain of rotations on the ancilla
+  register turns |0> into sum_k sqrt(w_k) |k>, where w_k is the squared
+  norm of coefficient row k. The first angle peels off w_{N-1}, the next
+  w_{N-2} within the remaining mass, and so on.
+* ``angles`` and ``phases``, N x (N - 1) each. Row k is branch k (a
+  normalized coefficient row, a pure state on the first m = N - k basis
+  states): its m - 1 angles and m - 1 phases, left-aligned, and zeros after.
+  Rotations peel amplitudes from the last (real, nonnegative by the gauge)
+  down to the first; each stripped amplitude's argument becomes a phase.
 
-Simulation offers two modes that must agree: the direct product formulas,
-and a gate schedule of two-level rotations and phase shifts applied to
-|0...0>. The schedule is one structured array (:data:`GATE`), one row per
-gate.
+Extraction, the gate table and the product formulas work on these arrays
+whole, with no per-branch record. Simulation offers two modes that must
+agree: the direct product formulas (``math`` trig), and a gate schedule of
+two-level rotations and phase shifts applied to |0...0> (numpy trig). The
+schedule is one structured array (:data:`GATE`), one row per gate.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,62 +46,85 @@ HALF_PI = math.pi / 2.0
 #: signals a malformed (non-unit or off-pattern) coefficient row.
 _LEFTOVER_LIMIT = 1e-8
 
+#: Rows per band of an extraction step's scaling.
+_BAND = 64
+
 
 def _check_angles(angles: np.ndarray, label: str) -> None:
     if angles.size and not (np.min(angles) >= 0.0 and np.max(angles) <= HALF_PI):
         raise BadRange(f"{label} must lie in [0, pi/2]")
 
 
-@dataclass(frozen=True, eq=False)
-class BranchParameters:
-    """Angles and phases preparing one branch state of dimension ``dim``."""
-
-    dim: int
-    angles: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        angles = _frozen_array(self.angles, np.float64)
-        phases = _frozen_array(self.phases, np.float64)
-        expected = max(self.dim - 1, 0)
-        if angles.shape != (expected,) or phases.shape != (expected,):
-            raise ShapeMismatch(
-                f"branch of dimension {self.dim} needs {expected} angles and phases"
-            )
-        _check_angles(angles, "branch angles")
-        if phases.size and not (np.min(phases) >= 0.0 and np.max(phases) < TWO_PI):
-            raise BadRange("phases must lie in [0, 2*pi)")
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "phases", phases)
+def _branch_cells(n: int) -> np.ndarray:
+    """N x (N - 1) mask of the cells that hold branch values: the first
+    N - 1 - k of row k. Row-major order is branch by branch."""
+    return np.arange(n - 1)[None, :] < np.arange(n - 1, -1, -1)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
 class CircuitParameters:
-    """Weight angles plus one branch record per ancilla value; N^2 - 1 reals."""
+    """Weight angles plus branch angles and phases; N^2 - 1 reals.
+
+    ``angles`` and ``phases`` are read-only N x (N - 1) arrays. Row k holds
+    branch k's N - 1 - k values left-aligned; the rest of the row is
+    padding, which must be zero.
+    """
 
     N: int
     weight_angles: np.ndarray
-    branches: tuple[BranchParameters, ...]
+    angles: np.ndarray
+    phases: np.ndarray
 
     def __post_init__(self):
+        n = self.N
         weights = _frozen_array(self.weight_angles, np.float64)
-        if weights.shape != (self.N - 1,):
-            raise ShapeMismatch(f"expected {self.N - 1} weight angles, got {weights.shape}")
+        if weights.shape != (n - 1,):
+            raise ShapeMismatch(f"expected {n - 1} weight angles, got {weights.shape}")
         _check_angles(weights, "weight angles")
-        branches = tuple(self.branches)
-        if len(branches) != self.N:
-            raise ShapeMismatch(f"expected {self.N} branches, got {len(branches)}")
-        for k, branch in enumerate(branches):
-            if branch.dim != self.N - k:
-                raise ShapeMismatch(f"branch {k} must have dimension {self.N - k}")
+        angles = _frozen_array(self.angles, np.float64)
+        phases = _frozen_array(self.phases, np.float64)
+        if angles.shape != (n, n - 1) or phases.shape != (n, n - 1):
+            raise ShapeMismatch(
+                f"expected {n}x{n - 1} branch angles and phases, "
+                f"got {angles.shape} and {phases.shape}"
+            )
+        _check_angles(angles, "branch angles")
+        if phases.size and not (np.min(phases) >= 0.0 and np.max(phases) < TWO_PI):
+            raise BadRange("phases must lie in [0, 2*pi)")
+        spill = ~_branch_cells(n) & ((angles != 0.0) | (phases != 0.0))
+        if spill.any():
+            k = int(np.argmax(spill.any(axis=1)))
+            raise ShapeMismatch(f"branch {k} has values beyond its {n - 1 - k} angles and phases")
         object.__setattr__(self, "weight_angles", weights)
-        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "phases", phases)
+
+    @classmethod
+    def from_branches(cls, n: int, weight_angles, branches) -> CircuitParameters:
+        """Parameters from one ``(dim, angles, phases)`` triple per branch, in
+        ancilla order, as a circuit file lists them."""
+        rows = []
+        for dim, angles, phases in branches:
+            angles = np.asarray(angles, dtype=np.float64)
+            phases = np.asarray(phases, dtype=np.float64)
+            expected = max(dim - 1, 0)
+            if angles.shape != (expected,) or phases.shape != (expected,):
+                raise ShapeMismatch(f"branch of dimension {dim} needs {expected} angles and phases")
+            rows.append((dim, angles, phases))
+        if len(rows) != n:
+            raise ShapeMismatch(f"expected {n} branches, got {len(rows)}")
+        for k, (dim, _, _) in enumerate(rows):
+            if dim != n - k:
+                raise ShapeMismatch(f"branch {k} must have dimension {n - k}")
+        cells = _branch_cells(n)
+        angles, phases = np.zeros((2, n, n - 1))
+        angles[cells] = np.concatenate([a for _, a, _ in rows])
+        phases[cells] = np.concatenate([p for _, _, p in rows])
+        return cls(n, weight_angles, angles, phases)
 
     @property
     def parameter_count(self) -> int:
-        return int(self.weight_angles.size) + sum(
-            b.angles.size + b.phases.size for b in self.branches
-        )
+        return int(self.weight_angles.size + 2 * np.count_nonzero(_branch_cells(self.N)))
 
 
 #: One row per gate of a :class:`GateSchedule`.
@@ -164,13 +192,14 @@ class GateSchedule:
 
 def _extract_weight_angles(weights: np.ndarray) -> np.ndarray:
     n = weights.size
-    cumulative = np.cumsum(weights)
+    cumulative = np.cumsum(weights).tolist()
+    weights = weights.tolist()
     angles = np.zeros(n - 1)
     for step in range(1, n):
         k = n - step
-        remaining = float(cumulative[k])
+        remaining = cumulative[k]
         if remaining > 0.0:
-            ratio = min(float(weights[k]) / remaining, 1.0)
+            ratio = min(weights[k] / remaining, 1.0)
             angles[step - 1] = math.asin(math.sqrt(ratio))
     return angles
 
@@ -183,11 +212,21 @@ def extract_parameters(
     All branches peel together in one N x N work matrix. Row k holds
     coefficient row k, normalized, in columns k..N-1, so at step s the
     branches that peel column N - s are exactly rows 0..N-s-1, and one
-    division updates them all. A row whose weight does not exceed
+    scaling updates them all. A row whose weight does not exceed
     ``eps_pivot`` stays zero (its content is arbitrary; zero keeps the
     result deterministic). Angles, cosines and phases come from scalar
     ``math``/``cmath`` (numpy's ``arcsin``, ``abs`` and ``angle`` round
     differently).
+
+    Each step divides by the branch cosines c as numpy's complex quotient by
+    c + 0j does, ((re + im*0) * (1/c), (im - re*0) * (1/c)): a sign step
+    (the quotient by 1), then a scaling by 1/c. The sign step changes only
+    signed zeros, commutes with the scaling and settles after two
+    applications: (-0, -0) -> (-0, +0) -> (+0, +0). The row normalization is
+    one quotient, so one more sign step on every column a step divides (all
+    but the last) lets each step multiply the float view by 1/c in place,
+    with the same bits. It is not a no-op: without it an amplitude that
+    enters as (-0, -0) keeps phase pi where the quotients give 0.
 
     Stop rule: when a branch's cosine falls to ``eps_pivot`` or below, the
     amplitudes it has left to peel are zeroed, or DegenerateBranch is
@@ -204,11 +243,14 @@ def extract_parameters(
     for k in np.flatnonzero(weighted).tolist():
         work[k, k:] = coeffs.C[k, : n - k]
     work /= np.sqrt(np.where(weighted, weights, 1.0))[:, None]
+    work[:, : n - 1] /= 1.0  # the sign step
+    flat = work.view(np.float64)  # re, im of column j in columns 2j, 2j + 1
     angles = np.zeros((n, n - 1))
     for step in range(1, n):
         col = n - step  # branches 0..col-1 peel this column
-        theta = [math.asin(min(abs(v), 1.0)) for v in work[:col, col].tolist()]
-        cos = [math.cos(t) for t in theta]
+        sines = [1.0 if x > 1.0 else x for x in map(abs, work[:col, col].tolist())]
+        theta = list(map(math.asin, sines))
+        cos = list(map(math.cos, theta))
         angles[:col, step - 1] = theta
         if min(cos) <= tol.eps_pivot:
             for i, c in enumerate(cos):
@@ -219,68 +261,58 @@ def extract_parameters(
                         )
                     work[i, :col] = 0.0  # the branch stops: what is left peels as zeros
                     cos[i] = 1.0
-        work[:col, :col] /= np.array(cos)[:, None]
-    # phase j of branch k is that of work[k, k + j]
-    phases = np.zeros((n, n - 1))
-    for k, row in enumerate(work[:, : n - 1].tolist()):
-        phases[k, k:] = [cmath.phase(v) for v in row[k:]]
-    phases = np.mod(phases, TWO_PI)
+        scale = 1.0 / np.array(cos)
+        # row i is +0 left of column i: scale the upper triangle, a band of rows at a time
+        for top in range(0, col, _BAND):
+            rows = slice(top, min(top + _BAND, col))
+            flat[rows, 2 * top : 2 * col] *= scale[rows, None]
+    # phase j of branch k is that of work[k, k + j]: row-major, the upper
+    # triangle of the first N - 1 columns lists them branch by branch
+    values = work[:, : n - 1][np.triu(np.ones((n, n - 1), dtype=bool))]
+    phases = np.mod(list(map(cmath.phase, values.tolist())), TWO_PI)
     phases[phases >= TWO_PI] = 0.0
-    branches = (BranchParameters(n - k, angles[k, : n - 1 - k], phases[k, k:]) for k in range(n))
-    return CircuitParameters(n, weight_angles, tuple(branches))
+    branch_phases = np.zeros((n, n - 1))
+    branch_phases[_branch_cells(n)] = phases
+    return CircuitParameters(n, weight_angles, angles, branch_phases)
 
 
-def _weight_amplitudes(weight_angles: np.ndarray, n: int) -> np.ndarray:
-    amp = np.zeros(n)
-    prefix = 1.0
-    for step in range(1, n):
-        angle = float(weight_angles[step - 1])
-        amp[n - step] = prefix * math.sin(angle)
-        prefix *= math.cos(angle)
-    amp[0] = prefix
-    return amp
-
-
-def _branch_amplitudes(branch: BranchParameters) -> np.ndarray:
-    m = branch.dim
-    amp = np.zeros(m, dtype=np.complex128)
-    if m == 1:
-        amp[0] = 1.0
-        return amp
-    prefix = 1.0
-    for step in range(1, m):
-        j = m - step
-        theta = float(branch.angles[step - 1])
-        value = prefix * math.sin(theta)
-        if j < m - 1:
-            amp[j] = value * cmath.exp(1j * float(branch.phases[j]))
-        else:
-            amp[j] = value
-        prefix *= math.cos(theta)
-    amp[0] = prefix * cmath.exp(1j * float(branch.phases[0]))
-    return amp
+def _chain(angles: list[float]) -> list[float]:
+    """Amplitudes a chain of rotations prepares from |0> (the weight chain, or
+    one branch before its phases): angle t peels amplitude m - 1 - t with
+    the product of the cosines before it; amplitude 0 keeps the whole
+    product."""
+    prefix = list(accumulate(map(math.cos, angles), operator.mul, initial=1.0))
+    peeled = list(map(operator.mul, prefix, map(math.sin, angles)))
+    return [prefix[-1], *reversed(peeled)]
 
 
 def simulate_circuit(params: CircuitParameters, mode: str = "product") -> PureState:
     """Purification state prepared by the parameterized circuit.
 
     ``mode="product"`` evaluates the closed-form products directly:
-    amplitude[k*N + i] = (weight chain factor k) * (branch-k amplitude i).
-    ``mode="gates"`` builds the gate schedule and applies it to |0...0>.
-    Both agree to within a few ulp.
+    amplitude[k*N + i] = (weight chain factor k) * (branch-k amplitude i),
+    with ``math`` trig and sequential prefix products, and phase j of
+    branch k on its amplitude j. ``mode="gates"`` builds the gate schedule
+    and applies it to |0...0>. Both agree to within a few ulp.
     """
     if mode == "gates":
         return apply_schedule(schedule_from_parameters(params))
     if mode != "product":
         raise BadRange(f"unknown simulation mode {mode!r}")
     n = params.N
-    weight_amp = _weight_amplitudes(params.weight_angles, n)
-    vec = np.zeros(n * n, dtype=np.complex128)
-    for k, branch in enumerate(params.branches):
-        if weight_amp[k] == 0.0:
-            continue
-        vec[k * n : k * n + branch.dim] = weight_amp[k] * _branch_amplitudes(branch)
-    return PureState(n, n, vec)
+    amp = np.zeros((n, n), dtype=np.complex128)
+    magnitudes = amp.real
+    for k, angles in enumerate(params.angles):  # branch k has N - 1 - k angles
+        magnitudes[k, : n - k] = _chain(angles[: n - 1 - k].tolist())
+    cells = _branch_cells(n)
+    phases = params.phases[cells].tolist()
+    factor = np.empty(len(phases), dtype=np.complex128)  # e^{i phi}, as cmath.exp rounds it
+    factor.real = np.fromiter(map(math.cos, phases), np.float64, len(phases))
+    factor.imag = np.fromiter(map(math.sin, phases), np.float64, len(phases))
+    phased = amp[:, : n - 1]  # phase j of branch k multiplies its amplitude j
+    phased[cells] *= factor
+    amp *= np.array(_chain(params.weight_angles.tolist()))[:, None]
+    return PureState(n, n, amp.reshape(-1))
 
 
 def schedule_from_parameters(params: CircuitParameters) -> GateSchedule:
@@ -295,26 +327,32 @@ def schedule_from_parameters(params: CircuitParameters) -> GateSchedule:
 
 
 def _gate_table(params: CircuitParameters) -> np.ndarray:
-    """The :data:`GATE` table of :func:`schedule_from_parameters`, unvalidated."""
+    """The :data:`GATE` table of :func:`schedule_from_parameters`, unvalidated.
+
+    Branch k's 2s rows (s = N - 1 - k) are its rotations on (0, s - r) for
+    r < s, then its phases on lines r - s: row-major, the cells of
+    ``angles`` and of ``phases`` that hold values list them branch by branch.
+    """
     n = params.N
     gates = np.zeros(n * n - 1, dtype=GATE)
     chain = gates[: n - 1]
     chain["control"] = -1
     chain["b"] = np.arange(n - 1, 0, -1)
     chain["value"] = params.weight_angles
-    start = n - 1
-    for k, branch in enumerate(params.branches):
-        steps = branch.dim - 1
-        rotations = gates[start : start + steps]
-        phases = gates[start + steps : start + 2 * steps]
-        start += 2 * steps
-        rotations["control"] = k
-        rotations["b"] = np.arange(steps, 0, -1)
-        rotations["value"] = branch.angles
-        phases["phase"] = True
-        phases["control"] = k
-        phases["a"] = np.arange(steps)
-        phases["value"] = -branch.phases
+    rows = 2 * np.arange(n - 1, -1, -1)  # per branch
+    size = np.repeat(rows // 2, rows)
+    r = np.arange(n * n - n) - np.repeat(np.cumsum(rows) - rows, rows)
+    is_phase = r >= size
+    cells = _branch_cells(n)
+    value = np.empty(n * n - n)
+    value[~is_phase] = params.angles[cells]
+    value[is_phase] = -params.phases[cells]
+    branches = gates[n - 1 :]
+    branches["phase"] = is_phase
+    branches["control"] = np.repeat(np.arange(n), rows)
+    branches["a"] = np.where(is_phase, r - size, 0)
+    branches["b"] = np.where(is_phase, 0, size - r)
+    branches["value"] = value
     return gates
 
 
@@ -349,23 +387,24 @@ def apply_schedule(schedule: GateSchedule) -> PureState:
     level = np.empty(count, dtype=np.int64)
     level[order] = rank - np.maximum.accumulate(np.where(start, rank, 0))
     level[ancilla] = -1  # first in its run
+    # an ancilla gate's lines are where its two blocks of n lines begin; a
+    # controlled gate's lines lie inside the block of its control value
+    base = np.where(ancilla, 0, control * n)
+    width = np.where(ancilla, n, 1)
     seq = np.lexsort((gates["phase"], level, run))
     phase, ancilla = gates["phase"][seq], ancilla[seq]
     starts = np.flatnonzero(_group_starts(run[seq], level[seq], phase))
-    # an ancilla gate's lines are where its two blocks of n lines begin; a
-    # controlled gate's lines lie inside the block of its control value
-    base = np.where(ancilla, 0, control[seq] * n)
-    width = np.where(ancilla, n, 1)
-    line_a = base + gates["a"][seq] * width
-    line_b = base + gates["b"][seq] * width
+    line_a = (base + gates["a"] * width)[seq]
+    line_b = (base + gates["b"] * width)[seq]
     value = gates["value"][seq]
     # complex with +0 imaginary parts, as numpy promotes a float operand, so
     # no step has to cast
     cos = np.zeros(count, dtype=np.complex128)
     sin = np.zeros(count, dtype=np.complex128)
-    cos.real, sin.real = np.cos(value), np.sin(value)
-    factor = np.empty(count, dtype=np.complex128)
-    factor.real, factor.imag = cos.real, -sin.real  # e^{-i value}, as cmath.exp rounds it
+    np.cos(value, out=cos.real)
+    np.sin(value, out=sin.real)
+    factor = cos.copy()
+    np.negative(sin.real, out=factor.imag)  # e^{-i value}, as cmath.exp rounds it
     vec = np.zeros(m * n, dtype=np.complex128)
     vec[0] = 1.0
     steps = zip(
@@ -389,18 +428,3 @@ def apply_schedule(schedule: GateSchedule) -> PureState:
         new_a, new_b = c * xa - s * xb, s * xa + c * xb
         vec[ia], vec[ib] = new_a, new_b
     return PureState(m, n, vec)
-
-
-def invert_qubit(params: CircuitParameters) -> CoefficientMatrix:
-    """Closed inversion for N=2: C00 = cos(a)cos(t)e^{i p}, C01 = cos(a)sin(t),
-    C10 = sin(a), C11 = 0."""
-    if params.N != 2:
-        raise ShapeMismatch(f"qubit inversion requires N=2, got N={params.N}")
-    alpha = float(params.weight_angles[0])
-    theta = float(params.branches[0].angles[0])
-    phi = float(params.branches[0].phases[0])
-    c = np.zeros((2, 2), dtype=np.complex128)
-    c[0, 0] = math.cos(alpha) * math.cos(theta) * cmath.exp(1j * phi)
-    c[0, 1] = math.cos(alpha) * math.sin(theta)
-    c[1, 0] = math.sin(alpha)
-    return CoefficientMatrix(2, c)

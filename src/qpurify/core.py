@@ -20,7 +20,6 @@ from .errors import (
     NormFailure,
     NotHermitian,
     NotPSD,
-    OutOfRange,
     ShapeMismatch,
     TraceDeviation,
 )
@@ -81,23 +80,6 @@ class QuditShape:
         object.__setattr__(self, "N", total)
 
 
-def flat_index(alpha: int, i: int, N: int, ancilla_dim: int | None = None) -> int:
-    """Flat position of |alpha>|i> in the composite state vector (alpha * N + i).
-
-    ``ancilla_dim`` is optional; when given, the ancilla value is range-checked
-    against it as well.
-    """
-    if N < 1:
-        raise OutOfRange(f"system dimension must be positive, got {N}")
-    if not 0 <= i < N:
-        raise OutOfRange(f"system index {i} outside [0, {N})")
-    if alpha < 0:
-        raise OutOfRange(f"ancilla value {alpha} negative")
-    if ancilla_dim is not None and alpha >= ancilla_dim:
-        raise OutOfRange(f"ancilla value {alpha} outside [0, {ancilla_dim})")
-    return alpha * N + i
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated N x N density matrix (Hermitian, unit trace, PSD) with qudit shape.
@@ -137,9 +119,6 @@ class PureState:
         if not abs(norm - 1.0) <= DEFAULT_TOL.eps_norm:
             raise NormFailure(f"state norm {norm!r} deviates from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", amps)
-
-    def amplitude(self, alpha: int, i: int) -> complex:
-        return complex(self.amplitudes[flat_index(alpha, i, self.system_dim, self.ancilla_dim)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,7 +67,3 @@ class DegenerateBranch(QPurifyError):
 
 class BadRange(QPurifyError):
     """Scalar argument lies outside its admissible interval."""
-
-
-class OutsideBall(QPurifyError):
-    """Bloch coordinates lie outside the unit ball."""

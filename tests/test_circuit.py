@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 from qpurify import (
-    BranchParameters,
     GATE,
     CircuitParameters,
     CoefficientMatrix,
@@ -16,13 +17,13 @@ from qpurify import (
     cholesky_purify,
     coefficients_to_state,
     extract_parameters,
-    invert_qubit,
     partial_trace_ancilla,
     random_density,
     schedule_from_parameters,
     simulate_circuit,
     validate_density,
 )
+from qpurify.circuit import _branch_cells
 from qpurify.errors import BadRange, DegenerateBranch, ShapeMismatch
 from qpurify.rng import CounterRng
 
@@ -30,11 +31,34 @@ HALF_PI = math.pi / 2
 
 
 def make_params(n, weight_angles, branch_data):
-    branches = tuple(
-        BranchParameters(n - k, np.asarray(a, dtype=float), np.asarray(p, dtype=float))
-        for k, (a, p) in enumerate(branch_data)
-    )
-    return CircuitParameters(n, np.asarray(weight_angles, dtype=float), branches)
+    branches = [(n - k, a, p) for k, (a, p) in enumerate(branch_data)]
+    return CircuitParameters.from_branches(n, weight_angles, branches)
+
+
+def branch(params, k):
+    """Angles and phases of branch k: the first N - 1 - k cells of row k."""
+    m = params.N - 1 - k
+    return params.angles[k, :m], params.phases[k, :m]
+
+
+def amplitude(state, alpha, i):
+    """Amplitude of |alpha>|i>: the ancilla register is the most significant block."""
+    return state.amplitudes.reshape(state.ancilla_dim, state.system_dim)[alpha, i]
+
+
+def invert_qubit(params):
+    """Closed inversion for N=2: C00 = cos(a)cos(t)e^{i p}, C01 = cos(a)sin(t),
+    C10 = sin(a), C11 = 0."""
+    if params.N != 2:
+        raise ShapeMismatch(f"qubit inversion requires N=2, got N={params.N}")
+    alpha = float(params.weight_angles[0])
+    theta = float(params.angles[0, 0])
+    phi = float(params.phases[0, 0])
+    c = np.zeros((2, 2), dtype=np.complex128)
+    c[0, 0] = math.cos(alpha) * math.cos(theta) * cmath.exp(1j * phi)
+    c[0, 1] = math.cos(alpha) * math.sin(theta)
+    c[1, 0] = math.sin(alpha)
+    return CoefficientMatrix(2, c)
 
 
 def random_params(n, seed, low=0.15, high=0.8):
@@ -123,9 +147,13 @@ def assert_extract_matches_reference(coeffs, eps_pivot=1e-12):
     params = extract_parameters(coeffs, ToleranceConfig(eps_pivot=eps_pivot))
     weight_angles, branches = reference_extract(coeffs, eps_pivot)
     assert same_bits(params.weight_angles, weight_angles)
-    for k, (branch, (angles, phases)) in enumerate(zip(params.branches, branches)):
-        assert same_bits(branch.angles, angles), k
-        assert same_bits(branch.phases, phases), k  # signed zeros included
+    for k, (angles, phases) in enumerate(branches):
+        got_angles, got_phases = branch(params, k)
+        assert same_bits(got_angles, angles), k
+        assert same_bits(got_phases, phases), k  # signed zeros included
+    padding = ~_branch_cells(coeffs.N)
+    assert same_bits(params.angles[padding], np.zeros(padding.sum()))
+    assert same_bits(params.phases[padding], np.zeros(padding.sum()))
 
 
 def random_table(rng, m, n, count):
@@ -159,6 +187,62 @@ class TestCircuitParameters:
         with pytest.raises(ShapeMismatch):
             make_params(2, [0.3], [([0.1], [0.0]), ([0.1], [0.0])])
 
+    QUTRIT = ([0.3, 0.2], [([0.1, 0.2], [0.5, 0.6]), ([0.3], [0.7]), ([], [])])
+
+    #: (weight angles, branches 0 and 1 as (dim, angles, phases), error, message) by label
+    INVALID = {
+        "weight angle": ([2.0, 0.2], None, None, BadRange, "weight angles must lie in [0, pi/2]"),
+        "weight count": ([0.3], None, None, ShapeMismatch, "expected 2 weight angles, got (1,)"),
+        "negative angle": (None, (3, [0.1, -0.2], [0.5, 0.6]), None, BadRange, "branch angles must lie in [0, pi/2]"),
+        "NaN angle": (None, (3, [0.1, math.nan], [0.5, 0.6]), None, BadRange, "branch angles must lie in [0, pi/2]"),
+        "phase 2 pi": (None, (3, [0.1, 0.2], [0.5, 2 * math.pi]), None, BadRange, "phases must lie in [0, 2*pi)"),
+        "short phases": (None, (3, [0.1, 0.2], [0.5]), None, ShapeMismatch, "branch of dimension 3 needs 2 angles and phases"),
+        "branch dimension": (None, None, (3, [0.3, 0.4], [0.7, 0.8]), ShapeMismatch, "branch 1 must have dimension 2"),
+    }
+
+    @pytest.mark.parametrize("label", sorted(INVALID))
+    def test_validation_messages_and_exit_codes(self, label):
+        weights, branch0, branch1, kind, message = self.INVALID[label]
+        branches = [branch0 or (3, [0.1, 0.2], [0.5, 0.6]), branch1 or (2, [0.3], [0.7]), (1, [], [])]
+        with pytest.raises(kind) as raised:
+            CircuitParameters.from_branches(3, weights or self.QUTRIT[0], branches)
+        assert str(raised.value) == message
+        assert raised.value.exit_code == 2
+
+    def test_branch_count_enforced(self):
+        with pytest.raises(ShapeMismatch, match=r"^expected 3 branches, got 2$"):
+            CircuitParameters.from_branches(3, [0.3, 0.2], [(3, [0.1, 0.2], [0.5, 0.6]), (2, [0.3], [0.7])])
+
+    def test_array_shapes_enforced(self):
+        params = make_params(3, *self.QUTRIT)
+        with pytest.raises(ShapeMismatch, match=r"expected 3x2 branch angles and phases"):
+            CircuitParameters(3, params.weight_angles, params.angles[:, :1], params.phases)
+
+    def test_nonzero_padding_rejected(self):
+        params = make_params(3, *self.QUTRIT)
+        for field, row, col in [("angles", 1, 1), ("phases", 2, 0)]:
+            arrays = {"angles": params.angles.copy(), "phases": params.phases.copy()}
+            arrays[field][row, col] = 0.25
+            with pytest.raises(ShapeMismatch, match=rf"^branch {row} has values beyond its {2 - row} angles") as raised:
+                CircuitParameters(3, params.weight_angles, **arrays)
+            assert raised.value.exit_code == 2
+
+    def test_negative_zero_phases_kept(self):
+        # -0.0 lies in [0, 2*pi): it is kept, sign and all, and its gate holds -phase = +0.0
+        params = make_params(3, [0.3, 0.2], [([0.1, 0.2], [0.5, -0.0]), ([0.3], [-0.0]), ([], [])])
+        assert np.signbit(params.phases[[0, 1], [1, 0]]).all()
+        values = schedule_from_parameters(params).gates["value"][[5, 7]]
+        assert values.tolist() == [0.0, 0.0] and not np.signbit(values).any()
+        # padding written as -0.0 is zero as well
+        signed = np.where(params.phases == 0.0, -0.0, params.phases)
+        CircuitParameters(3, params.weight_angles, params.angles, signed)
+
+    def test_arrays_read_only(self):
+        params = make_params(3, *self.QUTRIT)
+        for array in (params.weight_angles, params.angles, params.phases):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
 
 class TestExtractParameters:
     def test_maximally_mixed_qubit(self):
@@ -167,9 +251,9 @@ class TestExtractParameters:
         rho = validate_density(np.eye(2) / 2, QuditShape(2, 1))
         params = extract_parameters(cholesky_purify(rho))
         assert abs(params.weight_angles[0] - math.pi / 4) < 1e-12
-        assert abs(params.branches[0].angles[0] - HALF_PI) < 1e-12
-        assert params.branches[0].phases[0] == 0.0
-        assert params.branches[1].angles.size == 0
+        assert abs(params.angles[0, 0] - HALF_PI) < 1e-12
+        assert params.phases[0, 0] == 0.0
+        assert params.angles[1, 0] == 0.0  # padding: branch 1 has dimension 1
 
     def test_ground_state_zero_weight_rule(self):
         from qpurify import QuditShape, validate_density
@@ -177,8 +261,8 @@ class TestExtractParameters:
         rho = validate_density(np.diag([1.0, 0.0]), QuditShape(2, 1))
         params = extract_parameters(cholesky_purify(rho))
         assert abs(params.weight_angles[0] - HALF_PI) < 1e-12
-        assert params.branches[0].angles[0] == 0.0
-        assert params.branches[0].phases[0] == 0.0
+        assert params.angles[0, 0] == 0.0
+        assert params.phases[0, 0] == 0.0
 
     def test_plus_state(self):
         from qpurify import QuditShape, validate_density
@@ -186,17 +270,16 @@ class TestExtractParameters:
         rho = validate_density(np.full((2, 2), 0.5), QuditShape(2, 1))
         params = extract_parameters(cholesky_purify(rho))
         assert abs(params.weight_angles[0]) < 1e-7  # row-1 weight is determinant noise
-        assert abs(params.branches[0].angles[0] - math.pi / 4) < 1e-12
-        assert params.branches[0].phases[0] == 0.0
+        assert abs(params.angles[0, 0] - math.pi / 4) < 1e-12
+        assert params.phases[0, 0] == 0.0
 
     def test_angles_in_range(self):
         for seed in range(20):
             rho = random_density(2, 2, seed=seed)
             params = extract_parameters(cholesky_purify(rho))
             assert np.all(params.weight_angles >= 0) and np.all(params.weight_angles <= HALF_PI)
-            for branch in params.branches:
-                assert np.all(branch.angles >= 0) and np.all(branch.angles <= HALF_PI)
-                assert np.all(branch.phases >= 0) and np.all(branch.phases < 2 * math.pi)
+            assert np.all(params.angles >= 0) and np.all(params.angles <= HALF_PI)
+            assert np.all(params.phases >= 0) and np.all(params.phases < 2 * math.pi)
 
     def test_degenerate_branch_guard(self):
         # malformed row: its unit last amplitude leaves cos(pi/2) ~ 6e-17 to
@@ -213,18 +296,19 @@ class TestExtractParameters:
         # phases stay zero
         c = np.zeros((3, 3), dtype=complex)
         c[0] = [0.9e-8, 0.0, 1.0]
-        branch = extract_parameters(CoefficientMatrix(3, c)).branches[0]
-        assert branch.angles.tolist() == [HALF_PI, 0.0]
-        assert branch.phases.tolist() == [0.0, 0.0]
+        angles, phases = branch(extract_parameters(CoefficientMatrix(3, c)), 0)
+        assert angles.tolist() == [HALF_PI, 0.0]
+        assert phases.tolist() == [0.0, 0.0]
         assert_extract_matches_reference(CoefficientMatrix(3, c))
 
     def test_diagonal_rho_stops_every_branch_at_once(self):
         rho = validate_density(np.diag([0.1, 0.2, 0.3, 0.4]), QuditShape(2, 2))
         coeffs = cholesky_purify(rho)
         params = extract_parameters(coeffs)
-        for branch in params.branches[:-1]:
-            assert branch.angles[0] == HALF_PI
-            assert not branch.angles[1:].any() and not branch.phases.any()
+        for k in range(3):
+            angles, phases = branch(params, k)
+            assert angles[0] == HALF_PI
+            assert not angles[1:].any() and not phases.any()
         assert_extract_matches_reference(coeffs)
 
     #: (rank, seed) of the inputs the benchmark's CLI sessions purify, by
@@ -260,15 +344,61 @@ class TestExtractParameters:
             params = random_params(n, seed)
             weights = params.weight_angles.copy()
             weights[seed % (n - 1)] = 0.0  # one zero-weight branch
-            branches = [
-                BranchParameters(b.dim, np.where(np.arange(b.dim - 1) == k % 3, HALF_PI, b.angles), b.phases)
-                if k % 2 else b
-                for k, b in enumerate(params.branches)
-            ]
-            state = simulate_circuit(CircuitParameters(n, weights, tuple(branches)))
+            # angle k % 3 of every odd branch k that has it
+            rows = np.arange(n)[:, None]
+            stops = (rows % 2 == 1) & (np.arange(n - 1) == rows % 3) & _branch_cells(n)
+            angles = np.where(stops, HALF_PI, params.angles)
+            state = simulate_circuit(CircuitParameters(n, weights, angles, params.phases))
             coeffs = CoefficientMatrix(n, state.amplitudes.reshape(n, n))
             assert_extract_matches_reference(coeffs)
             assert_extract_matches_reference(coeffs, eps_pivot=1e-3)
+
+
+#: A part of a coefficient: a signed zero often, else a normal double.
+PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+
+#: Unit entries with signed-zero parts, the spikes of stopping rows.
+UNITS = [(1.0, 0.0), (1.0, -0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, 1.0), (-0.0, -1.0)]
+
+
+@st.composite
+def signed_zero_coefficients(draw):
+    """Gauge-valid C, rows not normalized, with signed-zero real and imaginary
+    parts, zero rows, and rows that stop: one unit entry with a leftover of
+    at most 1e-9 (a stop) or up to about 1e-7 (possibly DegenerateBranch)."""
+    n = draw(st.integers(2, 12))
+    c = np.zeros((n, n), dtype=np.complex128)
+    for k in range(n):
+        m = n - k
+        parts = np.array(draw(st.lists(PARTS, min_size=2 * m, max_size=2 * m)))
+        kind = draw(st.sampled_from(["dense", "dense", "zero", "stop"]))
+        if kind == "zero":
+            parts = np.copysign(0.0, parts)
+        elif kind == "stop":
+            parts *= draw(st.sampled_from([1e-10, 2.5e-8]))
+            spike = 2 * draw(st.integers(0, m - 1))
+            parts[spike : spike + 2] = draw(st.sampled_from(UNITS))
+        parts *= draw(st.sampled_from([1e-3, 1.0, 37.0]))
+        # the last entry is real and nonnegative; a zero part keeps its sign
+        parts[-2] = abs(parts[-2]) if parts[-2] else parts[-2]
+        parts[-1] = np.copysign(0.0, parts[-1])
+        c[k, :m] = parts.view(np.complex128)
+    return c
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(signed_zero_coefficients(), st.sampled_from([1e-12, 1e-3]))
+def test_extract_matches_reference_on_signed_zeros(c, eps_pivot):
+    # each step scales the float view by 1/cos, after one sign step; numpy's
+    # complex quotient, which the reference uses, clears signed zeros as it goes
+    coeffs = CoefficientMatrix(len(c), c)
+    try:
+        reference_extract(coeffs, eps_pivot)
+    except DegenerateBranch:
+        with pytest.raises(DegenerateBranch):
+            extract_parameters(coeffs, ToleranceConfig(eps_pivot=eps_pivot))
+        return
+    assert_extract_matches_reference(coeffs, eps_pivot)
 
 
 class TestSimulateCircuit:
@@ -313,7 +443,7 @@ class TestSimulateCircuit:
             (2, 2): 0.0,
         }
         for (k, i), value in expected.items():
-            assert abs(state.amplitude(k, i) - value) < 1e-14, (k, i)
+            assert abs(amplitude(state, k, i) - value) < 1e-14, (k, i)
 
     def test_modes_agree(self):
         for n, seed in [(2, 1), (3, 2), (4, 3), (8, 4)]:
@@ -391,7 +521,7 @@ class TestGateSchedule:
         # gauge zeros: row 1 col 3, row 2 cols 2-3, row 3 cols 1-3
         for alpha in range(4):
             for i in range(4 - alpha, 4):
-                assert state.amplitude(alpha, i) == 0.0
+                assert amplitude(state, alpha, i) == 0.0
 
 
 class TestInvertQubit:
@@ -455,6 +585,5 @@ class TestRoundTrips:
         coeffs = CoefficientMatrix(4, state.amplitudes.reshape(4, 4))
         again = extract_parameters(coeffs)
         assert np.max(np.abs(again.weight_angles - params.weight_angles)) < 1e-10
-        for mine, theirs in zip(again.branches, params.branches):
-            assert np.max(np.abs(mine.angles - theirs.angles), initial=0.0) < 1e-10
-            assert np.max(np.abs(mine.phases - theirs.phases), initial=0.0) < 1e-8
+        assert np.max(np.abs(again.angles - params.angles)) < 1e-10
+        assert np.max(np.abs(again.phases - params.phases)) < 1e-8

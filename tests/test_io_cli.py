@@ -10,7 +10,6 @@ import pytest
 from click.testing import CliRunner
 
 from qpurify import (
-    BranchParameters,
     CircuitParameters,
     GateSchedule,
     PureState,
@@ -25,6 +24,7 @@ from qpurify import (
     validate_density,
 )
 from qpurify import cli, io
+from qpurify.circuit import _branch_cells
 from qpurify.cli import main
 from qpurify.errors import BadRange, NormFailure, OutOfRange, QPurifyError, ReconstructionFailure
 
@@ -87,9 +87,10 @@ def circuit_record(shape, params, schedule):
             gates.append({"gate": "phase", "control_value": control, "basis": a, "value": value})
         else:
             gates.append({"gate": "rotation", "control_value": control, "subspace": [a, b], "value": value})
+    N = params.N
     branches = [
-        {"dim": b.dim, "angles": [float(x) for x in b.angles], "phases": [float(x) for x in b.phases]}
-        for b in params.branches
+        {"dim": N - k, "angles": a[: N - 1 - k], "phases": p[: N - 1 - k]}
+        for k, (a, p) in enumerate(zip(params.angles.tolist(), params.phases.tolist()))
     ]
     return {
         "N": params.N,
@@ -144,15 +145,11 @@ def reference_load_circuit(text):
     if n != shape.N:
         raise ValueError(f"declared N={n} disagrees with d**n={shape.N}")
     block = data["parameters"]
-    branches = tuple(
-        BranchParameters(
-            json_integer(b["dim"], "dim"),
-            reference_numbers(b["angles"], "angles"),
-            reference_numbers(b["phases"], "phases"),
-        )
+    branches = [
+        (json_integer(b["dim"], "dim"), reference_numbers(b["angles"], "angles"), reference_numbers(b["phases"], "phases"))
         for b in block["branches"]
-    )
-    params = CircuitParameters(n, reference_numbers(block["weight_angles"], "weight_angles"), branches)
+    ]
+    params = CircuitParameters.from_branches(n, reference_numbers(block["weight_angles"], "weight_angles"), branches)
     schedule = GateSchedule(n, n, [reference_gate(g) for g in data["schedule"]])
     expected = schedule_from_parameters(params).gates
     rows = min(len(schedule.gates), len(expected))
@@ -200,8 +197,8 @@ def load_outcome(load, text):
         shape, params, schedule = load(text)
     except Exception as exc:
         return type(exc), str(exc)
-    branches = [(b.dim, b.angles.tobytes(), b.phases.tobytes()) for b in params.branches]
-    return shape, params.N, params.weight_angles.tobytes(), branches, schedule.gates.tobytes()
+    arrays = (params.weight_angles, params.angles, params.phases)
+    return shape, params.N, *(a.tobytes() for a in arrays), schedule.gates.tobytes()
 
 
 #: (d, n, rank) of the canonical circuit files: N in {2, 3, 4, 9, 16, 64},
@@ -223,12 +220,10 @@ def negative_zero_phases(text):
     """The canonical file of the same circuit with every zero phase written -0.0
     (the schedule then holds +0.0), or None if it has no zero phase."""
     shape, params, _ = io.load_circuit(text)
-    if not any((b.phases == 0.0).any() for b in params.branches):
+    if not (params.phases[_branch_cells(params.N)] == 0.0).any():
         return None
-    branches = tuple(
-        BranchParameters(b.dim, b.angles, np.where(b.phases == 0.0, -0.0, b.phases)) for b in params.branches
-    )
-    params = CircuitParameters(params.N, params.weight_angles, branches)
+    signed = np.where(params.phases == 0.0, -0.0, params.phases)
+    params = CircuitParameters(params.N, params.weight_angles, params.angles, signed)
     return io.dump_circuit(shape, params, schedule_from_parameters(params))
 
 
@@ -292,8 +287,7 @@ def padded_weight_angle(text):
 
 def qutrit_params(weights, branch0, branch1):
     """N = 3 parameters from (angles, phases) of branches 0 and 1."""
-    branches = (BranchParameters(3, *branch0), BranchParameters(2, *branch1), BranchParameters(1, [], []))
-    return CircuitParameters(3, np.array(weights), branches)
+    return CircuitParameters.from_branches(3, weights, [(3, *branch0), (2, *branch1), (1, [], [])])
 
 
 def array_outcome(load, text):

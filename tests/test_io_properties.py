@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from test_io_cli import circuit_record, json_text
 
-from qpurify import BranchParameters, CircuitParameters, QuditShape, io, schedule_from_parameters
+from qpurify import CircuitParameters, QuditShape, io, schedule_from_parameters
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -103,8 +103,8 @@ def test_circuit_round_trip_is_bit_exact(dims, data):
     def draw(values, size):
         return np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64)
 
-    branches = tuple(BranchParameters(N - k, draw(ANGLES, N - k - 1), draw(PHASES, N - k - 1)) for k in range(N))
-    params = CircuitParameters(N, draw(ANGLES, N - 1), branches)
+    branches = [(N - k, draw(ANGLES, N - k - 1), draw(PHASES, N - k - 1)) for k in range(N)]
+    params = CircuitParameters.from_branches(N, draw(ANGLES, N - 1), branches)
     schedule = schedule_from_parameters(params)
     text = io.dump_circuit(shape, params, schedule)
     assert text == json_text(circuit_record(shape, params, schedule))
@@ -112,7 +112,6 @@ def test_circuit_round_trip_is_bit_exact(dims, data):
         patch.setattr(io, "_parse_gate", refuse_gate)
         loaded_shape, loaded, loaded_schedule = io.load_circuit(text)
     assert loaded_shape == shape
-    assert same_bits(loaded.weight_angles, params.weight_angles)
-    for got, want in zip(loaded.branches, params.branches, strict=True):
-        assert same_bits(got.angles, want.angles) and same_bits(got.phases, want.phases)
+    for field in ("weight_angles", "angles", "phases"):
+        assert same_bits(getattr(loaded, field), getattr(params, field)), field
     assert loaded_schedule.gates.tobytes() == schedule.gates.tobytes()

@@ -44,7 +44,7 @@ class TestCholeskyPurify:
         expected[1, 0] = 1.0
         assert np.array_equal(c, expected)
         state = coefficients_to_state(cholesky_purify(qubit(np.diag([1.0, 0.0]))))
-        assert state.amplitude(1, 0) == 1.0
+        assert state.amplitudes.reshape(2, 2)[1, 0] == 1.0
 
     def test_plus_projector(self):
         c = cholesky_purify(qubit(np.full((2, 2), 0.5))).C
