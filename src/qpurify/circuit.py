@@ -36,6 +36,7 @@ from .core import (
     PureState,
     ToleranceConfig,
     _frozen_array,
+    _strict_lower,
 )
 from .errors import BadRange, DegenerateBranch, OutOfRange, ShapeMismatch
 
@@ -51,14 +52,15 @@ _BAND = 64
 
 
 def _check_angles(angles: np.ndarray, label: str) -> None:
-    if angles.size and not (np.min(angles) >= 0.0 and np.max(angles) <= HALF_PI):
+    if angles.size and not (angles.min() >= 0.0 and angles.max() <= HALF_PI):
         raise BadRange(f"{label} must lie in [0, pi/2]")
 
 
 def _branch_cells(n: int) -> np.ndarray:
     """N x (N - 1) mask of the cells that hold branch values: the first
-    N - 1 - k of row k. Row-major order is branch by branch."""
-    return np.arange(n - 1)[None, :] < np.arange(n - 1, -1, -1)[:, None]
+    N - 1 - k of row k. Row-major order is branch by branch. Read-only: a
+    view of the strict lower triangle, flipped upside down."""
+    return _strict_lower(n)[::-1, : n - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +91,7 @@ class CircuitParameters:
                 f"got {angles.shape} and {phases.shape}"
             )
         _check_angles(angles, "branch angles")
-        if phases.size and not (np.min(phases) >= 0.0 and np.max(phases) < TWO_PI):
+        if phases.size and not (phases.min() >= 0.0 and phases.max() < TWO_PI):
             raise BadRange("phases must lie in [0, 2*pi)")
         spill = ~_branch_cells(n) & ((angles != 0.0) | (phases != 0.0))
         if spill.any():
@@ -185,14 +187,14 @@ class GateSchedule:
         bad = phase & ~((0 <= a) & (a < dim))
         if bad.any():
             raise OutOfRange("phase basis %d outside register of dim %d" % _first(bad, a, dim))
-        if not np.all(np.isfinite(gates["value"])):
+        if not np.isfinite(gates["value"]).all():
             raise BadRange("gate values must be finite")
         object.__setattr__(self, "gates", gates)
 
 
 def _extract_weight_angles(weights: np.ndarray) -> np.ndarray:
     n = weights.size
-    cumulative = np.cumsum(weights).tolist()
+    cumulative = weights.cumsum().tolist()
     weights = weights.tolist()
     angles = np.zeros(n - 1)
     for step in range(1, n):
@@ -245,17 +247,17 @@ def extract_parameters(
     work /= np.sqrt(np.where(weighted, weights, 1.0))[:, None]
     work[:, : n - 1] /= 1.0  # the sign step
     flat = work.view(np.float64)  # re, im of column j in columns 2j, 2j + 1
-    angles = np.zeros((n, n - 1))
+    thetas = []  # column-major: step s peels column N - s of branches 0..N-s-1
     for step in range(1, n):
         col = n - step  # branches 0..col-1 peel this column
         sines = [1.0 if x > 1.0 else x for x in map(abs, work[:col, col].tolist())]
         theta = list(map(math.asin, sines))
         cos = list(map(math.cos, theta))
-        angles[:col, step - 1] = theta
+        thetas += theta
         if min(cos) <= tol.eps_pivot:
             for i, c in enumerate(cos):
                 if c <= tol.eps_pivot:
-                    if float(np.max(np.abs(work[i, :col]))) > _LEFTOVER_LIMIT:
+                    if float(np.abs(work[i, :col]).max()) > _LEFTOVER_LIMIT:
                         raise DegenerateBranch(
                             "branch cosine underflowed with nonzero amplitudes remaining"
                         )
@@ -267,11 +269,13 @@ def extract_parameters(
             rows = slice(top, min(top + _BAND, col))
             flat[rows, 2 * top : 2 * col] *= scale[rows, None]
     # phase j of branch k is that of work[k, k + j]: row-major, the upper
-    # triangle of the first N - 1 columns lists them branch by branch
-    values = work[:, : n - 1][np.triu(np.ones((n, n - 1), dtype=bool))]
+    # triangle of the first N - 1 columns (i <= j, or j + 1 > i) lists them
+    # branch by branch
+    values = work[:, : n - 1][_strict_lower(n).T[:, 1:]]
     phases = np.mod(list(map(cmath.phase, values.tolist())), TWO_PI)
     phases[phases >= TWO_PI] = 0.0
-    branch_phases = np.zeros((n, n - 1))
+    angles, branch_phases = np.zeros((2, n, n - 1))
+    angles.T[_branch_cells(n).T] = thetas
     branch_phases[_branch_cells(n)] = phases
     return CircuitParameters(n, weight_angles, angles, branch_phases)
 
@@ -356,15 +360,6 @@ def _gate_table(params: CircuitParameters) -> np.ndarray:
     return gates
 
 
-def _group_starts(*keys: np.ndarray) -> np.ndarray:
-    """True at each row where any of ``keys`` differs from the row before."""
-    start = np.zeros(len(keys[0]), dtype=bool)
-    start[:1] = True
-    for key in keys:
-        start[1:] |= key[1:] != key[:-1]
-    return start
-
-
 def apply_schedule(schedule: GateSchedule) -> PureState:
     """Apply the gates in order to |0...0> and return the resulting state.
 
@@ -378,22 +373,27 @@ def apply_schedule(schedule: GateSchedule) -> PureState:
     m, n = schedule.ancilla_dim, schedule.system_dim
     gates = schedule.gates
     count = len(gates)
-    control = gates["control"]
+    control, phase = gates["control"], gates["phase"]
     ancilla = control < 0
-    run = np.cumsum(ancilla)
-    order = np.lexsort((control, run))  # stable: table order inside a group
-    rank = np.arange(count)
-    start = _group_starts(run[order], control[order])
+    run = ancilla.cumsum()
+    # (run, control) as one sort key, the run's ancilla gate (control -1) first
+    group = run * (m + 1) + control
+    order = group.argsort(kind="stable")  # stable: table order inside a group
+    ranked = group[order]
     level = np.empty(count, dtype=np.int64)
-    level[order] = rank - np.maximum.accumulate(np.where(start, rank, 0))
+    level[order] = np.arange(count) - ranked.searchsorted(ranked)
     level[ancilla] = -1  # first in its run
+    # (run, level, phase) as one sort key; levels lie in [-1, count)
+    key = (run * (count + 1) + level + 1) * 2 + phase
+    seq = key.argsort(kind="stable")
+    key = key[seq]
+    edge = np.ones(count, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=edge[1:])
+    starts = np.flatnonzero(edge)
     # an ancilla gate's lines are where its two blocks of n lines begin; a
     # controlled gate's lines lie inside the block of its control value
     base = np.where(ancilla, 0, control * n)
     width = np.where(ancilla, n, 1)
-    seq = np.lexsort((gates["phase"], level, run))
-    phase, ancilla = gates["phase"][seq], ancilla[seq]
-    starts = np.flatnonzero(_group_starts(run[seq], level[seq], phase))
     line_a = (base + gates["a"] * width)[seq]
     line_b = (base + gates["b"] * width)[seq]
     value = gates["value"][seq]
@@ -410,8 +410,8 @@ def apply_schedule(schedule: GateSchedule) -> PureState:
     steps = zip(
         starts.tolist(),
         starts[1:].tolist() + [count],
-        ancilla[starts].tolist(),
-        phase[starts].tolist(),
+        ancilla[seq[starts]].tolist(),
+        phase[seq[starts]].tolist(),
     )
     for lo, hi, whole_blocks, phase_step in steps:
         if whole_blocks:

@@ -98,7 +98,7 @@ def synth(input_path, out_path):
     schedule = schedule_from_parameters(params)
     target = coefficients_to_state(coeffs)
     prepared = apply_schedule(schedule)
-    deviation = float(np.max(np.abs(prepared.amplitudes - target.amplitudes)))
+    deviation = float(np.abs(prepared.amplitudes - target.amplitudes).max())
     Path(out_path).write_text(io.dump_circuit(rho.shape, params, schedule))
     click.echo(f"parameters={params.parameter_count} max_deviation={deviation!r}")
     eps = DEFAULT_TOL.eps_recon

@@ -8,7 +8,9 @@ significant block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +34,13 @@ def _frozen_array(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=4)
+def _strict_lower(n: int) -> np.ndarray:
+    """Read-only N x N mask of i > j, built once per N; flipped as ``[:, ::-1]``
+    it marks the cells beyond the anti-diagonal (i + j > N - 1)."""
+    return _frozen_array(np.tri(n, k=-1, dtype=bool), bool)
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ class PureState:
         expected = self.ancilla_dim * self.system_dim
         if amps.shape != (expected,):
             raise ShapeMismatch(f"expected {expected} amplitudes, got {amps.shape}")
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))  # as numpy's norm
         if not abs(norm - 1.0) <= DEFAULT_TOL.eps_norm:
             raise NormFailure(f"state norm {norm!r} deviates from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", amps)
@@ -137,20 +146,17 @@ class CoefficientMatrix:
         mat = _frozen_array(self.C, np.complex128)
         if mat.shape != (self.N, self.N):
             raise ShapeMismatch(f"expected {self.N}x{self.N} coefficients, got {mat.shape}")
-        cols = np.arange(self.N)
-        beyond = cols[None, :] > (self.N - 1 - cols[:, None])
-        if not np.all(mat[beyond] == 0):
+        if mat[_strict_lower(self.N)[:, ::-1]].any():
             raise GaugeViolation("entries beyond the anti-diagonal must be exactly zero")
-        anti = mat[cols, self.N - 1 - cols]
-        weights = np.sum(np.abs(mat) ** 2, axis=1)
-        active = weights > DEFAULT_TOL.eps_pivot
-        if np.any(anti[active].imag != 0.0) or np.any(anti[active].real < 0.0):
+        weights = (np.abs(mat) ** 2).sum(axis=1)
+        anti = mat[:, ::-1].diagonal()[weights > DEFAULT_TOL.eps_pivot]
+        if (anti.imag != 0.0).any() or (anti.real < 0.0).any():
             raise GaugeViolation("anti-diagonal entries must be real and nonnegative")
         object.__setattr__(self, "C", mat)
 
     def row_weights(self) -> np.ndarray:
         """Squared row norms (the mixture weights of the purification)."""
-        return np.sum(np.abs(self.C) ** 2, axis=1)
+        return (np.abs(self.C) ** 2).sum(axis=1)
 
 
 def validate_density(
@@ -167,13 +173,14 @@ def validate_density(
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.shape != (shape.N, shape.N):
         raise ShapeMismatch(f"expected {shape.N}x{shape.N} matrix, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise BadRange("matrix has non-finite entries")
-    asym = float(np.max(np.abs(arr - arr.conj().T)))
+    adjoint = arr.conj().T
+    asym = float(np.abs(arr - adjoint).max())
     if asym > tol.eps_herm:
         raise NotHermitian(f"asymmetry {asym!r} exceeds tolerance {tol.eps_herm!r}")
-    sym = (arr + arr.conj().T) / 2.0
-    trace = float(np.trace(sym).real)
+    sym = (arr + adjoint) / 2.0
+    trace = float(sym.trace().real)
     if abs(trace - 1.0) > tol.eps_trace:
         raise TraceDeviation(f"trace {trace!r} deviates from 1 beyond {tol.eps_trace!r}")
     try:

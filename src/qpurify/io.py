@@ -404,13 +404,17 @@ def bloch_csv(alphas, n_theta: int, n_phi: int) -> str:
     """CSV of surface points, one block per alpha: alpha,theta,phi,X,Y,Z."""
     lines = ["alpha,theta,phi,X,Y,Z"]
     thetas, phis = grid_angles(n_theta, n_phi)
-    # theta-major, phi-minor, as bloch_surface emits its points
-    grid = [f"{theta!r},{phi!r}" for theta in thetas.tolist() for phi in phis.tolist()]
+    phis = [repr(phi) for phi in phis.tolist()]
     for alpha in alphas:
         alpha = float(alpha)
-        points = bloch_surface(alpha, (n_theta, n_phi)).tolist()
-        head = repr(alpha)
-        lines += [f"{head},{at},{x!r},{y!r},{z!r}" for at, (x, y, z) in zip(grid, points)]
+        points = bloch_surface(alpha, (n_theta, n_phi))
+        xs, ys = map(repr, points[:, 0].tolist()), map(repr, points[:, 1].tolist())
+        # theta-major, phi-minor, as bloch_surface emits its points; Z depends
+        # on theta only, so each row's alpha, theta and Z are written once
+        for theta, z in zip(thetas.tolist(), points[::n_phi, 2].tolist()):
+            head, tail = f"{alpha!r},{theta!r},", f",{z!r}"
+            row = zip(phis, islice(xs, n_phi), islice(ys, n_phi))
+            lines += [f"{head}{phi},{x},{y}{tail}" for phi, x, y in row]
     return "\n".join(lines) + "\n"
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PureState, ToleranceConfig, _frozen_array
+from .core import DEFAULT_TOL, PureState, ToleranceConfig, _frozen_array, _strict_lower
 from .errors import NoConvergence, NotPSD, ShapeMismatch
 
 #: Sweep cap for the cyclic Jacobi iteration.
@@ -68,7 +68,7 @@ def hermitian_eigen(matrix) -> EigenDecomposition:
     if n == 1:
         return EigenDecomposition(np.array([a[0, 0].real]), vecs)
 
-    scale = float(np.max(np.abs(a)))
+    scale = float(np.abs(a).max())
     if scale == 0.0:
         return EigenDecomposition(np.zeros(n), vecs)
     stop = 1e-15 * scale
@@ -83,7 +83,7 @@ def hermitian_eigen(matrix) -> EigenDecomposition:
     (rp0, rp1), (cp0, cp1) = row_prod.transpose(1, 0, 2), col_prod.transpose(1, 0, 2)
 
     for sweep in range(MAX_SWEEPS + 1):
-        if float(np.max(np.abs(a - np.diag(np.diagonal(a))))) <= stop:
+        if float(np.abs(a - np.diag(np.diagonal(a))).max()) <= stop:
             break
         if sweep == MAX_SWEEPS:
             raise NoConvergence(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
@@ -136,9 +136,8 @@ def partial_trace_ancilla(state: PureState) -> np.ndarray:
     m, n = state.ancilla_dim, state.system_dim
     a = state.amplitudes.reshape(m, n)
     sigma = a.T @ a.conj()
-    upper = np.triu_indices(n, 1)
-    sigma[upper[1], upper[0]] = sigma[upper].conj()
-    sigma[np.diag_indices(n)] = np.diagonal(sigma).real
+    np.copyto(sigma, sigma.T.conj(), where=_strict_lower(n))
+    sigma.ravel()[:: n + 1].imag = 0.0
     return sigma
 
 
@@ -160,7 +159,7 @@ def reference_cholesky(matrix, tol: ToleranceConfig | None = None) -> np.ndarray
     d = np.zeros((n, n), dtype=np.complex128)
     for k in range(n - 1, -1, -1):
         rest = d[k, k + 1 :]
-        head = float(rho[k, k].real - np.sum(np.abs(rest) ** 2))
+        head = float(rho[k, k].real - (np.abs(rest) ** 2).sum())
         if head < -tol.eps_pivot:
             raise NotPSD(f"pivot {head!r} at index {k} below -{tol.eps_pivot!r}")
         pivot = math.sqrt(max(head, 0.0))
@@ -175,4 +174,4 @@ def max_abs_diff(a, b) -> float:
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b)))
+    return float(np.abs(a - b).max())

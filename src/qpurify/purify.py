@@ -51,11 +51,12 @@ def cholesky_purify(rho: DensityMatrix, tol: ToleranceConfig | None = None) -> C
     c = np.zeros((n, n), dtype=np.complex128)
     for alpha in range(n):
         t = n - 1 - alpha
-        head = float(r[t, t].real - np.sum(np.abs(c[:alpha, t]) ** 2))
+        col = c[:alpha, t]
+        head = float(r[t, t].real - (np.abs(col) ** 2).sum())
         q = math.sqrt(max(head, 0.0))
         c[alpha, t] = q
         if t and q > tol.eps_pivot:
-            c[alpha, :t] = (r[:t, t] - c[:alpha, :t].T @ c[:alpha, t].conj()) / q
+            c[alpha, :t] = (r[:t, t] - c[:alpha, :t].T @ col.conj()) / q
     coeffs = CoefficientMatrix(n, c)
     err = max_abs_diff(reconstruct(coeffs), r)
     if err > tol.eps_recon:
@@ -80,11 +81,9 @@ def reshuffle_purify(
     n = rho.shape.N
     diag = rho.entries.diagonal().real
     perm = np.argsort(-diag, kind="stable")
-    permuted = DensityMatrix(rho.shape, rho.entries[np.ix_(perm, perm)])
+    permuted = DensityMatrix(rho.shape, rho.entries[perm[:, None], perm])
     coeffs = cholesky_purify(permuted, tol)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[perm] = np.arange(n)
-    unshuffled = coeffs.C[:, inverse]
+    unshuffled = coeffs.C[:, np.argsort(perm)]  # the inverse permutation
     state = PureState(n, n, unshuffled.reshape(-1))
     return unshuffled, state
 
@@ -124,7 +123,7 @@ def spectral_purify(rho: DensityMatrix) -> PureState:
     n = rho.shape.N
     eig = hermitian_eigen(rho.entries)
     p = np.clip(eig.eigenvalues, 0.0, None)
-    p = p / np.sum(p)
+    p = p / p.sum()
     amps = (np.sqrt(p)[:, None] * eig.eigenvectors.T).reshape(-1)
     return PureState(n, n, amps)
 
@@ -164,7 +163,7 @@ def gauge_transform(state: PureState, unitary) -> PureState:
     m = state.ancilla_dim
     if u.shape != (m, m):
         raise ShapeMismatch(f"expected {m}x{m} ancilla unitary, got {u.shape}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(m))))
+    defect = float(np.abs(u.conj().T @ u - np.eye(m)).max())
     eps = DEFAULT_TOL.eps_norm
     if defect > eps:
         raise NotUnitary(f"unitarity defect {defect!r} exceeds eps_norm {eps!r}")

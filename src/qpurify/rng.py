@@ -31,6 +31,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TO_UNIT = 2.0 ** -53
+#: Entries per block of :meth:`CounterRng.complex_normal_matrix`.
+_BLOCK = 4096
 
 
 def word(seed: int, index: int) -> int:
@@ -59,12 +61,6 @@ def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     return ((x >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _TO_UNIT
 
 
-def _box_muller(u1: float, u2: float) -> tuple[float, float]:
-    radius = math.sqrt(-2.0 * math.log(u1))
-    angle = 2.0 * math.pi * u2
-    return radius * math.cos(angle), radius * math.sin(angle)
-
-
 class CounterRng:
     """Stateful cursor over the counter stream of one seed."""
 
@@ -82,27 +78,32 @@ class CounterRng:
         return ((self.next_u64() >> 11) + 1) * _TO_UNIT
 
     def normal_pair(self) -> tuple[float, float]:
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return _box_muller(u1, u2)
+        """Box-Muller transform of the next two uniforms u1, u2."""
+        radius = math.sqrt(-2.0 * math.log(self.uniform()))
+        angle = 2.0 * math.pi * self.uniform()
+        return radius * math.cos(angle), radius * math.sin(angle)
 
     def complex_normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major fill, one normal pair per entry: the same values as
         calling :meth:`normal_pair` ``rows * cols`` times.
 
-        The integer stream is mixed in numpy one row at a time (memory stays
-        O(cols)); Box-Muller stays on scalar ``math`` so the values keep
-        ``math``'s rounding.
+        The integer stream is mixed in numpy a block of whole rows, about
+        ``_BLOCK`` entries, at a time. Box-Muller keeps ``math``'s log, cos
+        and sin, one call per entry; its square root and products, which
+        IEEE 754 rounds exactly, run on the block's arrays.
         """
         out = np.empty((rows, cols), dtype=np.complex128)
-        steps = np.arange(1, 2 * cols + 1, dtype=np.uint64)
-        for r in range(rows):
-            uniforms = _uniforms(self._seed, self._index + steps).tolist()
-            self._index += 2 * cols
-            out[r] = [
-                complex(*_box_muller(uniforms[k], uniforms[k + 1]))
-                for k in range(0, 2 * cols, 2)
-            ]
+        per_block = max(1, _BLOCK // max(cols, 1))
+        steps = np.arange(1, 2 * per_block * cols + 1, dtype=np.uint64)
+        for top in range(0, rows, per_block):
+            block = out[top : top + per_block].reshape(-1)
+            size = block.size
+            uniforms = _uniforms(self._seed, self._index + steps[: 2 * size])
+            self._index += 2 * size
+            radii = np.sqrt(-2.0 * np.fromiter(map(math.log, uniforms[0::2].tolist()), float, size))
+            angles = (2.0 * math.pi * uniforms[1::2]).tolist()
+            np.multiply(radii, np.fromiter(map(math.cos, angles), float, size), out=block.real)
+            np.multiply(radii, np.fromiter(map(math.sin, angles), float, size), out=block.imag)
         return out
 
 

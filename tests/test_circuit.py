@@ -96,6 +96,62 @@ def reference_apply(schedule):
     return vec
 
 
+def lexsort_apply(schedule):
+    """apply_schedule as it was planned with lexsorts and group-start masks:
+    the oracle for the one-key sorts that replaced them. The vector steps are
+    the same, so the amplitudes must agree bit for bit."""
+
+    def group_starts(*keys):
+        start = np.zeros(len(keys[0]), dtype=bool)
+        start[:1] = True
+        for key in keys:
+            start[1:] |= key[1:] != key[:-1]
+        return start
+
+    m, n = schedule.ancilla_dim, schedule.system_dim
+    gates = schedule.gates
+    count = len(gates)
+    control = gates["control"]
+    ancilla = control < 0
+    run = np.cumsum(ancilla)
+    order = np.lexsort((control, run))
+    rank = np.arange(count)
+    start = group_starts(run[order], control[order])
+    level = np.empty(count, dtype=np.int64)
+    level[order] = rank - np.maximum.accumulate(np.where(start, rank, 0))
+    level[ancilla] = -1
+    base = np.where(ancilla, 0, control * n)
+    width = np.where(ancilla, n, 1)
+    seq = np.lexsort((gates["phase"], level, run))
+    phase, ancilla = gates["phase"][seq], ancilla[seq]
+    bounds = np.flatnonzero(group_starts(run[seq], level[seq], phase)).tolist() + [count]
+    line_a = (base + gates["a"] * width)[seq]
+    line_b = (base + gates["b"] * width)[seq]
+    value = gates["value"][seq]
+    cos = np.zeros(count, dtype=np.complex128)
+    sin = np.zeros(count, dtype=np.complex128)
+    np.cos(value, out=cos.real)
+    np.sin(value, out=sin.real)
+    factor = cos.copy()
+    np.negative(sin.real, out=factor.imag)
+    vec = np.zeros(m * n, dtype=np.complex128)
+    vec[0] = 1.0
+    for lo, hi in zip(bounds, bounds[1:]):
+        if ancilla[lo]:
+            ia = slice(line_a[lo], line_a[lo] + n)
+            ib = slice(line_b[lo], line_b[lo] + n)
+        else:
+            ia, ib = line_a[lo:hi], line_b[lo:hi]
+        if phase[lo]:
+            vec[ia] *= factor[lo:hi]
+            continue
+        xa, xb = vec[ia], vec[ib]
+        c, s = cos[lo:hi], sin[lo:hi]
+        new_a, new_b = c * xa - s * xb, s * xa + c * xb
+        vec[ia], vec[ib] = new_a, new_b
+    return vec
+
+
 def reference_extract(coeffs, eps_pivot=1e-12):
     """One branch at a time, one peeled amplitude at a time, with math/cmath:
     the arithmetic extract_parameters must reproduce bit for bit. Returns the
@@ -497,6 +553,21 @@ class TestGateSchedule:
         for schedule in schedules:
             got = apply_schedule(schedule).amplitudes
             assert np.max(np.abs(got - reference_apply(schedule))) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_apply_matches_lexsort_plan_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        canonical = schedule_from_parameters(random_params(9, seed=90 + seed)).gates
+        schedules = [
+            GateSchedule(9, 9, canonical),
+            GateSchedule(9, 9, canonical[rng.permutation(canonical.size)]),
+            GateSchedule(3, 5, random_table(rng, 3, 5, 200)),
+            GateSchedule(16, 4, random_table(rng, 16, 4, 400)),
+            GateSchedule(2, 2, random_table(rng, 2, 2, 50)),
+            GateSchedule(5, 2, random_table(rng, 5, 2, 1)),
+        ]
+        for schedule in schedules:
+            assert same_bits(apply_schedule(schedule).amplitudes, lexsort_apply(schedule))
 
     def test_apply_empty_table(self):
         state = apply_schedule(GateSchedule(3, 2, np.zeros(0, dtype=GATE)))

@@ -14,6 +14,8 @@ from qpurify import (
     validate_density,
 )
 from qpurify import linalg
+from qpurify.circuit import _branch_cells
+from qpurify.core import _strict_lower
 from qpurify.errors import (
     BadRange,
     BadShape,
@@ -236,3 +238,126 @@ class TestCoefficientMatrix:
         c[0, 1] = np.sqrt(0.5)
         c[1, 0] = np.sqrt(0.5)
         assert np.allclose(CoefficientMatrix(2, c).row_weights(), [0.5, 0.5])
+
+
+QUBIT = QuditShape(2, 1)
+#: psd_fault's eigenvalues are 1.1 and -0.1
+PSD_FAULT = np.array([[0.5, 0.6], [0.6, 0.5]])
+
+#: One fault per input: (constructor, error type, exact message).
+SINGLE_FAULTS = {
+    "non-finite": (
+        lambda: validate_density([[0.5, complex(0.0, np.inf)], [0.0, 0.5]], QUBIT),
+        BadRange, "matrix has non-finite entries",
+    ),
+    "nan": (
+        lambda: validate_density([[np.nan, 0.0], [0.0, 0.5]], QUBIT),
+        BadRange, "matrix has non-finite entries",
+    ),
+    "not-hermitian": (
+        lambda: validate_density([[0.5, 1e-3], [0.0, 0.5]], QUBIT),
+        NotHermitian, "asymmetry 0.001 exceeds tolerance 1e-10",
+    ),
+    "trace": (
+        lambda: validate_density(np.eye(2), QUBIT),
+        TraceDeviation, "trace 2.0 deviates from 1 beyond 1e-10",
+    ),
+    "not-psd": (
+        lambda: validate_density(PSD_FAULT, QUBIT),
+        NotPSD, f"smallest eigenvalue {float(np.linalg.eigvalsh(PSD_FAULT)[0])!r} below -1e-09",
+    ),
+    "matrix-shape": (
+        lambda: validate_density(np.eye(3) / 3, QUBIT),
+        ShapeMismatch, "expected 2x2 matrix, got (3, 3)",
+    ),
+    "norm": (
+        lambda: PureState(2, 2, np.array([1.0, 1.0, 0.0, 0.0])),
+        NormFailure, "state norm 1.4142135623730951 deviates from 1 beyond tolerance",
+    ),
+    "norm-complex": (
+        lambda: PureState(1, 3, np.array([0.3, 0.4j, -0.5 + 0.1j])),
+        NormFailure, "state norm 0.714142842854285 deviates from 1 beyond tolerance",
+    ),
+    "norm-nan": (
+        lambda: PureState(1, 2, np.array([np.nan, 0.0])),
+        NormFailure, "state norm nan deviates from 1 beyond tolerance",
+    ),
+    "amplitude-count": (
+        lambda: PureState(2, 2, np.array([1.0, 0.0])),
+        ShapeMismatch, "expected 4 amplitudes, got (2,)",
+    ),
+    "beyond-anti-diagonal": (
+        lambda: CoefficientMatrix(2, np.array([[0.6, 0.8], [0.0, 1e-300]], dtype=complex)),
+        GaugeViolation, "entries beyond the anti-diagonal must be exactly zero",
+    ),
+    "beyond-anti-diagonal-imaginary": (
+        lambda: CoefficientMatrix(2, np.array([[0.6, 0.8], [0.0, 1e-300j]], dtype=complex)),
+        GaugeViolation, "entries beyond the anti-diagonal must be exactly zero",
+    ),
+    "beyond-anti-diagonal-nan": (
+        lambda: CoefficientMatrix(2, np.array([[0.6, 0.8], [0.0, np.nan]], dtype=complex)),
+        GaugeViolation, "entries beyond the anti-diagonal must be exactly zero",
+    ),
+    "anti-diagonal-negative": (
+        lambda: CoefficientMatrix(2, np.array([[0.6, -0.8], [0.0, 0.0]], dtype=complex)),
+        GaugeViolation, "anti-diagonal entries must be real and nonnegative",
+    ),
+    "anti-diagonal-imaginary": (
+        lambda: CoefficientMatrix(2, np.array([[0.6, 0.8j], [0.0, 0.0]], dtype=complex)),
+        GaugeViolation, "anti-diagonal entries must be real and nonnegative",
+    ),
+}
+
+
+class TestSingleFaults:
+    """Each validator keeps its error type, message and exit code for an input
+    with one fault."""
+
+    @pytest.mark.parametrize("name", SINGLE_FAULTS)
+    def test_type_message_and_exit_code(self, name):
+        build, error, message = SINGLE_FAULTS[name]
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        assert caught.value.exit_code == 2
+
+    def test_norm_is_numpys(self):
+        # the NormFailure message prints the norm numpy.linalg.norm computes
+        for seed in range(20):
+            amps = np.random.default_rng(seed).standard_normal((7, 2)) @ [1.0, 1j]
+            with pytest.raises(NormFailure) as caught:
+                PureState(1, 7, amps)
+            assert str(caught.value).split()[2] == repr(float(np.linalg.norm(amps)))
+
+    def test_signed_zeros_pass_the_gauge(self):
+        # -0.0 beyond the anti-diagonal is zero, and a -0.0 pivot is not negative
+        c = np.array([[0.0, -0.0], [1.0, complex(-0.0, -0.0)]], dtype=complex)
+        assert CoefficientMatrix(2, c).row_weights().tolist() == [0.0, 1.0]
+
+
+class TestNOnlyMasks:
+    """The cached N-only masks are read-only, bounded, and equal to the index
+    arithmetic they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+    def test_match_old_formulations(self, n):
+        cols = np.arange(n)
+        assert np.array_equal(_strict_lower(n), cols[:, None] > cols[None, :])
+        # CoefficientMatrix's cells beyond the anti-diagonal
+        assert np.array_equal(_strict_lower(n)[:, ::-1], cols[None, :] > (n - 1 - cols[:, None]))
+        # extract_parameters' phase cells: the upper triangle of N - 1 columns
+        assert np.array_equal(_strict_lower(n).T[:, 1:], np.triu(np.ones((n, n - 1), dtype=bool)))
+        old_cells = np.arange(n - 1)[None, :] < np.arange(n - 1, -1, -1)[:, None]
+        assert np.array_equal(_branch_cells(n), old_cells)
+
+    def test_read_only(self):
+        for mask in (_strict_lower(5), _strict_lower(5)[:, ::-1], _branch_cells(5)):
+            with pytest.raises(ValueError):
+                mask[0, 0] = True
+
+    def test_cache_is_bounded(self):
+        assert 1 <= _strict_lower.cache_info().maxsize <= 4
+        for n in range(1, 12):
+            _strict_lower(n)
+        assert _strict_lower.cache_info().currsize <= 4

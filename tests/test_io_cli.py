@@ -23,7 +23,8 @@ from qpurify import (
     schedule_from_parameters,
     validate_density,
 )
-from qpurify import cli, io
+from qpurify import bloch_surface, cli, io
+from qpurify.bloch import grid_angles
 from qpurify.circuit import _branch_cells
 from qpurify.cli import main
 from qpurify.errors import BadRange, NormFailure, OutOfRange, QPurifyError, ReconstructionFailure
@@ -711,6 +712,21 @@ class TestJsonFormats:
         assert len(lines) == 1 + 12
         first = lines[1].split(",")
         assert first[0] == "0.0" and first[1] == "0.0" and first[2] == "0.0"
+
+    @pytest.mark.parametrize("alphas,n_theta,n_phi", [
+        ([0.0], 2, 2), ([0.3, 1.0], 3, 5), ([1.2], 7, 2), (io.sweep_alphas(6), 10, 10),
+        (np.array([0.25, math.pi / 2]), 4, 3),
+    ])
+    def test_bloch_csv_matches_point_by_point_formulation(self, alphas, n_theta, n_phi):
+        # the rows as they were written: one repr of each of X, Y and Z per point
+        lines = ["alpha,theta,phi,X,Y,Z"]
+        thetas, phis = grid_angles(n_theta, n_phi)
+        grid = [f"{theta!r},{phi!r}" for theta in thetas.tolist() for phi in phis.tolist()]
+        for alpha in alphas:
+            alpha = float(alpha)
+            points = bloch_surface(alpha, (n_theta, n_phi)).tolist()
+            lines += [f"{alpha!r},{at},{x!r},{y!r},{z!r}" for at, (x, y, z) in zip(grid, points)]
+        assert io.bloch_csv(alphas, n_theta, n_phi) == "\n".join(lines) + "\n"
 
     def test_sweep_alphas(self):
         values = io.sweep_alphas(6)

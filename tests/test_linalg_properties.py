@@ -1,5 +1,7 @@
-"""Property test of the Jacobi solver: on any Hermitian matrix up to N = 6,
-hermitian_eigen repeats reference_jacobi bit for bit, or both give up.
+"""Property tests of linalg against its bit-for-bit oracles.
+
+On any Hermitian matrix up to N = 6, hermitian_eigen repeats reference_jacobi
+bit for bit, or both give up.
 
 Giving up is NoConvergence, or, for reference_jacobi alone, NaN eigenvalues:
 its last stop test ``off > stop`` is false for a NaN ``off``, so where the
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from test_linalg import reference_jacobi, same_bits
 
-from qpurify import hermitian_eigen
+from qpurify import PureState, hermitian_eigen, partial_trace_ancilla
 from qpurify.errors import NoConvergence
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -78,3 +80,42 @@ def test_matches_reference_bit_for_bit(matrix):
     else:
         assert same_bits(got.eigenvalues, want[0])
         assert same_bits(got.eigenvectors, want[1])
+
+
+def index_partial_trace(state):
+    """partial_trace_ancilla as it was written with index arrays: the upper
+    triangle mirrored through triu_indices, the diagonal's imaginary parts
+    cleared through diag_indices. The oracle for its bits."""
+    m, n = state.ancilla_dim, state.system_dim
+    a = state.amplitudes.reshape(m, n)
+    sigma = a.T @ a.conj()
+    upper = np.triu_indices(n, 1)
+    sigma[upper[1], upper[0]] = sigma[upper].conj()
+    sigma[np.diag_indices(n)] = np.diagonal(sigma).real
+    return sigma
+
+
+#: Amplitude parts: signed zeros, and magnitudes that keep the norm exact
+#: enough for PureState.
+PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+
+
+@st.composite
+def unit_states(draw):
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    amps = np.empty(m * n, dtype=np.complex128)
+    amps.real = draw(st.lists(PARTS, min_size=m * n, max_size=m * n))
+    amps.imag = draw(st.lists(PARTS, min_size=m * n, max_size=m * n))
+    norm = np.linalg.norm(amps)
+    if norm == 0.0:
+        amps.real[0], norm = 1.0, 1.0
+    amps.real /= norm  # part by part, so the signed zeros stay
+    amps.imag /= norm
+    return PureState(m, n, amps)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(unit_states())
+def test_partial_trace_matches_index_formulation(state):
+    got, want = partial_trace_ancilla(state), index_partial_trace(state)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros count

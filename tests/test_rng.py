@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qpurify import CounterRng, QuditShape, random_density, random_unitary, validate_density
+from qpurify import rng as rng_module
 from qpurify.errors import BadShape
 from qpurify.rng import word
 
@@ -54,6 +55,27 @@ class TestCounterStream:
             assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
             # the cursor ends where the scalar stream does
             assert filler.next_u64() == direct.next_u64()
+
+    @pytest.mark.parametrize("block", [1, 5, None])
+    def test_matrix_fill_across_row_blocks(self, monkeypatch, block):
+        # the stream is mixed a block of whole rows at a time; matrices that
+        # straddle block boundaries, rows wider than a block, empty shapes and
+        # consecutive calls on one generator all give the scalar stream's
+        # values, with the cursor carried from call to call
+        if block is not None:
+            monkeypatch.setattr(rng_module, "_BLOCK", block)
+        shapes = [(7, 3), (4, 6), (0, 4), (3, 0), (2, 1)]
+        if block is None:  # the real block: one boundary crossed, one row wider
+            shapes += [(rng_module._BLOCK // 3 + 2, 3), (2, rng_module._BLOCK + 1)]
+        direct, filler = CounterRng(2**64 - 99), CounterRng(2**64 - 99)
+        for shape in shapes:
+            matrix = filler.complex_normal_matrix(*shape)
+            expected = np.array(
+                [complex(*direct.normal_pair()) for _ in range(shape[0] * shape[1])],
+                dtype=np.complex128,
+            ).reshape(shape)
+            assert np.array_equal(matrix.view(np.int64), expected.view(np.int64))
+            assert filler.normal_pair() == direct.normal_pair()  # the cursor agrees
 
 
 class TestRandomDensity:
