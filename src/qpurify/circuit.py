@@ -13,11 +13,14 @@ A coefficient matrix factors into N^2 - 1 real parameters, held as arrays
   Rotations peel amplitudes from the last (real, nonnegative by the gauge)
   down to the first; each stripped amplitude's argument becomes a phase.
 
-Extraction, the gate table and the product formulas work on these arrays
+Extraction, the gate schedule and the product formulas work on these arrays
 whole, with no per-branch record. Simulation offers two modes that must
 agree: the direct product formulas (``math`` trig), and a gate schedule of
 two-level rotations and phase shifts applied to |0...0> (numpy trig). The
-schedule is one structured array (:data:`GATE`), one row per gate.
+parameters fix the schedule: one gate per parameter, in an order that
+depends on N only, so a :class:`GateSchedule` holds its parameters and
+nothing else. Its gate table (:data:`GATE` rows) is built on demand for the
+file format.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .core import (
     _frozen_array,
     _strict_lower,
 )
-from .errors import BadRange, DegenerateBranch, OutOfRange, ShapeMismatch
+from .errors import BadRange, DegenerateBranch, ShapeMismatch
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -129,7 +132,7 @@ class CircuitParameters:
         return int(self.weight_angles.size + 2 * np.count_nonzero(_branch_cells(self.N)))
 
 
-#: One row per gate of a :class:`GateSchedule`.
+#: One row per gate of a :attr:`GateSchedule.gates` table.
 #:
 #: * ``phase`` False: two-level rotation [[cos, -sin], [sin, cos]] on basis
 #:   lines ``a < b``.
@@ -151,45 +154,21 @@ GATE = np.dtype(
 )
 
 
-def _first(bad: np.ndarray, *columns: np.ndarray) -> tuple:
-    """The entries of ``columns`` at the first row flagged in ``bad``."""
-    k = int(np.argmax(bad))
-    return tuple(int(column[k]) for column in columns)
-
-
 @dataclass(frozen=True, eq=False)
 class GateSchedule:
-    """Ordered gates whose application to |0...0> prepares the purification.
+    """Ordered gates whose application to |0...0> prepares the purification:
+    one gate per parameter, in the fixed order of
+    :func:`schedule_from_parameters`, so the parameters are the whole
+    schedule."""
 
-    ``gates`` is a read-only 1-D :data:`GATE` table, one row per gate.
-    """
+    parameters: CircuitParameters
 
-    ancilla_dim: int
-    system_dim: int
-    gates: np.ndarray
-
-    def __post_init__(self):
-        try:
-            gates = _frozen_array(self.gates, GATE)
-        except OverflowError as exc:
-            raise OutOfRange(f"gate index beyond the int64 range: {exc}") from exc
-        if gates.ndim != 1:
-            raise ShapeMismatch(f"gate table must be 1-D, got shape {gates.shape}")
-        control, a, b = gates["control"], gates["a"], gates["b"]
-        bad = (control < -1) | (control >= self.ancilla_dim)
-        if bad.any():
-            raise OutOfRange("control value %d outside ancilla register" % _first(bad, control))
-        dim = np.where(control < 0, self.ancilla_dim, self.system_dim)
-        phase = gates["phase"]
-        bad = ~phase & ~((0 <= a) & (a < b) & (b < dim))
-        if bad.any():
-            raise OutOfRange("rotation subspace (%d, %d) invalid for dim %d" % _first(bad, a, b, dim))
-        bad = phase & ~((0 <= a) & (a < dim))
-        if bad.any():
-            raise OutOfRange("phase basis %d outside register of dim %d" % _first(bad, a, dim))
-        if not np.isfinite(gates["value"]).all():
-            raise BadRange("gate values must be finite")
-        object.__setattr__(self, "gates", gates)
+    @property
+    def gates(self) -> np.ndarray:
+        """The gates as a read-only 1-D :data:`GATE` table, built on each access."""
+        gates = _gate_table(self.parameters)
+        gates.flags.writeable = False
+        return gates
 
 
 def _extract_weight_angles(weights: np.ndarray) -> np.ndarray:
@@ -327,104 +306,85 @@ def schedule_from_parameters(params: CircuitParameters) -> GateSchedule:
     phases, all controlled on ancilla value k. One gate per parameter,
     N^2 - 1 in total.
     """
-    return GateSchedule(params.N, params.N, _gate_table(params))
+    return GateSchedule(params)
+
+
+def _branch_rows(n: int) -> np.ndarray:
+    """N x 2(N - 1) mask: the cells of ``angles`` and, beside them, of
+    ``phases`` that hold values. Row-major, it lists the branch gates in
+    table order: branch k's rotations, then its phases."""
+    cells = _branch_cells(n)
+    return np.concatenate([cells, cells], axis=1)
+
+
+def _gate_values(params: CircuitParameters) -> np.ndarray:
+    """The value column of the gate table: the weight angles, then branch by
+    branch its angles and its phases negated."""
+    rows = np.concatenate([params.angles, -params.phases], axis=1)
+    return np.concatenate([params.weight_angles, rows[_branch_rows(params.N)]])
 
 
 def _gate_table(params: CircuitParameters) -> np.ndarray:
-    """The :data:`GATE` table of :func:`schedule_from_parameters`, unvalidated.
-
-    Branch k's 2s rows (s = N - 1 - k) are its rotations on (0, s - r) for
-    r < s, then its phases on lines r - s: row-major, the cells of
-    ``angles`` and of ``phases`` that hold values list them branch by branch.
-    """
+    """The :data:`GATE` table of a :class:`GateSchedule`: the weight chain on
+    (0, t), t descending, then branch k's rotations r on (0, N - 1 - k - r)
+    and its phases r on line r."""
     n = params.N
     gates = np.zeros(n * n - 1, dtype=GATE)
-    chain = gates[: n - 1]
-    chain["control"] = -1
-    chain["b"] = np.arange(n - 1, 0, -1)
-    chain["value"] = params.weight_angles
-    rows = 2 * np.arange(n - 1, -1, -1)  # per branch
-    size = np.repeat(rows // 2, rows)
-    r = np.arange(n * n - n) - np.repeat(np.cumsum(rows) - rows, rows)
-    is_phase = r >= size
-    cells = _branch_cells(n)
-    value = np.empty(n * n - n)
-    value[~is_phase] = params.angles[cells]
-    value[is_phase] = -params.phases[cells]
+    gates["value"] = _gate_values(params)
+    gates["control"][: n - 1] = -1
+    gates["b"][: n - 1] = np.arange(n - 1, 0, -1)
+    k, col = np.nonzero(_branch_rows(n))
+    phase = col >= n - 1
     branches = gates[n - 1 :]
-    branches["phase"] = is_phase
-    branches["control"] = np.repeat(np.arange(n), rows)
-    branches["a"] = np.where(is_phase, r - size, 0)
-    branches["b"] = np.where(is_phase, 0, size - r)
-    branches["value"] = value
+    branches["phase"] = phase
+    branches["control"] = k
+    branches["a"] = np.where(phase, col - (n - 1), 0)
+    branches["b"] = np.where(phase, 0, n - 1 - k - col)
     return gates
 
 
 def apply_schedule(schedule: GateSchedule) -> PureState:
-    """Apply the gates in order to |0...0> and return the resulting state.
+    """Apply the gates to |0...0> and return the resulting state.
 
     Gates controlled on different ancilla values act on disjoint lines, so
-    they commute. Each ancilla-register gate opens a run; inside a run, a
-    controlled gate's level is its rank among the run's gates on the same
-    control value. Runs go in order, each ancilla gate first as one step on
-    whole blocks of n lines, then one vector step per level (rotations and
-    phases apart). Every line still sees its gates in table order.
+    they commute, and the fixed gate order runs in 2N - 1 vector steps:
+
+    1. the N - 1 weight-chain rotations, rotation j on whole blocks 0 and
+       N - 1 - j of N lines;
+    2. for r = 0 .. N - 2, rotation r of every branch k < N - 1 - r, on
+       lines (k, 0) and (k, N - 1 - k - r);
+    3. every phase, in one multiply.
+
+    Every line still sees its gates in table order. The trig is taken once
+    over the value column, in table order.
     """
-    m, n = schedule.ancilla_dim, schedule.system_dim
-    gates = schedule.gates
-    count = len(gates)
-    control, phase = gates["control"], gates["phase"]
-    ancilla = control < 0
-    run = ancilla.cumsum()
-    # (run, control) as one sort key, the run's ancilla gate (control -1) first
-    group = run * (m + 1) + control
-    order = group.argsort(kind="stable")  # stable: table order inside a group
-    ranked = group[order]
-    level = np.empty(count, dtype=np.int64)
-    level[order] = np.arange(count) - ranked.searchsorted(ranked)
-    level[ancilla] = -1  # first in its run
-    # (run, level, phase) as one sort key; levels lie in [-1, count)
-    key = (run * (count + 1) + level + 1) * 2 + phase
-    seq = key.argsort(kind="stable")
-    key = key[seq]
-    edge = np.ones(count, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=edge[1:])
-    starts = np.flatnonzero(edge)
-    # an ancilla gate's lines are where its two blocks of n lines begin; a
-    # controlled gate's lines lie inside the block of its control value
-    base = np.where(ancilla, 0, control * n)
-    width = np.where(ancilla, n, 1)
-    line_a = (base + gates["a"] * width)[seq]
-    line_b = (base + gates["b"] * width)[seq]
-    value = gates["value"][seq]
+    params = schedule.parameters
+    n = params.N
+    value = _gate_values(params)
     # complex with +0 imaginary parts, as numpy promotes a float operand, so
     # no step has to cast
-    cos = np.zeros(count, dtype=np.complex128)
-    sin = np.zeros(count, dtype=np.complex128)
+    cos = np.zeros(value.size, dtype=np.complex128)
+    sin = np.zeros(value.size, dtype=np.complex128)
     np.cos(value, out=cos.real)
     np.sin(value, out=sin.real)
-    factor = cos.copy()
-    np.negative(sin.real, out=factor.imag)  # e^{-i value}, as cmath.exp rounds it
-    vec = np.zeros(m * n, dtype=np.complex128)
+    k = np.arange(n)
+    first = n - 1 + k * (2 * n - 1 - k)  # table row of branch k's first gate
+    blocks = range(n - 1, 0, -1)
+    steps = [(slice(0, n), slice(b * n, b * n + n), slice(j, j + 1)) for j, b in enumerate(blocks)]
+    # line (k, N - 1 - k - r) is m + k(N - 1), with m = N - 1 - r branches
+    steps += [(slice(0, m * n, n), slice(m, m * n, n - 1), first[:m] + (n - 1 - m)) for m in blocks]
+    vec = np.zeros(n * n, dtype=np.complex128)
     vec[0] = 1.0
-    steps = zip(
-        starts.tolist(),
-        starts[1:].tolist() + [count],
-        ancilla[seq[starts]].tolist(),
-        phase[seq[starts]].tolist(),
-    )
-    for lo, hi, whole_blocks, phase_step in steps:
-        if whole_blocks:
-            ia = slice(line_a[lo], line_a[lo] + n)
-            ib = slice(line_b[lo], line_b[lo] + n)
-        else:
-            ia, ib = line_a[lo:hi], line_b[lo:hi]
-        if phase_step:
-            vec[ia] *= factor[lo:hi]
-            continue
+    for ia, ib, at in steps:
         xa, xb = vec[ia], vec[ib]
-        c, s = cos[lo:hi], sin[lo:hi]
-        # both results before either write: block slices are views
+        c, s = cos[at], sin[at]
+        # both results before either write: the slices are views
         new_a, new_b = c * xa - s * xb, s * xa + c * xb
         vec[ia], vec[ib] = new_a, new_b
-    return PureState(m, n, vec)
+    # phase r of branch k is on line (k, r), after its N - 1 - k rotations
+    cells = _branch_cells(n)
+    at = ((first + n - 1 - k)[:, None] + np.arange(n - 1))[cells]
+    factor = cos[at]
+    np.negative(sin.real[at], out=factor.imag)  # e^{-i value}, as cmath.exp rounds it
+    vec.reshape(n, n)[:, : n - 1][cells] *= factor
+    return PureState(n, n, vec)

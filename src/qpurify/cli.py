@@ -161,7 +161,7 @@ def random(d, n, seed, rank, out_path):
     """Write a seeded random density matrix (Ginibre ensemble)."""
     rho = random_density(d, n, seed, rank=rank)
     Path(out_path).write_text(io.dump_density(rho))
-    purity = float(np.trace(rho.entries @ rho.entries).real)
+    purity = float(np.vdot(rho.entries, rho.entries).real)  # Tr rho^2 = sum |rho_ij|^2
     click.echo(f"purity={purity!r}")
 
 

@@ -16,12 +16,13 @@ and read such a file with no Python work per entry:
 * a circuit file's ``schedule`` block is derived from its ``parameters``
   block. One renderer, :func:`_schedule_text`, writes it from N and the
   value tokens, with every other byte built once per N; the writer refuses
-  a table that disagrees with its parameters. The reader takes the head's
+  a schedule that disagrees with its parameters. The reader takes the head's
   innermost lists as the tokens, accepts them only if they are float
   literals that re-render the head (:func:`_circuit_text`, shared with the
   writer), and compares the block in place with their text.
 
-Any other layout goes through a full parse with the same errors. Dimension
+Any other layout goes through a full parse with the same errors, where gate
+rows from outside are range-checked before they are compared. Dimension
 fields and gate indices must be JSON integers, and every other number a
 JSON int or float (not a string or bool).
 """
@@ -38,6 +39,7 @@ import numpy as np
 
 from .bloch import bloch_surface, grid_angles
 from .circuit import (
+    GATE,
     CircuitParameters,
     GateSchedule,
     _gate_table,
@@ -269,23 +271,21 @@ def _schedule_text(N: int, values: Iterator[str]) -> Iterator[str]:
     yield "}]}\n" if N > 1 else "]}\n"
 
 
-def _check_schedule(gates: np.ndarray, params: CircuitParameters) -> bool:
+def _check_schedule(gates: np.ndarray, params: CircuitParameters) -> None:
     """Raise ReconstructionFailure, naming the first differing row, unless
-    ``gates`` equals the table ``params`` prepare under ==; return whether the
-    values agree bit for bit too (they can differ in the signs of zeros)."""
+    ``gates`` equals the table ``params`` prepare under ==."""
     expected = _gate_table(params)
     rows = min(len(gates), len(expected))
     differs = np.flatnonzero(gates[:rows] != expected[:rows])
     if differs.size or len(gates) != len(expected):
         k = int(differs[0]) if differs.size else rows
         raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
-    return np.array_equal(gates["value"].view(np.int64), expected["value"].view(np.int64))
 
 
 def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSchedule) -> str:
-    """Canonical text of a circuit; a table load_circuit would reject is refused."""
-    gates = schedule.gates
-    same_bits = _check_schedule(gates, params)
+    """Canonical text of a circuit; a schedule load_circuit would reject is refused."""
+    if schedule.parameters is not params:  # a schedule is its parameters
+        _check_schedule(schedule.gates, params)
     # one repr per parameter; the table of these parameters holds the weight
     # angles, then each branch's angles and its phases negated
     n = params.N
@@ -293,8 +293,6 @@ def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSch
     for k in range(n):  # branch k's values: the first N - 1 - k of row k
         arrays += [params.angles[k, : n - 1 - k], params.phases[k, : n - 1 - k]]
     head, values = _circuit_text(shape, [",".join(map(repr, a.tolist())) for a in arrays])
-    if not same_bits:
-        values = map(repr, gates["value"].tolist())  # the table's own signed zeros
     return "".join([*head, *_schedule_text(params.N, values)])
 
 
@@ -313,6 +311,29 @@ def _parse_gate(record) -> tuple:
     if kind == "phase":
         return (True, control, _integer(record["basis"], "basis"), 0, value)
     raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _gate_rows(n: int, records) -> np.ndarray:
+    """The :data:`GATE` table of an N-line circuit's schedule records, with
+    every index in range (OutOfRange) and every value finite (BadRange)."""
+    rows = [_parse_gate(g) for g in records]
+    try:
+        gates = np.array(rows, dtype=GATE)
+    except OverflowError as exc:
+        raise OutOfRange(f"gate index beyond the int64 range: {exc}") from exc
+    control, a, b, phase = gates["control"], gates["a"], gates["b"], gates["phase"]
+    bad = (control < -1) | (control >= n)
+    if bad.any():
+        raise OutOfRange(f"control value {control[bad][0]} outside ancilla register")
+    bad = ~phase & ~((0 <= a) & (a < b) & (b < n))
+    if bad.any():
+        raise OutOfRange(f"rotation subspace ({a[bad][0]}, {b[bad][0]}) invalid for dim {n}")
+    bad = phase & ~((0 <= a) & (a < n))
+    if bad.any():
+        raise OutOfRange(f"phase basis {a[bad][0]} outside register of dim {n}")
+    if not np.isfinite(gates["value"]).all():
+        raise BadRange("gate values must be finite")
+    return gates
 
 
 def _numbers(values, name: str) -> np.ndarray:
@@ -383,21 +404,20 @@ def _load_canonical_circuit(text: str):
 
 
 def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule]:
-    """Shape, parameters and gate table of a circuit file.
+    """Shape, parameters and gate schedule of a circuit file.
 
     A file as :func:`dump_circuit` writes it is accepted by comparing its
     text with the text its parameter tokens render to. Any other layout is
-    parsed in full, and its schedule must agree with its parameters.
+    parsed in full, and its schedule must agree with its parameters under
+    ==; the schedule returned is the parameters' own, signed zeros and all.
     """
     circuit = _load_canonical_circuit(text)
     if circuit is not None:
         return circuit
     data = json.loads(text)
     shape, params = _circuit_head(data)
-    n = params.N
-    schedule = GateSchedule(n, n, [_parse_gate(g) for g in data["schedule"]])
-    _check_schedule(schedule.gates, params)
-    return shape, params, schedule
+    _check_schedule(_gate_rows(params.N, data["schedule"]), params)
+    return shape, params, schedule_from_parameters(params)
 
 
 def bloch_csv(alphas, n_theta: int, n_phi: int) -> str:

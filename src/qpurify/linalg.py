@@ -23,6 +23,7 @@ complex-multiply kernel by operand layout, and kernels need not round alike.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,12 @@ def hermitian_eigen(matrix) -> EigenDecomposition:
     scale = float(np.abs(a).max())
     if scale == 0.0:
         return EigenDecomposition(np.zeros(n), vecs)
+    # where the skip bound 1e-17 * scale is subnormal, 1/|a_pq| can overflow:
+    # rotate a copy scaled up by a power of two, which is exact
+    shift = -math.frexp(scale)[1] if scale < sys.float_info.min / 1e-17 else 0
+    if shift:
+        np.ldexp(a.view(np.float64), shift, out=a.view(np.float64))
+        scale = float(np.abs(a).max())
     stop = 1e-15 * scale
     skip = 0.01 * stop
 
@@ -116,7 +123,7 @@ def hermitian_eigen(matrix) -> EigenDecomposition:
                 np.multiply(col_coef, col_pair, out=col_prod)
                 np.add(cp0, cp1, out=cols)
 
-    values = np.diagonal(a).real.copy()
+    values = np.ldexp(np.diagonal(a).real, -shift)
     # lexsort keys, last row is primary: eigenvalue descending, then the
     # eigenvector components (real before imaginary) descending
     keys = np.empty((2 * n + 1, n))

@@ -10,7 +10,6 @@ from qpurify import (
     GATE,
     CircuitParameters,
     CoefficientMatrix,
-    GateSchedule,
     QuditShape,
     ToleranceConfig,
     apply_schedule,
@@ -77,8 +76,8 @@ def random_params(n, seed, low=0.15, high=0.8):
 def reference_apply(schedule):
     """Gate by gate with math/cmath on numpy slices: the arithmetic that
     apply_schedule must reproduce bit for bit."""
-    m, n = schedule.ancilla_dim, schedule.system_dim
-    vec = np.zeros(m * n, dtype=np.complex128)
+    n = schedule.parameters.N
+    vec = np.zeros(n * n, dtype=np.complex128)
     vec[0] = 1.0
     for phase, ctrl, a, b, value in schedule.gates.tolist():
         if ctrl < 0:
@@ -93,62 +92,6 @@ def reference_apply(schedule):
             xa, xb = vec[ia].copy(), vec[ib].copy()
             vec[ia] = c * xa - s * xb
             vec[ib] = s * xa + c * xb
-    return vec
-
-
-def lexsort_apply(schedule):
-    """apply_schedule as it was planned with lexsorts and group-start masks:
-    the oracle for the one-key sorts that replaced them. The vector steps are
-    the same, so the amplitudes must agree bit for bit."""
-
-    def group_starts(*keys):
-        start = np.zeros(len(keys[0]), dtype=bool)
-        start[:1] = True
-        for key in keys:
-            start[1:] |= key[1:] != key[:-1]
-        return start
-
-    m, n = schedule.ancilla_dim, schedule.system_dim
-    gates = schedule.gates
-    count = len(gates)
-    control = gates["control"]
-    ancilla = control < 0
-    run = np.cumsum(ancilla)
-    order = np.lexsort((control, run))
-    rank = np.arange(count)
-    start = group_starts(run[order], control[order])
-    level = np.empty(count, dtype=np.int64)
-    level[order] = rank - np.maximum.accumulate(np.where(start, rank, 0))
-    level[ancilla] = -1
-    base = np.where(ancilla, 0, control * n)
-    width = np.where(ancilla, n, 1)
-    seq = np.lexsort((gates["phase"], level, run))
-    phase, ancilla = gates["phase"][seq], ancilla[seq]
-    bounds = np.flatnonzero(group_starts(run[seq], level[seq], phase)).tolist() + [count]
-    line_a = (base + gates["a"] * width)[seq]
-    line_b = (base + gates["b"] * width)[seq]
-    value = gates["value"][seq]
-    cos = np.zeros(count, dtype=np.complex128)
-    sin = np.zeros(count, dtype=np.complex128)
-    np.cos(value, out=cos.real)
-    np.sin(value, out=sin.real)
-    factor = cos.copy()
-    np.negative(sin.real, out=factor.imag)
-    vec = np.zeros(m * n, dtype=np.complex128)
-    vec[0] = 1.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        if ancilla[lo]:
-            ia = slice(line_a[lo], line_a[lo] + n)
-            ib = slice(line_b[lo], line_b[lo] + n)
-        else:
-            ia, ib = line_a[lo:hi], line_b[lo:hi]
-        if phase[lo]:
-            vec[ia] *= factor[lo:hi]
-            continue
-        xa, xb = vec[ia], vec[ib]
-        c, s = cos[lo:hi], sin[lo:hi]
-        new_a, new_b = c * xa - s * xb, s * xa + c * xb
-        vec[ia], vec[ib] = new_a, new_b
     return vec
 
 
@@ -210,21 +153,6 @@ def assert_extract_matches_reference(coeffs, eps_pivot=1e-12):
     padding = ~_branch_cells(coeffs.N)
     assert same_bits(params.angles[padding], np.zeros(padding.sum()))
     assert same_bits(params.phases[padding], np.zeros(padding.sum()))
-
-
-def random_table(rng, m, n, count):
-    """Gate rows in orders schedule_from_parameters never produces: ancilla
-    gates between controlled ones, phases on either register, and many gates
-    on the same lines."""
-    gates = np.zeros(count, dtype=GATE)
-    gates["control"] = rng.integers(-1, m, count)
-    gates["phase"] = rng.random(count) < 0.4
-    dim = np.where(gates["control"] < 0, m, n)
-    a = rng.integers(0, dim - 1)
-    gates["a"] = np.where(gates["phase"], rng.integers(0, dim), a)
-    gates["b"] = np.where(gates["phase"], 0, rng.integers(a + 1, dim))
-    gates["value"] = rng.uniform(-math.pi, math.pi, count)
-    return gates
 
 
 class TestCircuitParameters:
@@ -530,48 +458,20 @@ class TestGateSchedule:
         cases = [random_params(n, seed=60 + n) for n in (2, 3, 5, 8)]
         # zero angles and phases exercise the signed zeros the state files print
         cases.append(make_params(3, [0.0, HALF_PI], [([0.0, 0.7], [0.0, 2.0]), ([HALF_PI], [0.0]), ([], [])]))
-        # many levels per run of controlled gates
+        # many rotation levels, each a step over many branches
         cases += [random_params(n, seed=60 + n) for n in (16, 64)]
         for params in cases:
             schedule = schedule_from_parameters(params)
             got = apply_schedule(schedule).amplitudes
             assert np.array_equal(got.view(np.uint64), reference_apply(schedule).view(np.uint64))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_apply_any_order_matches_reference(self, seed):
-        # apply reorders commuting gates, so its rounding may move by an ulp
-        # (numpy fuses complex products); every line must still see its gates
-        # in table order
-        rng = np.random.default_rng(seed)
-        canonical = schedule_from_parameters(random_params(16, seed=80 + seed)).gates
-        schedules = [
-            GateSchedule(16, 16, canonical[rng.permutation(canonical.size)]),
-            GateSchedule(3, 5, random_table(rng, 3, 5, 200)),
-            GateSchedule(16, 4, random_table(rng, 16, 4, 400)),
-            GateSchedule(2, 2, random_table(rng, 2, 2, 50)),
-        ]
-        for schedule in schedules:
-            got = apply_schedule(schedule).amplitudes
-            assert np.max(np.abs(got - reference_apply(schedule))) <= 1e-14
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_apply_matches_lexsort_plan_bit_for_bit(self, seed):
-        rng = np.random.default_rng(seed)
-        canonical = schedule_from_parameters(random_params(9, seed=90 + seed)).gates
-        schedules = [
-            GateSchedule(9, 9, canonical),
-            GateSchedule(9, 9, canonical[rng.permutation(canonical.size)]),
-            GateSchedule(3, 5, random_table(rng, 3, 5, 200)),
-            GateSchedule(16, 4, random_table(rng, 16, 4, 400)),
-            GateSchedule(2, 2, random_table(rng, 2, 2, 50)),
-            GateSchedule(5, 2, random_table(rng, 5, 2, 1)),
-        ]
-        for schedule in schedules:
-            assert same_bits(apply_schedule(schedule).amplitudes, lexsort_apply(schedule))
-
-    def test_apply_empty_table(self):
-        state = apply_schedule(GateSchedule(3, 2, np.zeros(0, dtype=GATE)))
-        assert state.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    def test_schedule_is_its_parameters(self):
+        params = random_params(5, seed=45)
+        schedule = schedule_from_parameters(params)
+        assert schedule.parameters is params  # wrapped, not copied or rebuilt
+        assert not schedule.gates.flags.writeable
+        with pytest.raises(AttributeError):
+            schedule.gates = schedule.gates
 
     def test_one_gate_per_parameter(self):
         for n in (2, 3, 4, 6):
@@ -593,6 +493,33 @@ class TestGateSchedule:
         for alpha in range(4):
             for i in range(4 - alpha, 4):
                 assert amplitude(state, alpha, i) == 0.0
+
+
+#: Weight and branch angles: exact 0 and pi/2 often, else anything in range.
+ANGLES = st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI))
+#: Phases: exact 0 often, else anything in [0, 2 pi).
+PHASES = st.one_of(st.just(0.0), st.floats(0.0, 2 * math.pi, exclude_max=True))
+
+
+@st.composite
+def drawn_parameters(draw):
+    n = draw(st.integers(2, 12))
+    cells = _branch_cells(n)
+    count = int(cells.sum())
+    angles, phases = np.zeros((2, n, n - 1))
+    angles[cells] = draw(st.lists(ANGLES, min_size=count, max_size=count))
+    phases[cells] = draw(st.lists(PHASES, min_size=count, max_size=count))
+    weights = draw(st.lists(ANGLES, min_size=n - 1, max_size=n - 1))
+    return CircuitParameters(n, weights, angles, phases)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None)
+@hypothesis.given(drawn_parameters())
+def test_apply_matches_reference_on_drawn_parameters(params):
+    # the fixed step order reorders only commuting gates: the bits of the
+    # gate-by-gate walk in table order, signed zeros included
+    schedule = schedule_from_parameters(params)
+    assert same_bits(apply_schedule(schedule).amplitudes, reference_apply(schedule))
 
 
 class TestInvertQubit:

@@ -10,8 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 from qpurify import (
+    GATE,
     CircuitParameters,
-    GateSchedule,
     PureState,
     QuditShape,
     ToleranceConfig,
@@ -132,6 +132,30 @@ def reference_gate(record):
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
+def reference_gate_table(n, records):
+    """The GATE rows of an N-line circuit's schedule records, checked one
+    kind of fault at a time over all rows: indices beyond int64, control
+    values, rotation subspaces, phase lines, then values."""
+    rows = [reference_gate(g) for g in records]
+    try:
+        gates = np.array(rows, dtype=GATE)
+    except OverflowError as exc:
+        raise OutOfRange(f"gate index beyond the int64 range: {exc}") from exc
+    rows = gates.tolist()
+    for _, control, _, _, _ in rows:
+        if not -1 <= control < n:
+            raise OutOfRange(f"control value {control} outside ancilla register")
+    for phase, _, a, b, _ in rows:
+        if not phase and not 0 <= a < b < n:
+            raise OutOfRange(f"rotation subspace ({a}, {b}) invalid for dim {n}")
+    for phase, _, a, _, _ in rows:
+        if phase and not 0 <= a < n:
+            raise OutOfRange(f"phase basis {a} outside register of dim {n}")
+    if not all(math.isfinite(value) for *_, value in rows):
+        raise BadRange("gate values must be finite")
+    return gates
+
+
 def reference_numbers(values, name):
     return np.array([json_number(v, name) for v in values], dtype=np.float64)
 
@@ -151,11 +175,12 @@ def reference_load_circuit(text):
         for b in block["branches"]
     ]
     params = CircuitParameters.from_branches(n, reference_numbers(block["weight_angles"], "weight_angles"), branches)
-    schedule = GateSchedule(n, n, [reference_gate(g) for g in data["schedule"]])
-    expected = schedule_from_parameters(params).gates
-    rows = min(len(schedule.gates), len(expected))
-    differs = np.flatnonzero(schedule.gates[:rows] != expected[:rows])
-    if differs.size or len(schedule.gates) != len(expected):
+    gates = reference_gate_table(n, data["schedule"])
+    schedule = schedule_from_parameters(params)
+    expected = schedule.gates
+    rows = min(len(gates), len(expected))
+    differs = np.flatnonzero(gates[:rows] != expected[:rows])
+    if differs.size or len(gates) != len(expected):
         k = int(differs[0]) if differs.size else rows
         raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
     return shape, params, schedule
@@ -417,14 +442,13 @@ class TestJsonFormats:
         # zero phases give -0.0 gate values; 1.0 and 2.0 print as integer-valued floats
         zeros = qutrit_params([0.0, 0.0], ([0.0, 0.0], [0.0, 0.0]), ([0.0], [0.0]))
         whole = qutrit_params([1.0, 0.0], ([1.0, 0.0], [2.0, 0.0]), ([1.0], [3.0]))
-        # equal to the zeros' schedule under ==, but +0.0 where it holds -0.0
+        # its schedule holds +0.0 where the zeros' holds -0.0
         signed = qutrit_params([0.0, 0.0], ([0.0, 0.0], [-0.0, -0.0]), ([0.0], [-0.0]))
         qutrit = QuditShape(3, 1)
         cases = [
             (rho.shape, params, schedule_from_parameters(params)),
             (qutrit, zeros, schedule_from_parameters(zeros)),
             (qutrit, whole, schedule_from_parameters(whole)),
-            (qutrit, zeros, schedule_from_parameters(signed)),
             (qutrit, signed, schedule_from_parameters(signed)),
         ]
         for d, n, rank in CIRCUIT_SHAPES:
@@ -435,38 +459,37 @@ class TestJsonFormats:
         for shape, circuit_params, schedule in cases:
             text = io.dump_circuit(shape, circuit_params, schedule)
             assert text == json_text(circuit_record(shape, circuit_params, schedule))
-            # a table equal to its parameters' under == loads back bit for bit
             assert io.load_circuit(text)[2].gates.tobytes() == schedule.gates.tobytes()
 
     def test_circuit_writer_refuses_foreign_table(self):
-        # a table load_circuit would reject against the parameters is never written
+        # a schedule load_circuit would reject against the parameters is never written
         whole = qutrit_params([1.0, 0.0], ([1.0, 0.0], [2.0, 0.0]), ([1.0], [3.0]))
-        gates = schedule_from_parameters(whole).gates
-        extremes = [
-            (False, -1, 0, 2, -0.0),
-            (True, -1, 2, 0, 5e-324),
-            (False, 2, 1, 2, 1e300),
-            (True, 0, 2, 0, 2.0),
-            (False, 1, 0, 1, -7.0),
-            (True, 1, 0, 0, -5e-324),
-        ]
-
-        def edited(row, field, value):
-            table = gates.copy()
-            table[field][row] = value
-            return table
-
-        tables = {
-            0: extremes,
-            7: gates[:-1],
-            8: np.concatenate([gates, gates[-1:]]),
-            3: edited(3, "value", 0.5),
-            6: edited(6, "control", 2),
-            2: edited(2, "b", 1),
+        others = {
+            0: qutrit_params([1.5, 0.0], ([1.0, 0.0], [2.0, 0.0]), ([1.0], [3.0])),
+            3: qutrit_params([1.0, 0.0], ([1.0, 0.5], [2.0, 0.0]), ([1.0], [3.0])),
+            4: qutrit_params([1.0, 0.0], ([1.0, 0.0], [2.5, 0.0]), ([1.0], [3.0])),
+            7: qutrit_params([1.0, 0.0], ([1.0, 0.0], [2.0, 0.0]), ([1.0], [0.0])),
         }
-        for row, table in tables.items():
+        qubit = CircuitParameters.from_branches(2, [1.0], [(2, [1.0], [2.0]), (1, [], [])])
+        for row, other in [*others.items(), (0, qubit)]:
             with pytest.raises(ReconstructionFailure, match=f"^schedule row {row} disagrees"):
-                io.dump_circuit(QuditShape(3, 1), whole, GateSchedule(3, 3, table))
+                io.dump_circuit(QuditShape(3, 1), whole, schedule_from_parameters(other))
+        # zeros of the other sign are equal under ==: written from the parameters
+        signed = qutrit_params([1.0, -0.0], ([1.0, -0.0], [2.0, -0.0]), ([1.0], [3.0]))
+        text = io.dump_circuit(QuditShape(3, 1), whole, schedule_from_parameters(signed))
+        assert text == io.dump_circuit(QuditShape(3, 1), whole, schedule_from_parameters(whole))
+
+    def test_loaded_schedule_follows_parameter_zero_signs(self):
+        # a schedule block that differs from its parameters only in the signs
+        # of zeros loads through the full parse as the parameters' own schedule
+        zeros = qutrit_params([0.0, 0.0], ([0.0, 0.0], [0.0, 0.0]), ([0.0], [0.0]))
+        text = io.dump_circuit(QuditShape(3, 1), zeros, schedule_from_parameters(zeros))
+        flipped = text.replace('"value":-0.0}', '"value":0.0}')  # the three phase records
+        assert flipped.count('"value":0.0}') == text.count('"value":0.0}') + 3
+        shape, params, schedule = io.load_circuit(flipped)
+        assert schedule.gates.tobytes() == schedule_from_parameters(zeros).gates.tobytes()
+        assert np.signbit(schedule.gates["value"][[4, 5, 7]]).all()
+        assert io.dump_circuit(shape, params, schedule) == text
 
     def test_state_writer_matches_json(self):
         # -0.0, subnormal, huge and integer-valued floats, in states, density
@@ -744,6 +767,9 @@ class TestCliPipeline:
         res = runner.invoke(main, ["random", "--d", "2", "--n", "2", "--seed", "3", "--out", str(rho_path)])
         assert res.exit_code == 0, res.output
         assert res.output.startswith("purity=")
+        entries = io.load_density(rho_path.read_text()).entries
+        purity = float(res.output.split("=", 1)[1])
+        assert abs(purity - np.trace(entries @ entries).real) <= 1e-15
 
         psi_path = tmp_path / "psi.json"
         coeff_path = tmp_path / "coeffs.json"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +34,10 @@ def reference_jacobi(matrix, max_sweeps=100):
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:
         return np.zeros(n), vecs
+    # a tiny matrix rotates scaled up to max|a| in [0.5, 1)
+    shift = -math.frexp(scale)[1] if scale < sys.float_info.min / 1e-17 else 0
+    a = ldexp(a, shift)
+    scale = float(np.max(np.abs(a)))
     stop = 1e-15 * scale
     skip = 0.01 * stop
     for _ in range(max_sweeps):
@@ -63,7 +68,7 @@ def reference_jacobi(matrix, max_sweeps=100):
     else:
         if float(np.max(np.abs(a - np.diag(np.diagonal(a))))) > stop:
             raise NoConvergence("reference Jacobi did not converge")
-    values = np.diagonal(a).real.copy()
+    values = np.diagonal(a).real * 2.0**-shift
     keys = np.empty((2 * n + 1, n))
     for row, comp in enumerate(range(n - 1, -1, -1)):
         keys[2 * row] = -vecs[comp, :].imag
@@ -71,6 +76,13 @@ def reference_jacobi(matrix, max_sweeps=100):
     keys[2 * n] = -values
     order = np.lexsort(keys)
     return values[order], vecs[:, order]
+
+
+def ldexp(matrix, exponent):
+    """A complex matrix times 2**exponent, part by part."""
+    out = np.empty_like(matrix)
+    out.real, out.imag = np.ldexp(matrix.real, exponent), np.ldexp(matrix.imag, exponent)
+    return out
 
 
 def same_bits(got, want):
@@ -186,6 +198,41 @@ class TestHermitianEigen:
     def test_roundtrip_inputs_bit_for_bit(self, d, n, seed, rank):
         # a full-rank and a rank-16 input of the pinned CLI sessions, N = 64
         assert_matches_reference(random_density(d, n, seed, rank=rank).entries)
+
+    #: Hermitian matrices whose entries are all subnormal: 1 / |a_pq| overflows
+    SUBNORMAL = [
+        np.array([[0.0, -5e-324j], [5e-324j, 0.0]]),
+        np.array([[1e-310, 3e-311 + 1e-311j], [3e-311 - 1e-311j, 2e-310]]),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(SUBNORMAL)))
+    def test_subnormal_input(self, case):
+        matrix = self.SUBNORMAL[case]
+        dec = hermitian_eigen(matrix)
+        # the closed form for 2 x 2, in a copy scaled up by 2**1074
+        up = ldexp(matrix, 1074)
+        mean, half = (up[0, 0].real + up[1, 1].real) / 2, (up[0, 0].real - up[1, 1].real) / 2
+        radius = math.hypot(half, abs(up[0, 1]))
+        want = np.ldexp([mean + radius, mean - radius], -1074)
+        assert np.all(np.abs(dec.eigenvalues - want) <= 5e-324)
+        vecs = dec.eigenvectors
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2))) <= 1e-15
+        # each eigenvalue is rounded to a multiple of 5e-324, 1.0 once scaled up
+        rebuilt = vecs @ np.diag(np.ldexp(dec.eigenvalues, 1074)) @ vecs.conj().T
+        assert np.max(np.abs(rebuilt - up)) <= 1.0 + 1e-15 * np.max(np.abs(up))
+
+    def test_tiny_matrix_rotates_scaled_up(self):
+        # below max|a| = 2.2e-291 the rotations run on the matrix scaled to
+        # max|a| in [0.5, 1); the power of two leaves the eigenvectors alone
+        h = random_hermitian(5, seed=21)
+        exponent = math.frexp(float(np.max(np.abs(h))))[1]
+        unit = hermitian_eigen(ldexp(h, -exponent))
+        for down in (966, 1000):
+            tiny = ldexp(h, -exponent - down)
+            assert np.array_equal(ldexp(tiny, down), ldexp(h, -exponent))  # no entry subnormal
+            tiny = hermitian_eigen(tiny)
+            assert same_bits(tiny.eigenvectors, unit.eigenvectors)
+            assert same_bits(tiny.eigenvalues, np.ldexp(unit.eigenvalues, -down))
 
     def test_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)

@@ -5,8 +5,9 @@ bit for bit, or both give up.
 
 Giving up is NoConvergence, or, for reference_jacobi alone, NaN eigenvalues:
 its last stop test ``off > stop`` is false for a NaN ``off``, so where the
-rotations turn NaN (1 / |a_pq| overflows once |a_pq| is below about 5.6e-309)
-it returns NaN where hermitian_eigen raises.
+rotations turn NaN it returns NaN where hermitian_eigen raises. Both rotate a
+matrix whose entries are all tiny scaled up by a power of two, so 1 / |a_pq|
+(which overflows once |a_pq| is below about 5.6e-309) stays finite.
 """
 
 import numpy as np
@@ -70,6 +71,7 @@ def solve(solver, matrix):
 @hypothesis.settings(max_examples=100, deadline=None, database=None)
 @hypothesis.given(hermitian_matrices())
 @hypothesis.example(np.array([[0.0, -5e-324j], [5e-324j, 0.0]]))
+@hypothesis.example(np.array([[1e-310, 3e-311 + 1e-311j], [3e-311 - 1e-311j, 2e-310]]))
 def test_matches_reference_bit_for_bit(matrix):
     want = solve(reference_jacobi, matrix)
     got = solve(hermitian_eigen, matrix)
