@@ -26,7 +26,6 @@ from .core import (
     validate_density,
 )
 from .linalg import (
-    EigenDecomposition,
     hermitian_eigen,
     max_abs_diff,
     partial_trace_ancilla,
@@ -52,7 +51,6 @@ __all__ = [
     "CoefficientMatrix",
     "CounterRng",
     "DensityMatrix",
-    "EigenDecomposition",
     "GATE",
     "GateSchedule",
     "PureState",

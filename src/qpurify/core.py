@@ -60,7 +60,7 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for entry in fields(self):
-            if getattr(self, entry.name) < 0:
+            if not getattr(self, entry.name) >= 0:
                 raise BadRange(f"tolerance {entry.name} must be nonnegative")
 
 

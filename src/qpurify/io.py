@@ -52,7 +52,7 @@ from .core import (
     ToleranceConfig,
     validate_density,
 )
-from .errors import BadRange, OutOfRange, ReconstructionFailure
+from .errors import BadRange, OutOfRange, ReconstructionFailure, ShapeMismatch
 
 
 def _integer(value, name: str) -> int:
@@ -192,6 +192,8 @@ def load_state(text: str) -> PureState:
         record, amps = canonical
         return PureState(*_state_dims(record), amps)
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("state file must be a JSON object")
     m, n = _state_dims(data)
     amps = np.array([_parse_complex(p) for p in data["amplitudes"]], dtype=np.complex128)
     return PureState(m, n, amps)
@@ -283,7 +285,9 @@ def _check_schedule(gates: np.ndarray, params: CircuitParameters) -> None:
 
 
 def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSchedule) -> str:
-    """Canonical text of a circuit; a schedule load_circuit would reject is refused."""
+    """Canonical text of a circuit; a file load_circuit would reject is refused."""
+    if shape.N != params.N:
+        raise ShapeMismatch(f"circuit of N={params.N} for a register of N={shape.N}")
     if schedule.parameters is not params:  # a schedule is its parameters
         _check_schedule(schedule.gates, params)
     # one repr per parameter; the table of these parameters holds the weight
@@ -415,6 +419,8 @@ def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule
     if circuit is not None:
         return circuit
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("circuit file must be a JSON object")
     shape, params = _circuit_head(data)
     _check_schedule(_gate_rows(params.N, data["schedule"]), params)
     return shape, params, schedule_from_parameters(params)

@@ -4,9 +4,10 @@ The Hermitian eigensolver and the reference Cholesky elimination are written
 out in full (no LAPACK-backed ``eigh``/``cholesky``) so the numeric streams
 are deterministic and the Cholesky oracle stays an independent check on the
 purifier rather than a relabelling of it. The cyclic Jacobi solver serves
-only spectral purification and the test oracle; density-matrix validation
-needs just a threshold decision on the smallest eigenvalue and takes it from
-LAPACK (``numpy.linalg.eigvalsh``) instead.
+only spectral purification and the test oracle, and returns its eigenpairs
+as a plain ``(eigenvalues, eigenvectors)`` pair; density-matrix validation
+needs just a threshold decision on the smallest eigenvalue and takes it
+from LAPACK (``numpy.linalg.eigvalsh``) instead.
 
 Each Jacobi rotation works out its angles in Python floats from entries read
 with ``item``. The phase a_pq / |a_pq| and the sine take numpy's formulas for
@@ -24,35 +25,19 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, PureState, ToleranceConfig, _frozen_array, _strict_lower
+from .core import DEFAULT_TOL, PureState, ToleranceConfig, _strict_lower
 from .errors import NoConvergence, NotPSD, ShapeMismatch
 
 #: Sweep cap for the cyclic Jacobi iteration.
 MAX_SWEEPS = 100
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues sorted descending; eigenvector k in column k."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = _frozen_array(self.eigenvalues, np.float64)
-        vecs = _frozen_array(self.eigenvectors, np.complex128)
-        if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
-            raise ShapeMismatch("eigenvalue/eigenvector dimensions disagree")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-
-def hermitian_eigen(matrix) -> EigenDecomposition:
-    """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of a complex Hermitian matrix by cyclic
+    Jacobi rotations; eigenvector k is column k.
 
     Deterministic for a fixed input: the sweep order is fixed (p < q
     ascending) and the final ordering sorts eigenvalues descending with
@@ -67,11 +52,11 @@ def hermitian_eigen(matrix) -> EigenDecomposition:
     w = np.concatenate([a, np.eye(n, dtype=np.complex128)])
     a, vecs = w[:n], w[n:]
     if n == 1:
-        return EigenDecomposition(np.array([a[0, 0].real]), vecs)
+        return np.array([a[0, 0].real]), vecs
 
     scale = float(np.abs(a).max())
     if scale == 0.0:
-        return EigenDecomposition(np.zeros(n), vecs)
+        return np.zeros(n), vecs
     # where the skip bound 1e-17 * scale is subnormal, 1/|a_pq| can overflow:
     # rotate a copy scaled up by a power of two, which is exact
     shift = -math.frexp(scale)[1] if scale < sys.float_info.min / 1e-17 else 0
@@ -131,7 +116,7 @@ def hermitian_eigen(matrix) -> EigenDecomposition:
     keys[1 : 2 * n : 2] = -vecs[::-1].real
     keys[2 * n] = -values
     order = np.lexsort(keys)
-    return EigenDecomposition(values[order], vecs[:, order])
+    return values[order], vecs[:, order]
 
 
 def partial_trace_ancilla(state: PureState) -> np.ndarray:

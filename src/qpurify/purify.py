@@ -121,10 +121,10 @@ def spectral_purify(rho: DensityMatrix) -> PureState:
     renormalized.
     """
     n = rho.shape.N
-    eig = hermitian_eigen(rho.entries)
-    p = np.clip(eig.eigenvalues, 0.0, None)
+    values, vectors = hermitian_eigen(rho.entries)
+    p = np.clip(values, 0.0, None)
     p = p / p.sum()
-    amps = (np.sqrt(p)[:, None] * eig.eigenvectors.T).reshape(-1)
+    amps = (np.sqrt(p)[:, None] * vectors.T).reshape(-1)
     return PureState(n, n, amps)
 
 

@@ -4,17 +4,18 @@ Golden test fixtures must reproduce bit-for-bit across platforms and
 library versions, so randomness comes from an in-repo SplitMix64 stream
 rather than a library generator whose bit stream may change:
 
-* word(seed, i) = mix64(seed + (i + 1) * 0x9E3779B97F4A7C15), where mix64
+* word i is w_i = mix64(seed + (i + 1) * 0x9E3779B97F4A7C15), where mix64
   is the SplitMix64 finalizer (xor-shift 30 / multiply 0xBF58476D1CE4E5B9 /
   xor-shift 27 / multiply 0x94D049BB133111EB / xor-shift 31), all mod 2^64.
-* uniforms take the top 53 bits: u_i = (word >> 11 + 1) * 2^-53 in (0, 1].
+* uniforms take the top 53 bits: u_i = ((w_i >> 11) + 1) * 2^-53 in (0, 1].
 * normal pairs come from the Box-Muller transform of consecutive uniforms.
 * a complex Ginibre matrix is filled row-major, one normal pair (real,
   imaginary) per entry; the density matrix is G G^dagger / Tr(G G^dagger).
 
-Everything downstream of the integer stream is plain IEEE-754 double
-arithmetic, so same seed means the same matrix everywhere up to libm
-rounding of log/cos/sin.
+Words are mixed only in :func:`_uniforms`, Box-Muller runs only in
+:meth:`CounterRng.complex_normal_matrix`, and everything downstream of the
+integer stream is plain IEEE-754 double arithmetic, so same seed means the
+same matrix everywhere up to libm rounding of log/cos/sin.
 """
 
 from __future__ import annotations
@@ -35,22 +36,11 @@ _TO_UNIT = 2.0 ** -53
 _BLOCK = 4096
 
 
-def word(seed: int, index: int) -> int:
-    """The index-th 64-bit word of the stream for ``seed`` (pure function)."""
-    x = (seed + (index + 1) * _GAMMA) & _MASK64
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms ``((word(seed, c - 1) >> 11) + 1) * 2^-53`` for each uint64 counter c.
+    """The uniforms u_(c-1) of the stream for ``seed``, for each uint64 counter c.
 
     numpy's uint64 arithmetic wraps mod 2^64, which is exactly the mixing
-    arithmetic of :func:`word`.
+    arithmetic of the stream.
     """
     x = np.uint64(seed) + counters * np.uint64(_GAMMA)
     x ^= x >> np.uint64(30)
@@ -68,24 +58,14 @@ class CounterRng:
         self._seed = seed & _MASK64
         self._index = 0
 
-    def next_u64(self) -> int:
-        value = word(self._seed, self._index)
-        self._index += 1
-        return value
-
     def uniform(self) -> float:
         """Uniform double in (0, 1] (never 0, safe under log)."""
-        return ((self.next_u64() >> 11) + 1) * _TO_UNIT
-
-    def normal_pair(self) -> tuple[float, float]:
-        """Box-Muller transform of the next two uniforms u1, u2."""
-        radius = math.sqrt(-2.0 * math.log(self.uniform()))
-        angle = 2.0 * math.pi * self.uniform()
-        return radius * math.cos(angle), radius * math.sin(angle)
+        self._index += 1
+        return float(_uniforms(self._seed, np.array([self._index], dtype=np.uint64))[0])
 
     def complex_normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Row-major fill, one normal pair per entry: the same values as
-        calling :meth:`normal_pair` ``rows * cols`` times.
+        """Row-major fill, one Box-Muller normal pair (real, imaginary) of
+        the next two uniforms per entry.
 
         The integer stream is mixed in numpy a block of whole rows, about
         ``_BLOCK`` entries, at a time. Box-Muller keeps ``math``'s log, cos

@@ -65,6 +65,12 @@ class TestToleranceConfig:
         with pytest.raises(BadRange):
             ToleranceConfig(eps_psd=-1e-9)
 
+    @pytest.mark.parametrize("name", ["eps_herm", "eps_trace", "eps_psd", "eps_recon", "eps_norm", "eps_pivot"])
+    def test_rejects_nan(self, name):
+        # a NaN tolerance would fail every check it bounds, or pass every one
+        with pytest.raises(BadRange, match=f"^tolerance {name} must be nonnegative$"):
+            ToleranceConfig(**{name: float("nan")})
+
 
 def flat_index(alpha: int, i: int, N: int, ancilla_dim: int | None = None) -> int:
     """Flat position of |alpha>|i> in the composite state vector (alpha * N + i),
@@ -172,7 +178,7 @@ class TestPsdCriterion:
         matrix = with_smallest_eigenvalue(smallest, dim, seed=dim)
         sym = (matrix + matrix.conj().T) / 2.0
         tol = ToleranceConfig()
-        oracle_rejects = float(linalg.hermitian_eigen(sym).eigenvalues[-1]) < -tol.eps_psd
+        oracle_rejects = float(linalg.hermitian_eigen(sym)[0][-1]) < -tol.eps_psd
         assert oracle_rejects == (not accepted)
         if accepted:
             validate_density(matrix, shape, tol)

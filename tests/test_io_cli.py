@@ -27,7 +27,7 @@ from qpurify import bloch_surface, cli, io
 from qpurify.bloch import grid_angles
 from qpurify.circuit import _branch_cells
 from qpurify.cli import main
-from qpurify.errors import BadRange, NormFailure, OutOfRange, QPurifyError, ReconstructionFailure
+from qpurify.errors import BadRange, NormFailure, OutOfRange, QPurifyError, ReconstructionFailure, ShapeMismatch
 
 
 @pytest.fixture
@@ -165,6 +165,8 @@ def reference_load_circuit(text):
     row against the table the parameters give. load_circuit must return what
     this returns, or raise the same exception type and message."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("circuit file must be a JSON object")
     shape = QuditShape(json_integer(data["d"], "d"), json_integer(data["n"], "n"))
     n = json_integer(data["N"], "N")
     if n != shape.N:
@@ -191,6 +193,8 @@ def reference_load_state(text):
     amplitude. load_state must return what this returns, or raise the same
     exception type and message."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("state file must be a JSON object")
     m = json_integer(data["ancilla_dim"], "ancilla_dim")
     n = json_integer(data["system_dim"], "system_dim")
     amps = np.array([io._parse_complex(p) for p in data["amplitudes"]], dtype=np.complex128)
@@ -279,6 +283,7 @@ def circuit_variants(text):
         "trailing whitespace": text + "  \n",
         "no final newline": text[:-1],
         "missing schedule": json_text({key: value for key, value in data.items() if key != "schedule"}),
+        "not an object": json_text(list(data.values())),
     }
     data["parameters"]["weight_angles"][0] = math.nan
     variants["NaN in parameters"] = json.dumps(data, separators=(",", ":")) + "\n"
@@ -395,6 +400,7 @@ def array_variants(text, key):
         "trailing whitespace": text + "  \n",
         "no final newline": text[:-1],
         "empty list": json_text({**data, key: []}),
+        "not an object": json_text(list(data.values())),
     }
 
 
@@ -719,6 +725,21 @@ class TestJsonFormats:
         with pytest.raises(BadRange):
             io.load_circuit(json.dumps(data))
 
+    @pytest.mark.parametrize("text", ["[1,2]\n", "1", '"N"', "null"])
+    def test_files_must_be_json_objects(self, text):
+        # each reader names the fault before it looks up a key
+        for load, kind in [(io.load_density, "matrix"), (io.load_state, "state"), (io.load_circuit, "circuit")]:
+            with pytest.raises(ValueError, match=f"^{kind} file must be a JSON object$"):
+                load(text)
+
+    def test_circuit_writer_refuses_foreign_shape(self):
+        # parameters of N = 4 written for a register of N = 8 would declare
+        # "N":8 beside four branches, which load_circuit rejects
+        rho = random_density(2, 2, seed=1)
+        params = extract_parameters(cholesky_purify(rho))
+        with pytest.raises(ShapeMismatch, match=r"^circuit of N=4 for a register of N=8$"):
+            io.dump_circuit(QuditShape(2, 3), params, schedule_from_parameters(params))
+
     def test_circuit_rejects_inconsistent_dims(self):
         rho = random_density(2, 1, seed=1)
         params = extract_parameters(cholesky_purify(rho))
@@ -895,6 +916,14 @@ class TestCliErrors:
         res = runner.invoke(main, ["synth", "--input", rho_path, "--out", str(tmp_path / "c.json")])
         assert res.exit_code == 3
         assert re.fullmatch(r"ReconstructionFailure: schedule deviates by \S+ above eps_recon 0\.0\n", res.stderr)
+
+    def test_circuit_not_an_object_exit_1(self, runner, tmp_path):
+        path, out = tmp_path / "circuit.json", tmp_path / "out.json"
+        path.write_text("[1,2]\n")
+        res = runner.invoke(main, ["simulate", "--circuit", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr == "ParseError: circuit file must be a JSON object\n"
+        assert not out.exists()
 
     def test_missing_file_exit_1(self, runner, tmp_path):
         res = runner.invoke(main, ["purify", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -91,10 +92,10 @@ def same_bits(got, want):
 
 
 def assert_matches_reference(matrix):
-    dec = hermitian_eigen(matrix)
+    got_values, got_vecs = hermitian_eigen(matrix)
     values, vecs = reference_jacobi(matrix)
-    assert same_bits(dec.eigenvalues, values)
-    assert same_bits(dec.eigenvectors, vecs)
+    assert same_bits(got_values, values)
+    assert same_bits(got_vecs, vecs)
 
 
 def jacobi_cases(dim):
@@ -146,48 +147,48 @@ def brute_partial_trace(amplitudes, m, n):
 
 class TestHermitianEigen:
     def test_diagonal_input(self):
-        dec = hermitian_eigen(np.diag([0.7, 0.3]))
-        assert np.array_equal(dec.eigenvalues, [0.7, 0.3])
-        assert np.array_equal(dec.eigenvectors, np.eye(2))
+        values, vecs = hermitian_eigen(np.diag([0.7, 0.3]))
+        assert np.array_equal(values, [0.7, 0.3])
+        assert np.array_equal(vecs, np.eye(2))
 
     def test_plus_projector(self):
-        dec = hermitian_eigen(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert np.allclose(dec.eigenvalues, [1.0, 0.0], atol=1e-14)
-        overlap = abs(dec.eigenvectors[:, 0] @ np.array([1.0, 1.0]) / math.sqrt(2))
+        values, vecs = hermitian_eigen(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert np.allclose(values, [1.0, 0.0], atol=1e-14)
+        overlap = abs(vecs[:, 0] @ np.array([1.0, 1.0]) / math.sqrt(2))
         assert abs(overlap - 1.0) < 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
     def test_residual_and_orthonormality(self, dim):
         h = random_hermitian(dim, seed=dim)
-        dec = hermitian_eigen(h)
+        values, vecs = hermitian_eigen(h)
         norm = np.linalg.norm(h)
         for k in range(dim):
-            residual = np.linalg.norm(h @ dec.eigenvectors[:, k] - dec.eigenvalues[k] * dec.eigenvectors[:, k])
+            residual = np.linalg.norm(h @ vecs[:, k] - values[k] * vecs[:, k])
             assert residual <= 1e-9 * max(norm, 1.0)
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+        gram = vecs.conj().T @ vecs
         assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
 
     def test_trace_and_reconstruction(self):
         h = random_hermitian(6, seed=99)
-        dec = hermitian_eigen(h)
-        assert abs(np.sum(dec.eigenvalues) - np.trace(h).real) <= 1e-10 * max(1.0, abs(np.trace(h)))
-        rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.conj().T
+        values, vecs = hermitian_eigen(h)
+        assert abs(np.sum(values) - np.trace(h).real) <= 1e-10 * max(1.0, abs(np.trace(h)))
+        rebuilt = vecs @ np.diag(values) @ vecs.conj().T
         assert np.max(np.abs(rebuilt - h)) <= 1e-9
 
     def test_sorted_descending(self):
-        dec = hermitian_eigen(random_hermitian(8, seed=5))
-        assert np.all(np.diff(dec.eigenvalues) <= 0)
+        values, _ = hermitian_eigen(random_hermitian(8, seed=5))
+        assert np.all(np.diff(values) <= 0)
 
     def test_bit_deterministic(self):
         h = random_hermitian(5, seed=11)
-        a = hermitian_eigen(h)
-        b = hermitian_eigen(h)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        a_values, a_vecs = hermitian_eigen(h)
+        b_values, b_vecs = hermitian_eigen(h)
+        assert np.array_equal(a_values, b_values)
+        assert np.array_equal(a_vecs, b_vecs)
 
     def test_degenerate_ties_resolve_deterministically(self):
-        dec = hermitian_eigen(np.eye(3) / 3)
-        assert np.array_equal(dec.eigenvectors, np.eye(3))
+        _, vecs = hermitian_eigen(np.eye(3) / 3)
+        assert np.array_equal(vecs, np.eye(3))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9, 16])
     def test_matches_reference_bit_for_bit(self, dim):
@@ -208,17 +209,16 @@ class TestHermitianEigen:
     @pytest.mark.parametrize("case", range(len(SUBNORMAL)))
     def test_subnormal_input(self, case):
         matrix = self.SUBNORMAL[case]
-        dec = hermitian_eigen(matrix)
+        values, vecs = hermitian_eigen(matrix)
         # the closed form for 2 x 2, in a copy scaled up by 2**1074
         up = ldexp(matrix, 1074)
         mean, half = (up[0, 0].real + up[1, 1].real) / 2, (up[0, 0].real - up[1, 1].real) / 2
         radius = math.hypot(half, abs(up[0, 1]))
         want = np.ldexp([mean + radius, mean - radius], -1074)
-        assert np.all(np.abs(dec.eigenvalues - want) <= 5e-324)
-        vecs = dec.eigenvectors
+        assert np.all(np.abs(values - want) <= 5e-324)
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2))) <= 1e-15
         # each eigenvalue is rounded to a multiple of 5e-324, 1.0 once scaled up
-        rebuilt = vecs @ np.diag(np.ldexp(dec.eigenvalues, 1074)) @ vecs.conj().T
+        rebuilt = vecs @ np.diag(np.ldexp(values, 1074)) @ vecs.conj().T
         assert np.max(np.abs(rebuilt - up)) <= 1.0 + 1e-15 * np.max(np.abs(up))
 
     def test_tiny_matrix_rotates_scaled_up(self):
@@ -226,13 +226,32 @@ class TestHermitianEigen:
         # max|a| in [0.5, 1); the power of two leaves the eigenvectors alone
         h = random_hermitian(5, seed=21)
         exponent = math.frexp(float(np.max(np.abs(h))))[1]
-        unit = hermitian_eigen(ldexp(h, -exponent))
+        unit_values, unit_vecs = hermitian_eigen(ldexp(h, -exponent))
         for down in (966, 1000):
             tiny = ldexp(h, -exponent - down)
             assert np.array_equal(ldexp(tiny, down), ldexp(h, -exponent))  # no entry subnormal
-            tiny = hermitian_eigen(tiny)
-            assert same_bits(tiny.eigenvectors, unit.eigenvectors)
-            assert same_bits(tiny.eigenvalues, np.ldexp(unit.eigenvalues, -down))
+            tiny_values, tiny_vecs = hermitian_eigen(tiny)
+            assert same_bits(tiny_vecs, unit_vecs)
+            assert same_bits(tiny_values, np.ldexp(unit_values, -down))
+
+    #: sha256 of the eigenvalue and eigenvector bytes on every case above
+    #: (jacobi_cases, the two N = 64 inputs, SUBNORMAL), pinned like the CLI
+    #: goldens
+    PINNED_DIGEST = "687ce0a7d8c1049cd275988bd0d652bdcc5ac71b6c6a8f52a3b58828c0f01cb1"
+
+    def test_returns_pinned_pair(self):
+        matrices = [m for dim in (1, 2, 3, 4, 8, 9, 16) for m in jacobi_cases(dim)]
+        matrices += [random_density(2, 6, 1000).entries, random_density(4, 3, 1003, rank=16).entries]
+        digest = hashlib.sha256()
+        for matrix in matrices + self.SUBNORMAL:
+            result = hermitian_eigen(matrix)
+            assert type(result) is tuple and len(result) == 2
+            values, vecs = result
+            assert values.dtype == np.float64 and vecs.dtype == np.complex128
+            assert values.shape == (len(matrix),) and vecs.shape == (len(matrix),) * 2
+            digest.update(np.ascontiguousarray(values).tobytes())
+            digest.update(np.ascontiguousarray(vecs).tobytes())
+        assert digest.hexdigest() == self.PINNED_DIGEST
 
     def test_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
@@ -271,7 +290,7 @@ class TestPartialTrace:
         # exact Hermitian, unit trace, PSD by construction
         assert np.array_equal(sigma, sigma.conj().T)
         assert abs(np.trace(sigma).real - 1.0) < 1e-10
-        assert hermitian_eigen(sigma).eigenvalues[-1] > -1e-12
+        assert hermitian_eigen(sigma)[0][-1] > -1e-12
 
 
 class TestReferenceCholesky:

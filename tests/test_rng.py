@@ -1,13 +1,57 @@
+import math
+
 import numpy as np
 import pytest
+from test_linalg import same_bits
 
 from qpurify import CounterRng, QuditShape, random_density, random_unitary, validate_density
 from qpurify import rng as rng_module
 from qpurify.errors import BadShape
-from qpurify.rng import word
 
 # published SplitMix64 outputs for seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+
+MASK64 = (1 << 64) - 1
+
+
+def word(seed, index):
+    """The index-th 64-bit word of the stream for ``seed``, in Python ints:
+    SplitMix64, one word at a time. The oracle of the package's numpy mixer."""
+    x = (seed + (index + 1) * 0x9E3779B97F4A7C15) & MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & MASK64
+    x ^= x >> 31
+    return x
+
+
+class ScalarStream:
+    """The stream of one seed drawn one value at a time, as the module
+    docstring of ``qpurify.rng`` defines it: words, uniforms in (0, 1], and
+    Box-Muller normal pairs of consecutive uniforms."""
+
+    def __init__(self, seed):
+        self.seed = seed & MASK64
+        self.index = 0
+
+    def next_u64(self):
+        value = word(self.seed, self.index)
+        self.index += 1
+        return value
+
+    def uniform(self):
+        return ((self.next_u64() >> 11) + 1) * 2.0**-53
+
+    def normal_pair(self):
+        radius = math.sqrt(-2.0 * math.log(self.uniform()))
+        angle = 2.0 * math.pi * self.uniform()
+        return radius * math.cos(angle), radius * math.sin(angle)
+
+    def complex_normals(self, rows, cols):
+        """A rows x cols matrix filled row-major, one normal pair per entry."""
+        values = [complex(*self.normal_pair()) for _ in range(rows * cols)]
+        return np.array(values, dtype=np.complex128).reshape(rows, cols)
 
 
 class TestCounterStream:
@@ -17,8 +61,8 @@ class TestCounterStream:
 
     def test_counter_is_pure(self):
         rng = CounterRng(12345)
-        stream = [rng.next_u64() for _ in range(8)]
-        assert stream == [word(12345, i) for i in range(8)]
+        stream = [rng.uniform() for _ in range(8)]
+        assert stream == [((word(12345, i) >> 11) + 1) * 2.0**-53 for i in range(8)]
 
     def test_uniform_in_half_open_unit(self):
         rng = CounterRng(7)
@@ -42,19 +86,15 @@ class TestCounterStream:
             (2**64 - 1, (1, 3), (5, 2)),
         ]
         for seed, prior, shape in cases:
-            direct = CounterRng(seed)
+            direct = ScalarStream(seed)
             filler = CounterRng(seed)
             if prior is not None:
-                for _ in range(prior[0] * prior[1]):
-                    direct.normal_pair()
+                direct.complex_normals(*prior)
                 filler.complex_normal_matrix(*prior)
             matrix = filler.complex_normal_matrix(*shape)
-            expected = np.array(
-                [complex(*direct.normal_pair()) for _ in range(shape[0] * shape[1])]
-            ).reshape(shape)
-            assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
+            assert same_bits(matrix, direct.complex_normals(*shape))
             # the cursor ends where the scalar stream does
-            assert filler.next_u64() == direct.next_u64()
+            assert filler.uniform() == direct.uniform()
 
     @pytest.mark.parametrize("block", [1, 5, None])
     def test_matrix_fill_across_row_blocks(self, monkeypatch, block):
@@ -67,15 +107,12 @@ class TestCounterStream:
         shapes = [(7, 3), (4, 6), (0, 4), (3, 0), (2, 1)]
         if block is None:  # the real block: one boundary crossed, one row wider
             shapes += [(rng_module._BLOCK // 3 + 2, 3), (2, rng_module._BLOCK + 1)]
-        direct, filler = CounterRng(2**64 - 99), CounterRng(2**64 - 99)
+        direct, filler = ScalarStream(2**64 - 99), CounterRng(2**64 - 99)
         for shape in shapes:
             matrix = filler.complex_normal_matrix(*shape)
-            expected = np.array(
-                [complex(*direct.normal_pair()) for _ in range(shape[0] * shape[1])],
-                dtype=np.complex128,
-            ).reshape(shape)
-            assert np.array_equal(matrix.view(np.int64), expected.view(np.int64))
-            assert filler.normal_pair() == direct.normal_pair()  # the cursor agrees
+            assert same_bits(matrix, direct.complex_normals(*shape))
+            # the cursor agrees
+            assert same_bits(filler.complex_normal_matrix(1, 1), direct.complex_normals(1, 1))
 
 
 class TestRandomDensity:
