@@ -14,24 +14,27 @@ and read such a file with no Python work per entry:
   skeleton its dimensions imply, and one ``json.loads`` of the tokens as a
   flat list gives its doubles;
 * a circuit file's ``schedule`` block is derived from its ``parameters``
-  block. One renderer, :func:`_schedule_text`, writes it from N and the
-  value tokens, with every other byte built once per N; the writer refuses
-  a schedule that disagrees with its parameters. The reader takes the head's
-  innermost lists as the tokens, accepts them only if they are float
-  literals that re-render the head (:func:`_circuit_text`, shared with the
-  writer), and compares the block in place with their text.
+  block. One renderer, :func:`_circuit_pieces`, writes the whole file from
+  its shape and the parameter lists' number tokens, with every byte of the
+  block but its values built once per N; the writer refuses a schedule that
+  disagrees with its parameters. The reader decodes the head (the text
+  before the block) with the full parse's own :func:`_circuit_head`, takes
+  the head's innermost lists as the tokens, and accepts the file only if it
+  is, byte for byte, the text those tokens render to.
 
 Any other layout goes through a full parse with the same errors, where gate
 rows from outside are range-checked before they are compared. Dimension
-fields and gate indices must be JSON integers, and every other number a
-JSON int or float (not a string or bool).
+fields and gate indices must be JSON integers, every other number a JSON
+int or float (not a string or bool) within the float range (BadRange), and
+every list or object a JSON list or object. A value of the wrong JSON type
+is a ValueError that names its field; so is a file nested too deeply for
+``json`` to decode, which names the file kind.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from collections.abc import Iterator
 from itertools import chain, islice, repeat
 
@@ -63,10 +66,49 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """``value`` as a float; it must be a JSON int or float (not a string or bool)."""
+    """``value`` as a float; it must be a JSON int or float (not a string or
+    bool), and an int must lie within the float range (BadRange)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name!r} must be a JSON number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadRange(f"{name!r} holds an integer beyond the float range") from None
+
+
+def _json(value, kind: type, name: str):
+    """``value``, which must be a JSON list (``kind`` list) or object (dict)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name!r} must be a JSON {'list' if kind is list else 'object'}")
+    return value
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """The doubles of ``values``, a JSON list of numbers (see :func:`_number`)."""
+    if set(map(type, _json(values, list, name))) <= {int, float}:
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass  # an integer beyond the float range, which _number names
+    return np.array([_number(v, name) for v in values], dtype=np.float64)
+
+
+def _objects(values, name: str) -> list:
+    """``values``, which must be a JSON list of objects."""
+    if not all(isinstance(v, dict) for v in _json(values, list, name)):
+        raise ValueError(f"{name!r} entries must be JSON objects")
+    return values
+
+
+def _record(text: str, kind: str) -> dict:
+    """The JSON object of a whole ``kind`` file, as the full parses read it."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{kind} file nests too deeply to decode") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} file must be a JSON object")
+    return data
 
 
 def _pairs(values: np.ndarray) -> str:
@@ -164,9 +206,7 @@ def load_density(text: str, tol: ToleranceConfig | None = None) -> DensityMatrix
     if canonical is not None:
         record, matrix = canonical
         return validate_density(matrix, _density_shape(record), tol)
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("matrix file must be a JSON object")
+    data = _record(text, "matrix")
     shape = _density_shape(data)
     matrix = _parse_complex_matrix(data["matrix"], shape.N, shape.N)
     return validate_density(matrix, shape, tol)
@@ -191,11 +231,10 @@ def load_state(text: str) -> PureState:
     if canonical is not None:
         record, amps = canonical
         return PureState(*_state_dims(record), amps)
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("state file must be a JSON object")
+    data = _record(text, "state")
     m, n = _state_dims(data)
-    amps = np.array([_parse_complex(p) for p in data["amplitudes"]], dtype=np.complex128)
+    pairs = _json(data["amplitudes"], list, "amplitudes")
+    amps = np.array([_parse_complex(p) for p in pairs], dtype=np.complex128)
     return PureState(m, n, amps)
 
 
@@ -218,45 +257,29 @@ def _negated(tokens: str) -> str:
     return ("-" + tokens.replace(",", ",-")).replace("--", "") if tokens else ""
 
 
-def _circuit_text(shape: QuditShape, lists: list[str]) -> tuple[Iterator[str], Iterator[str]]:
-    """Head of a circuit file (the text before ``,"schedule":[``), in pieces,
-    and the value tokens of its gate table, in table order.
+def _circuit_pieces(shape: QuditShape, lists: list[str]) -> Iterator[str]:
+    """Canonical text of a circuit file, in pieces: the head one branch per
+    piece, the schedule block ``_BLOCK_ROWS`` records per piece.
 
-    ``lists`` are the parameter lists as comma-joined float tokens: the
-    weight angles, then each branch's angles and phases. A phase is stored
-    negated in the table (see :data:`~qpurify.circuit.GATE`). Both come
-    lazily, one branch at a time: the writer joins them, the reader compares
-    them in place.
+    ``lists`` are the parameter lists as comma-joined number tokens of
+    finite values: the weight angles, then each branch's angles and phases.
+    The block holds the same tokens in table order, a phase negated (see
+    :data:`~qpurify.circuit.GATE`). Every other byte of it depends on N only,
+    so a record joins strings built once per call, with no formatting per
+    gate (a separator, its group's head, its subspace or basis line, its
+    value). The writer joins the pieces; the reader compares each in place.
     """
-    weights, angles, phases = lists[0], lists[1::2], lists[2::2]
-    N = len(angles)  # one branch per ancilla value
-
-    def head():
-        yield (
-            f'{{"N":{N},"d":{shape.d},"n":{shape.n},"parameters":'
-            f'{{"weight_angles":[{weights}],"branches":['
-        )
-        for k, (a, p) in enumerate(zip(angles, phases)):
-            yield f'{"," if k else ""}{{"dim":{N - k},"angles":[{a}],"phases":[{p}]}}'
-        yield "]}"
-
+    N, weights, angles, phases = shape.N, lists[0], lists[1::2], lists[2::2]
+    yield (
+        f'{{"N":{N},"d":{shape.d},"n":{shape.n},"parameters":'
+        f'{{"weight_angles":[{weights}],"branches":['
+    )
+    for k, (a, p) in enumerate(zip(angles, phases)):
+        yield f'{"," if k else ""}{{"dim":{N - k},"angles":[{a}],"phases":[{p}]}}'
+    yield "]}"
     values = [weights]
     for a, p in zip(angles, phases):
         values += [a, _negated(p)]
-    return head(), chain.from_iterable(v.split(",") for v in values if v)
-
-
-def _schedule_text(N: int, values: Iterator[str]) -> Iterator[str]:
-    """Canonical text of the schedule block of an N-line circuit, from
-    ``,"schedule":[`` to the file's end, in pieces of ``_BLOCK_ROWS`` records.
-
-    ``values`` are the table's value tokens, in order; parameters and tables
-    admit finite values only, so none needs ``allow_nan``. Every other byte
-    depends on N only (see :func:`~qpurify.circuit.schedule_from_parameters`):
-    a record joins strings built once per call, with no formatting per gate
-    (a separator, its group's head, its subspace or basis line, its value).
-    The writer joins the pieces; the reader compares each in place.
-    """
     gate = '{"gate":"%s","control_value":%s'
     rot = [f',"subspace":[0,{t}],"value":' for t in range(N - 1, 0, -1)]
     basis = [f',"basis":{a},"value":' for a in range(N - 1)]
@@ -266,11 +289,12 @@ def _schedule_text(N: int, values: Iterator[str]) -> Iterator[str]:
         heads += [repeat(gate % ("rotation", k), steps), repeat(gate % ("phase", k), steps)]
         lines += [rot[k:], basis[:steps]]
     seps = chain(("",), repeat("},"))  # "}" closes the record before
-    cells = chain.from_iterable(zip(seps, chain(*heads), chain(*lines), values))
+    tokens = chain.from_iterable(v.split(",") for v in values if v)
+    cells = chain.from_iterable(zip(seps, chain(*heads), chain(*lines), tokens))
     yield _SCHEDULE_KEY
     while block := "".join(islice(cells, 4 * _BLOCK_ROWS)):
         yield block
-    yield "}]}\n" if N > 1 else "]}\n"
+    yield "}]}\n"
 
 
 def _check_schedule(gates: np.ndarray, params: CircuitParameters) -> None:
@@ -296,12 +320,11 @@ def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSch
     arrays = [params.weight_angles]
     for k in range(n):  # branch k's values: the first N - 1 - k of row k
         arrays += [params.angles[k, : n - 1 - k], params.phases[k, : n - 1 - k]]
-    head, values = _circuit_text(shape, [",".join(map(repr, a.tolist())) for a in arrays])
-    return "".join([*head, *_schedule_text(params.N, values)])
+    return "".join(_circuit_pieces(shape, [",".join(map(repr, a.tolist())) for a in arrays]))
 
 
 def _parse_gate(record) -> tuple:
-    """Gate-table row of one JSON record (the inverse of :func:`_schedule_text`)."""
+    """Gate-table row of one JSON record (the inverse of :func:`_circuit_pieces`)."""
     kind = record["gate"]
     control = record["control_value"]
     if control is None:
@@ -310,7 +333,10 @@ def _parse_gate(record) -> tuple:
         raise OutOfRange(f"control value {control} outside ancilla register")
     value = _number(record["value"], "value")
     if kind == "rotation":
-        a, b = record["subspace"]
+        pair = record["subspace"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("'subspace' must be a JSON list of two integers")
+        a, b = pair
         return (False, control, _integer(a, "subspace"), _integer(b, "subspace"), value)
     if kind == "phase":
         return (True, control, _integer(record["basis"], "basis"), 0, value)
@@ -320,7 +346,7 @@ def _parse_gate(record) -> tuple:
 def _gate_rows(n: int, records) -> np.ndarray:
     """The :data:`GATE` table of an N-line circuit's schedule records, with
     every index in range (OutOfRange) and every value finite (BadRange)."""
-    rows = [_parse_gate(g) for g in records]
+    rows = [_parse_gate(g) for g in _objects(records, "schedule")]
     try:
         gates = np.array(rows, dtype=GATE)
     except OverflowError as exc:
@@ -340,39 +366,20 @@ def _gate_rows(n: int, records) -> np.ndarray:
     return gates
 
 
-def _numbers(values, name: str) -> np.ndarray:
-    return np.array([_number(v, name) for v in values], dtype=np.float64)
-
-
 def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
-    """Shape and parameters of a parsed circuit record."""
+    """Shape and parameters of a parsed circuit record, or of the record
+    before its ``schedule`` key: the one decoder of a circuit file's head."""
     shape = QuditShape(_integer(data["d"], "d"), _integer(data["n"], "n"))
     n = _integer(data["N"], "N")
     if n != shape.N:
         raise ValueError(f"declared N={n} disagrees with d**n={shape.N}")
-    block = data["parameters"]
+    block = _json(data["parameters"], dict, "parameters")
     branches = [
         (_integer(b["dim"], "dim"), _numbers(b["angles"], "angles"), _numbers(b["phases"], "phases"))
-        for b in block["branches"]
+        for b in _objects(block["branches"], "branches")
     ]
     weights = _numbers(block["weight_angles"], "weight_angles")
     return shape, CircuitParameters.from_branches(n, weights, branches)
-
-
-#: The dimensions that open a canonical circuit file.
-_CIRCUIT_DIMS = re.compile(r'\{"N":(\d+),"d":(\d+),"n":(\d+),')
-
-
-def _float_array(tokens: str) -> np.ndarray:
-    """The doubles of the comma-joined ``tokens``, each of which must be a
-    float literal with a '.', 'e' or 'E', as repr writes it (ValueError if
-    not). Without the mark json reads an int, and a text sign flip of "0"
-    does not give -0.0."""
-    marks = tokens.encode().translate(None, b"0123456789+-")
-    # a float leaves its '.', 'e' or 'E'; an integer leaves an empty item
-    if tokens and (marks.translate(None, b".eE,") or b",," in b"," + marks + b","):
-        raise ValueError("parameter tokens are not all float literals")
-    return np.array(json.loads(f"[{tokens}]"), dtype=np.float64)
 
 
 def _load_canonical_circuit(text: str):
@@ -382,29 +389,21 @@ def _load_canonical_circuit(text: str):
     cut = text.find(_SCHEDULE_KEY)
     if cut < 0:
         return None
-    dims = _CIRCUIT_DIMS.match(text, 0, cut)
-    if dims is None:
-        return None
-    # the innermost arrays of the head: its parameter lists
-    lists = [p.partition("]")[0] for p in text[:cut].split("[")[1:] if "]" in p]
     try:
-        N, d, n = map(int, dims.groups())
-        shape = QuditShape(d, n)
-        if N != shape.N:
-            return None
-        weights, *rest = [_float_array(item) for item in lists]
-        branches = [(N - k, a, p) for k, (a, p) in enumerate(zip(rest[::2], rest[1::2]))]
-        params = CircuitParameters.from_branches(N, weights, branches)
+        shape, params = _circuit_head(json.loads(text[:cut] + "}"))
     except Exception:
         return None  # whatever is wrong, the full parse raises it as it always has
-    schedule = schedule_from_parameters(params)
-    head, values = _circuit_text(shape, lists)
+    # the innermost arrays of the head: its parameter lists, of bare number
+    # tokens only (a space would render as "- x" in a negated phase)
+    lists = [p.partition("]")[0] for p in text[:cut].split("[")[1:] if "]" in p]
+    if "".join(lists).encode().translate(None, b"," + _NUMBER_CHARS):
+        return None
     pos = 0
-    for piece in chain(head, _schedule_text(N, values)):
+    for piece in _circuit_pieces(shape, lists):
         if not text.startswith(piece, pos):
             return None
         pos += len(piece)
-    return (shape, params, schedule) if pos == len(text) else None
+    return (shape, params, schedule_from_parameters(params)) if pos == len(text) else None
 
 
 def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule]:
@@ -418,9 +417,7 @@ def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule
     circuit = _load_canonical_circuit(text)
     if circuit is not None:
         return circuit
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("circuit file must be a JSON object")
+    data = _record(text, "circuit")
     shape, params = _circuit_head(data)
     _check_schedule(_gate_rows(params.N, data["schedule"]), params)
     return shape, params, schedule_from_parameters(params)

@@ -110,10 +110,40 @@ def json_integer(value, name):
 
 
 def json_number(value, name):
-    """The full parse's rule for every other number: a JSON int or float."""
+    """The full parse's rule for every other number: a JSON int or float, and
+    an int within the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name!r} must be a JSON number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadRange(f"{name!r} holds an integer beyond the float range") from None
+
+
+def json_list(value, name):
+    """The full parse's rule for a field that holds a list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name!r} must be a JSON list")
+    return value
+
+
+def json_objects(values, name):
+    """The full parse's rule for a list of records: every entry an object."""
+    for value in json_list(values, name):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name!r} entries must be JSON objects")
+    return values
+
+
+def json_record(text, kind):
+    """The full parse's reading of a whole file: one JSON object."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{kind} file nests too deeply to decode") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} file must be a JSON object")
+    return data
 
 
 def reference_gate(record):
@@ -125,7 +155,10 @@ def reference_gate(record):
         raise OutOfRange(f"control value {control} outside ancilla register")
     value = json_number(record["value"], "value")
     if kind == "rotation":
-        a, b = record["subspace"]
+        pair = record["subspace"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("'subspace' must be a JSON list of two integers")
+        a, b = pair
         return (False, control, json_integer(a, "subspace"), json_integer(b, "subspace"), value)
     if kind == "phase":
         return (True, control, json_integer(record["basis"], "basis"), 0, value)
@@ -136,7 +169,7 @@ def reference_gate_table(n, records):
     """The GATE rows of an N-line circuit's schedule records, checked one
     kind of fault at a time over all rows: indices beyond int64, control
     values, rotation subspaces, phase lines, then values."""
-    rows = [reference_gate(g) for g in records]
+    rows = [reference_gate(g) for g in json_objects(records, "schedule")]
     try:
         gates = np.array(rows, dtype=GATE)
     except OverflowError as exc:
@@ -157,24 +190,24 @@ def reference_gate_table(n, records):
 
 
 def reference_numbers(values, name):
-    return np.array([json_number(v, name) for v in values], dtype=np.float64)
+    return np.array([json_number(v, name) for v in json_list(values, name)], dtype=np.float64)
 
 
 def reference_load_circuit(text):
     """The full parse: every schedule record read with json and checked row by
     row against the table the parameters give. load_circuit must return what
     this returns, or raise the same exception type and message."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("circuit file must be a JSON object")
+    data = json_record(text, "circuit")
     shape = QuditShape(json_integer(data["d"], "d"), json_integer(data["n"], "n"))
     n = json_integer(data["N"], "N")
     if n != shape.N:
         raise ValueError(f"declared N={n} disagrees with d**n={shape.N}")
     block = data["parameters"]
+    if not isinstance(block, dict):
+        raise ValueError("'parameters' must be a JSON object")
     branches = [
         (json_integer(b["dim"], "dim"), reference_numbers(b["angles"], "angles"), reference_numbers(b["phases"], "phases"))
-        for b in block["branches"]
+        for b in json_objects(block["branches"], "branches")
     ]
     params = CircuitParameters.from_branches(n, reference_numbers(block["weight_angles"], "weight_angles"), branches)
     gates = reference_gate_table(n, data["schedule"])
@@ -192,21 +225,17 @@ def reference_load_state(text):
     """The full parse of a state file: json, then one io._parse_complex call per
     amplitude. load_state must return what this returns, or raise the same
     exception type and message."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("state file must be a JSON object")
+    data = json_record(text, "state")
     m = json_integer(data["ancilla_dim"], "ancilla_dim")
     n = json_integer(data["system_dim"], "system_dim")
-    amps = np.array([io._parse_complex(p) for p in data["amplitudes"]], dtype=np.complex128)
+    amps = np.array([io._parse_complex(p) for p in json_list(data["amplitudes"], "amplitudes")], dtype=np.complex128)
     return PureState(m, n, amps)
 
 
 def reference_load_density(text):
     """The full parse of a matrix file, one io._parse_complex call per entry, as
     reference_load_state is for states."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("matrix file must be a JSON object")
+    data = json_record(text, "matrix")
     shape = QuditShape(json_integer(data["d"], "d"), json_integer(data["n"], "n"))
     rows = data["matrix"]
     matrix = np.empty((shape.N, shape.N), dtype=np.complex128)
@@ -277,6 +306,9 @@ def circuit_variants(text):
         "-0.0 phases, canonical": negative_zero_phases(text),
         "0 phase in parameters, -0 in its schedule record": zero_phase_as_int(text),
         "1.50 in the head and in the matching schedule value": padded_weight_angle(text),
+        "huge integer token": re.sub(r'(?<="weight_angles":\[)[^,\]]+', "1" + "0" * 400, text, count=1),
+        "a space in a head list only": text.replace('"weight_angles":[', '"weight_angles":[ ', 1),
+        "a space after a comma in a phase list, and the same space in its negated schedule record": spaced_phase(text),
         "branch dim edited": re.sub(r'"dim":(\d+)', lambda m: f'"dim":{int(m[1]) + 1}', text, count=1),
         "edited value": head + re.sub(r'"value":(-?[\d.e+-]+)}', lambda m: f'"value":{float(m[1]) + 0.1!r}}}', block, count=1),
         "truncated": text[: len(text) // 2],
@@ -302,6 +334,25 @@ def zero_phase_as_int(text):
     head, block = text.split(',"schedule":[')
     assert record in block
     return head.replace('"phases":[0.0', '"phases":[0', 1) + ',"schedule":[' + block.replace(record, record.replace("-0.0", "-0"), 1)
+
+
+def spaced_phase(text):
+    """The file with a space after the first comma of branch 0's phases, and
+    "- " before that phase in its schedule record, as a text sign flip of the
+    spaced list would write it; None if branch 0 has fewer than two phases.
+    The text is not JSON."""
+    head, block = text.split(',"schedule":[')
+    phases = re.search(r'"phases":\[([^\]]*)\]', head)[1].split(",")
+    if len(phases) < 2:
+        return None
+    spaced = ",".join([phases[0], " " + phases[1], *phases[2:]])
+    record = re.compile(r'(?<=\{"gate":"phase","control_value":0,"basis":1,"value":)[^}]+')
+    assert record.search(block)
+    return (
+        head.replace('"phases":[' + ",".join(phases), '"phases":[' + spaced, 1)
+        + ',"schedule":['
+        + record.sub(lambda _: "- " + phases[1], block, count=1)
+    )
 
 
 def padded_weight_angle(text):
@@ -553,10 +604,9 @@ class TestJsonFormats:
         for d, n, rank in CIRCUIT_SHAPES:
             text = canonical_circuit(d, n, rank)
             assert load_outcome(io.load_circuit, text) == load_outcome(reference_load_circuit, text)
-            io.load_circuit(padded_weight_angle(text))
-            again = negative_zero_phases(text)
-            if again is not None:
-                io.load_circuit(again)
+            for again in (padded_weight_angle(text), negative_zero_phases(text), zero_phase_as_int(text)):
+                if again is not None:
+                    assert load_outcome(io.load_circuit, again) == load_outcome(reference_load_circuit, again)
 
     def test_circuit_codec_repr_calls(self, monkeypatch):
         # the writer renders each parameter once; the canonical reader renders none
@@ -780,6 +830,132 @@ class TestJsonFormats:
         assert abs(values[1] - math.pi / 10) < 1e-15
         with pytest.raises(BadRange):
             io.sweep_alphas(0)
+
+
+#: The values set, one at a time, at every JSON path of a canonical file.
+ODD_VALUES = [None, True, 5, -1, 1.5, 10**400, "s", [], [1], {}, {"a": 1}]
+
+#: A text nested deeper than json can decode.
+DEEP = "[" * 100000 + "]" * 100000
+
+#: Per file kind: its reader, the full parse, and a canonical file of (d, n).
+LOADERS = {
+    "density": (io.load_density, reference_load_density, lambda d, n: canonical_density(d, n, None)),
+    "state": (io.load_state, reference_load_state, lambda d, n: canonical_state(d, n, None)),
+    "circuit": (io.load_circuit, reference_load_circuit, lambda d, n: canonical_circuit(d, n, None)),
+}
+
+
+def short_id(value):
+    """A test id for the long values above."""
+    return "DEEP" if value is DEEP else "10**400" if value == 10**400 else None
+
+
+def json_paths(value, path=()):
+    """Every path into a parsed JSON value, the empty path (the whole) first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from json_paths(item, (*path, key))
+
+
+def with_value(text, path, value):
+    """The canonical layout of ``text`` with ``value`` at ``path``; DEEP is
+    spliced in as text."""
+    data = json.loads(text)
+    if not path:
+        return DEEP if value is DEEP else json_text(value)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@deep@" if value is DEEP else value
+    return json_text(data).replace('"@deep@"', DEEP)
+
+
+def outcome(load, text):
+    """What a loader gives: its result, or the exception type and message."""
+    if load in (io.load_circuit, reference_load_circuit):
+        return load_outcome(load, text)
+    return array_outcome(load, text)
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_traceback(self, kind, d):
+        # each value at each path: the reader returns, or raises a parse or
+        # validation error, and gives the full parse's outcome either way
+        load, reference, canonical = LOADERS[kind]
+        text = canonical(d, 1)
+        variants = [with_value(text, path, value) for path in json_paths(json.loads(text)) for value in [*ODD_VALUES, DEEP]]
+        assert DEEP in variants  # the whole file replaced
+        for variant in variants:
+            try:
+                load(variant)
+            except (QPurifyError, ValueError, KeyError):
+                pass
+            assert outcome(load, variant) == outcome(reference, variant), variant[:200]
+
+    @pytest.mark.parametrize(
+        "kind,path,value,code,line",
+        [
+            ("density", ("matrix", 0, 0, 0), 10**400, 2, "BadRange: 're' holds an integer beyond the float range"),
+            ("density", (), DEEP, 1, "ParseError: matrix file nests too deeply to decode"),
+            ("density", ("matrix", 1), DEEP, 1, "ParseError: matrix file nests too deeply to decode"),
+            ("circuit", (), DEEP, 1, "ParseError: circuit file nests too deeply to decode"),
+            ("circuit", ("parameters", "weight_angles", 0), 10**400, 2, "BadRange: 'weight_angles' holds an integer beyond the float range"),
+            ("circuit", ("schedule", 0, "value"), 10**400, 2, "BadRange: 'value' holds an integer beyond the float range"),
+            ("circuit", ("parameters",), [1], 1, "ParseError: 'parameters' must be a JSON object"),
+            ("circuit", ("parameters", "branches", 0, "phases"), 5, 1, "ParseError: 'phases' must be a JSON list"),
+            ("circuit", ("schedule", 2), None, 1, "ParseError: 'schedule' entries must be JSON objects"),
+            ("circuit", ("schedule", 2, "subspace"), 5, 1, "ParseError: 'subspace' must be a JSON list of two integers"),
+        ],
+        ids=short_id,
+    )
+    def test_cli_prints_one_line(self, runner, tmp_path, kind, path, value, code, line):
+        text = with_value(LOADERS[kind][2](3, 1), path, value)
+        command = "purify --input" if kind == "density" else "simulate --circuit"
+        source, out = tmp_path / "in.json", tmp_path / "out.json"
+        source.write_text(text)
+        res = runner.invoke(main, [*command.split(), str(source), "--out", str(out)])
+        assert isinstance(res.exception, SystemExit) and res.exit_code == code
+        assert res.stderr == line + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind,path,value,message",
+        [
+            ("circuit", ("parameters",), 5, "'parameters' must be a JSON object"),
+            ("circuit", ("parameters",), [1], "'parameters' must be a JSON object"),
+            ("circuit", ("parameters", "weight_angles"), 5, "'weight_angles' must be a JSON list"),
+            ("circuit", ("parameters", "branches"), 5, "'branches' must be a JSON list"),
+            ("circuit", ("parameters", "branches", 1, "angles"), 5, "'angles' must be a JSON list"),
+            ("circuit", ("parameters", "branches", 0, "phases"), {"a": 1}, "'phases' must be a JSON list"),
+            ("circuit", ("schedule",), 5, "'schedule' must be a JSON list"),
+            ("circuit", ("parameters", "branches", 0), 5, "'branches' entries must be JSON objects"),
+            ("circuit", ("schedule", 0), 5, "'schedule' entries must be JSON objects"),
+            ("circuit", ("schedule", 0, "subspace"), 5, "'subspace' must be a JSON list of two integers"),
+            ("circuit", ("schedule", 0, "subspace"), [1], "'subspace' must be a JSON list of two integers"),
+            ("state", ("amplitudes",), 5, "'amplitudes' must be a JSON list"),
+        ],
+    )
+    def test_wrong_json_type_names_the_field(self, kind, path, value, message):
+        load, reference, canonical = LOADERS[kind]
+        text = with_value(canonical(2, 1), path, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load(text)
+        assert outcome(load, text) == outcome(reference, text)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_huge_integer_is_bad_range(self, kind):
+        # 1 followed by 400 zeros is a JSON integer no double holds
+        load, reference, canonical = LOADERS[kind]
+        path = {"density": ("matrix", 0, 0, 1), "state": ("amplitudes", 1, 0), "circuit": ("parameters", "weight_angles", 0)}[kind]
+        name = {"density": "im", "state": "re", "circuit": "weight_angles"}[kind]
+        text = with_value(canonical(2, 1), path, 10**400)
+        with pytest.raises(BadRange, match=f"^'{name}' holds an integer beyond the float range$"):
+            load(text)
+        assert outcome(load, text) == outcome(reference, text)
 
 
 class TestCliPipeline:
