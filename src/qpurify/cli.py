@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 IO/parse errors, 2 validation failures,
 3 reconstruction/verification failures. Errors print one line to stderr
 prefixed with the failure kind (e.g. ``NotPSD:``, ``ReconstructionFailure:``).
+
+Each command imports the layers it runs at the top of its body, after its
+usage checks, so ``--help`` and usage errors load neither numpy nor a layer.
 """
 
 from __future__ import annotations
@@ -12,20 +15,8 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import io
-from .circuit import apply_schedule, extract_parameters, schedule_from_parameters
-from .core import DEFAULT_TOL
 from .errors import QPurifyError
-from .purify import (
-    cholesky_purify,
-    coefficients_to_state,
-    reshuffle_purify,
-    spectral_purify,
-    verify_purification,
-)
-from .rng import random_density
 
 _PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
@@ -68,6 +59,10 @@ def purify(input_path, method, reshuffle, out_path, coeffs_path):
     """Purify a density matrix and verify the result by partial trace."""
     if reshuffle and method != "cholesky":
         raise click.UsageError("--reshuffle requires --method cholesky")
+    from . import io
+    from .purify import cholesky_purify, coefficients_to_state, reshuffle_purify, spectral_purify
+    from .purify import verify_purification
+
     rho = io.load_density(Path(input_path).read_text())
     if method == "spectral":
         state = spectral_purify(rho)
@@ -92,13 +87,18 @@ def purify(input_path, method, reshuffle, out_path, coeffs_path):
 @_guarded
 def synth(input_path, out_path):
     """Purify, extract circuit parameters, and emit the gate schedule."""
+    from . import io
+    from .circuit import apply_schedule, extract_parameters, schedule_from_parameters
+    from .core import DEFAULT_TOL
+    from .purify import cholesky_purify, coefficients_to_state
+
     rho = io.load_density(Path(input_path).read_text())
     coeffs = cholesky_purify(rho)
     params = extract_parameters(coeffs)
     schedule = schedule_from_parameters(params)
     target = coefficients_to_state(coeffs)
     prepared = apply_schedule(schedule)
-    deviation = float(np.abs(prepared.amplitudes - target.amplitudes).max())
+    deviation = float(abs(prepared.amplitudes - target.amplitudes).max())
     Path(out_path).write_text(io.dump_circuit(rho.shape, params, schedule))
     click.echo(f"parameters={params.parameter_count} max_deviation={deviation!r}")
     eps = DEFAULT_TOL.eps_recon
@@ -115,6 +115,10 @@ def synth(input_path, out_path):
 @_guarded
 def simulate(circuit_path, out_path, expect_path):
     """Apply a circuit's gate schedule to |0...0> and optionally check it."""
+    from . import io
+    from .circuit import apply_schedule
+    from .purify import verify_purification
+
     _, _, schedule = io.load_circuit(Path(circuit_path).read_text())
     state = apply_schedule(schedule)
     Path(out_path).write_text(io.dump_state(state))
@@ -145,6 +149,8 @@ def bloch(alpha, alphas, grid, out_path):
         n_theta, n_phi = (int(part) for part in grid.lower().split("x"))
     except ValueError as exc:
         raise ValueError(f"grid must look like 50x50, got {grid!r}") from exc
+    from . import io
+
     values = [alpha] if alpha is not None else io.sweep_alphas(alphas)
     Path(out_path).write_text(io.bloch_csv(values, n_theta, n_phi))
     click.echo(f"rows={len(values) * n_theta * n_phi}")
@@ -159,6 +165,11 @@ def bloch(alpha, alphas, grid, out_path):
 @_guarded
 def random(d, n, seed, rank, out_path):
     """Write a seeded random density matrix (Ginibre ensemble)."""
+    import numpy as np
+
+    from . import io
+    from .rng import random_density
+
     rho = random_density(d, n, seed, rank=rank)
     Path(out_path).write_text(io.dump_density(rho))
     purity = float(np.vdot(rho.entries, rho.entries).real)  # Tr rho^2 = sum |rho_ij|^2

@@ -9,6 +9,7 @@ significant block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -80,9 +81,11 @@ class QuditShape:
             raise BadShape(f"local dimension must be >= 2, got d={self.d}")
         if self.n < 1:
             raise BadShape(f"qudit count must be >= 1, got n={self.n}")
-        # d**n >= 2**n > DIM_CAP past the cap's bit length: no power, no huge message
+        # d**n >= 2**n > DIM_CAP past the cap's bit length: no power, and a field
+        # past sys.maxsize is named, not printed in all its digits
         if self.n > DIM_CAP.bit_length() or self.d > DIM_CAP:
-            raise BadShape(f"N = {self.d}**{self.n} exceeds cap {DIM_CAP}")
+            d, n = (v if v <= sys.maxsize else name for name, v in (("d", self.d), ("n", self.n)))
+            raise BadShape(f"N = {d}**{n} exceeds cap {DIM_CAP}")
         total = self.d ** self.n
         if total > DIM_CAP:
             raise BadShape(f"N = {self.d}**{self.n} = {total} exceeds cap {DIM_CAP}")

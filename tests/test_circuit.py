@@ -86,7 +86,12 @@ def reference_apply(schedule):
             ia = slice(ctrl * n + a, ctrl * n + a + 1)
             ib = slice(ctrl * n + b, ctrl * n + b + 1)
         if phase:
-            vec[ia] *= cmath.exp(-1j * value)
+            # out of place: numpy's complex multiply then takes its vector loop,
+            # which fuses a*c - b*d where the CPU has FMA, as apply_schedule's
+            # multiply of all N(N-1)/2 phases does from N = 3 on; an in-place
+            # multiply of one entry takes the unfused scalar loop, and the two
+            # can differ in the sign of an underflowed zero
+            vec[ia] = vec[ia] * cmath.exp(-1j * value)
         else:
             c, s = math.cos(value), math.sin(value)
             xa, xb = vec[ia].copy(), vec[ib].copy()
@@ -513,8 +518,18 @@ def drawn_parameters(draw):
     return CircuitParameters(n, weights, angles, phases)
 
 
+def underflowing_phase():
+    """N = 11 with weight angle 7 the least subnormal and phase (3, 0) = 4.5:
+    line (3, 0) holds 5e-324 when its phase multiplies it, and the real part
+    of the product underflows to a zero whose sign depends on the rounding."""
+    weights, (angles, phases) = np.zeros(10), np.zeros((2, 11, 10))
+    weights[7], phases[3, 0] = 5e-324, 4.5
+    return CircuitParameters(11, weights, angles, phases)
+
+
 @hypothesis.settings(max_examples=150, deadline=None, database=None)
 @hypothesis.given(drawn_parameters())
+@hypothesis.example(underflowing_phase())
 def test_apply_matches_reference_on_drawn_parameters(params):
     # the fixed step order reorders only commuting gates: the bits of the
     # gate-by-gate walk in table order, signed zeros included

@@ -52,6 +52,16 @@ class TestQuditShape:
             QuditShape(d, n)
         assert time.perf_counter() - start < 0.01
 
+    @pytest.mark.parametrize("d,n,message", [
+        (10**400, 1, "N = d**1 exceeds cap 4096"),
+        (2, 10**400, "N = 2**n exceeds cap 4096"),
+    ])
+    def test_names_a_field_too_long_to_print(self, d, n, message):
+        with pytest.raises(BadShape) as err:
+            QuditShape(d, n)
+        assert str(err.value) == message
+        assert len(str(err.value)) < 40
+
 
 class TestToleranceConfig:
     def test_defaults(self):

@@ -23,7 +23,7 @@ from qpurify import (
     schedule_from_parameters,
     validate_density,
 )
-from qpurify import bloch_surface, cli, io
+from qpurify import bloch_surface, circuit, core, io
 from qpurify.bloch import grid_angles
 from qpurify.circuit import _branch_cells
 from qpurify.cli import main
@@ -581,7 +581,7 @@ class TestJsonFormats:
             with pytest.raises(ValueError, match=str(want.value)):
                 writer(value)
         # simulate reports it as a parse error and writes no state file
-        monkeypatch.setattr(cli, "apply_schedule", lambda schedule: state)
+        monkeypatch.setattr(circuit, "apply_schedule", lambda schedule: state)
         path = tmp_path / "circ.json"
         path.write_text(json.dumps(qutrit_circuit()))
         out = tmp_path / "x.json"
@@ -1088,7 +1088,7 @@ class TestCliErrors:
 
     def test_synth_compares_with_eps_recon(self, runner, tmp_path, monkeypatch):
         rho_path = write_density(tmp_path / "rho.json", random_density(2, 2, seed=4))
-        monkeypatch.setattr(cli, "DEFAULT_TOL", ToleranceConfig(eps_recon=0.0))
+        monkeypatch.setattr(core, "DEFAULT_TOL", ToleranceConfig(eps_recon=0.0))
         res = runner.invoke(main, ["synth", "--input", rho_path, "--out", str(tmp_path / "c.json")])
         assert res.exit_code == 3
         assert re.fullmatch(r"ReconstructionFailure: schedule deviates by \S+ above eps_recon 0\.0\n", res.stderr)
@@ -1222,6 +1222,17 @@ class TestCliErrors:
         res = runner.invoke(main, ["purify", "--input", str(path), "--out", str(out)])
         assert res.exit_code == 2
         assert res.stderr.startswith("BadShape: N = 3**10000 exceeds cap 4096")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,message", [("d", "N = d**1"), ("n", "N = 2**n")])
+    def test_purify_400_digit_shape_names_the_field(self, runner, tmp_path, field, message):
+        path, out = tmp_path / "rho.json", tmp_path / "out.json"
+        shape = {"d": 2, "n": 1, field: "1" + "0" * 400}
+        path.write_text(f'{{"d":{shape["d"]},"n":{shape["n"]},"matrix":[]}}\n')
+        res = runner.invoke(main, ["purify", "--input", str(path), "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr == f"BadShape: {message} exceeds cap 4096\n"
+        assert len(res.stderr) < 60
         assert not out.exists()
 
     def test_bloch_requires_one_alpha_flavor(self, runner, tmp_path):

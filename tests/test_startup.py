@@ -1,0 +1,127 @@
+"""The front door loads only what a command runs.
+
+``--help`` and click usage errors import neither numpy nor a layer; the
+package namespace imports a layer on the first read of one of its names;
+and each command, run alone in a fresh interpreter, imports everything it
+needs (in-process runs share earlier imports and cannot show a missing one).
+"""
+
+import hashlib
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from test_goldens import GOLDENS, GRID, SESSION
+
+import qpurify
+
+PACKAGE = Path(qpurify.__file__).resolve().parent
+SUBMODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+#: Home module of each public name of the package.
+HOMES = {
+    "bloch_surface": "bloch",
+    **dict.fromkeys(
+        ["GATE", "CircuitParameters", "GateSchedule", "apply_schedule", "extract_parameters",
+         "schedule_from_parameters", "simulate_circuit"],
+        "circuit",
+    ),
+    **dict.fromkeys(
+        ["CoefficientMatrix", "DensityMatrix", "PureState", "QuditShape", "ToleranceConfig",
+         "validate_density"],
+        "core",
+    ),
+    **dict.fromkeys(
+        ["hermitian_eigen", "max_abs_diff", "partial_trace_ancilla", "reference_cholesky"], "linalg"
+    ),
+    **dict.fromkeys(
+        ["VerificationReport", "cholesky_purify", "coefficients_to_state", "gauge_transform",
+         "qubit_closed_form", "reconstruct", "reshuffle_purify", "spectral_purify",
+         "verify_purification"],
+        "purify",
+    ),
+    **dict.fromkeys(["CounterRng", "random_density", "random_unitary"], "rng"),
+}
+
+
+def fresh_python(args, cwd):
+    """Run ``python ARGS`` in a new interpreter that imports the package from ``src``."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--help"], 0),
+        (["bloch", "--grid", "4x4", "--out", "s.csv"], 2),
+        (["purify", "--input", "rho.json", "--method", "spectral", "--reshuffle", "--out", "p.json"], 2),
+    ],
+    ids=["help", "bloch-usage", "reshuffle-usage"],
+)
+def test_front_door_loads_no_layer(argv, code, tmp_path):
+    proc = fresh_python(["-X", "importtime", "-m", "qpurify.cli", *argv], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "[us]" not in line
+    }
+    assert "click" in names
+    assert sorted(n for n in names if n.split(".")[0] == "numpy") == []
+    assert {n for n in names if n.split(".")[0] == "qpurify"} <= {"qpurify", "qpurify.errors"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bare_import_loads_nothing_and_resolves_submodules(tmp_path):
+    probe = (
+        "import json, sys, qpurify\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('qpurify.'))\n"
+        "listed = dir(qpurify)\n"
+        f"resolved = [m for m in {SUBMODULES!r} if getattr(qpurify, m) is sys.modules['qpurify.' + m]]\n"
+        "print(json.dumps([loaded, listed, resolved]))\n"
+    )
+    proc = fresh_python(["-c", probe], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded, listed, resolved = json.loads(proc.stdout)
+    assert loaded == []
+    assert resolved == SUBMODULES
+    assert set(qpurify.__all__) | set(SUBMODULES) <= set(listed)
+
+
+def test_public_names_are_their_home_modules_objects():
+    assert qpurify.__all__ == sorted(HOMES)
+    for name, home in HOMES.items():
+        assert getattr(qpurify, name) is getattr(importlib.import_module(f"qpurify.{home}"), name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'qpurify' has no attribute 'nonesuch'$"):
+        qpurify.nonesuch
+    assert not hasattr(qpurify, "cholesky")
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from qpurify import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == qpurify.__all__
+    assert all(value is getattr(qpurify, name) for name, value in namespace.items())
+
+
+def test_pinned_session_one_interpreter_per_command(tmp_path):
+    entry = json.loads(GOLDENS.read_text())["tiny"]["0"]
+    rank = "" if entry["rank"] is None else f"--rank {entry['rank']}"
+    for name, template, output in SESSION:
+        argv = template.format(
+            d=entry["d"], n=entry["n"], seed=entry["seed"], rank=rank, grid=GRID["tiny"]
+        ).split()
+        proc = fresh_python(["-m", "qpurify.cli", *argv], tmp_path)
+        assert proc.returncode == entry["exit_codes"][name], (name, proc.stderr)
+        digest = hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        assert digest == entry["digests"][name], name
