@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import BadRange
+from .errors import BadRange, shown
 
 HALF_PI = math.pi / 2.0
 
@@ -20,7 +20,8 @@ HALF_PI = math.pi / 2.0
 def grid_angles(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform sampling grid: theta over [0, pi], phi over [0, 2*pi)."""
     if n_theta < 2 or n_phi < 2:
-        raise BadRange(f"grid sizes must be >= 2, got {n_theta}x{n_phi}")
+        sizes = f"{shown(n_theta, 'THETA')}x{shown(n_phi, 'PHI')}"  # as --grid THETAxPHI
+        raise BadRange(f"grid sizes must be >= 2, got {sizes}")
     return (
         np.linspace(0.0, math.pi, n_theta),
         np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),

@@ -9,7 +9,6 @@ significant block.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -25,6 +24,7 @@ from .errors import (
     NotPSD,
     ShapeMismatch,
     TraceDeviation,
+    shown,
 )
 
 #: Largest admissible Hilbert-space dimension N = d**n.
@@ -78,14 +78,12 @@ class QuditShape:
 
     def __post_init__(self):
         if self.d < 2:
-            raise BadShape(f"local dimension must be >= 2, got d={self.d}")
+            raise BadShape(f"local dimension d must be >= 2, got {shown(self.d, 'd')}")
         if self.n < 1:
-            raise BadShape(f"qudit count must be >= 1, got n={self.n}")
-        # d**n >= 2**n > DIM_CAP past the cap's bit length: no power, and a field
-        # past sys.maxsize is named, not printed in all its digits
+            raise BadShape(f"qudit count n must be >= 1, got {shown(self.n, 'n')}")
+        # d**n >= 2**n > DIM_CAP past the cap's bit length: no power
         if self.n > DIM_CAP.bit_length() or self.d > DIM_CAP:
-            d, n = (v if v <= sys.maxsize else name for name, v in (("d", self.d), ("n", self.n)))
-            raise BadShape(f"N = {d}**{n} exceeds cap {DIM_CAP}")
+            raise BadShape(f"N = {shown(self.d, 'd')}**{shown(self.n, 'n')} exceeds cap {DIM_CAP}")
         total = self.d ** self.n
         if total > DIM_CAP:
             raise BadShape(f"N = {self.d}**{self.n} = {total} exceeds cap {DIM_CAP}")
@@ -96,8 +94,9 @@ class QuditShape:
 class DensityMatrix:
     """Validated N x N density matrix (Hermitian, unit trace, PSD) with qudit shape.
 
-    Construct through :func:`validate_density`; the dataclass itself only
-    checks dimensions.
+    Outside input goes through :func:`validate_density`; a matrix valid by
+    construction (``random_density``, ``reshuffle_purify``'s permutation) is
+    built directly, as the dataclass itself only checks dimensions.
     """
 
     shape: QuditShape
@@ -137,9 +136,9 @@ class PureState:
 class CoefficientMatrix:
     """Purification coefficients C[alpha][i] in the anti-triangular gauge.
 
-    Invariants enforced at construction: C[alpha][i] == 0 exactly for
+    Invariants enforced exactly at construction: C[alpha][i] == 0 for
     i > N - 1 - alpha, and each anti-diagonal entry C[alpha][N - 1 - alpha]
-    is real and nonnegative whenever its row carries weight.
+    is real and >= 0 (NaN fails), in every row and with no tolerance.
     """
 
     N: int
@@ -151,9 +150,8 @@ class CoefficientMatrix:
             raise ShapeMismatch(f"expected {self.N}x{self.N} coefficients, got {mat.shape}")
         if mat[_strict_lower(self.N)[:, ::-1]].any():
             raise GaugeViolation("entries beyond the anti-diagonal must be exactly zero")
-        weights = (np.abs(mat) ** 2).sum(axis=1)
-        anti = mat[:, ::-1].diagonal()[weights > DEFAULT_TOL.eps_pivot]
-        if (anti.imag != 0.0).any() or (anti.real < 0.0).any():
+        anti = mat[:, ::-1].diagonal()
+        if (anti.imag != 0.0).any() or not (anti.real >= 0.0).all():
             raise GaugeViolation("anti-diagonal entries must be real and nonnegative")
         object.__setattr__(self, "C", mat)
 

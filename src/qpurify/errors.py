@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages print integers."""
+
+import sys
+
+
+def shown(value: int, name: str) -> int | str:
+    """``value`` as an error message prints it, or ``name`` in its place when
+    it lies past sys.maxsize in magnitude, where it would print every digit."""
+    return value if abs(value) <= sys.maxsize else name
 
 
 class QPurifyError(Exception):

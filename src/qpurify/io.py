@@ -55,7 +55,7 @@ from .core import (
     ToleranceConfig,
     validate_density,
 )
-from .errors import BadRange, OutOfRange, ReconstructionFailure, ShapeMismatch
+from .errors import BadRange, OutOfRange, ReconstructionFailure, ShapeMismatch, shown
 
 
 def _integer(value, name: str) -> int:
@@ -239,7 +239,10 @@ def load_state(text: str) -> PureState:
 
 
 def dump_coefficients(matrix) -> str:
+    """Canonical text of a square coefficient matrix; any other shape is refused."""
     arr = np.asarray(matrix, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ShapeMismatch(f"coefficients must be a square matrix, got shape {arr.shape}")
     return f'{{"N":{arr.shape[0]},"C":[{_complex_items(arr)}]}}\n'
 
 
@@ -352,7 +355,7 @@ def _gate_rows(n: int, records) -> np.ndarray:
     except OverflowError as exc:
         raise OutOfRange(f"gate index beyond the int64 range: {exc}") from exc
     control, a, b, phase = gates["control"], gates["a"], gates["b"], gates["phase"]
-    bad = (control < -1) | (control >= n)
+    bad = control >= n  # _parse_gate refuses a control below -1 (null)
     if bad.any():
         raise OutOfRange(f"control value {control[bad][0]} outside ancilla register")
     bad = ~phase & ~((0 <= a) & (a < b) & (b < n))
@@ -444,7 +447,7 @@ def bloch_csv(alphas, n_theta: int, n_phi: int) -> str:
 def sweep_alphas(count: int) -> list[float]:
     """``count`` mixing angles spanning [0, pi/2] uniformly."""
     if count < 1:
-        raise BadRange(f"alpha count must be >= 1, got {count}")
+        raise BadRange(f"alpha count must be >= 1, got {shown(count, 'count')}")
     if count == 1:
         return [0.0]
     step = (math.pi / 2.0) / (count - 1)

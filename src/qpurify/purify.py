@@ -157,7 +157,7 @@ def gauge_transform(state: PureState, unitary) -> PureState:
 
     Any such transform maps one purification of rho onto another; the
     partial trace is unchanged. ``unitary`` is refused when max|U†U - I|
-    exceeds ``DEFAULT_TOL.eps_norm``.
+    exceeds the default ``eps_norm``.
     """
     u = np.asarray(unitary, dtype=np.complex128)
     m = state.ancilla_dim

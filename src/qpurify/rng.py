@@ -10,7 +10,8 @@ rather than a library generator whose bit stream may change:
 * uniforms take the top 53 bits: u_i = ((w_i >> 11) + 1) * 2^-53 in (0, 1].
 * normal pairs come from the Box-Muller transform of consecutive uniforms.
 * a complex Ginibre matrix is filled row-major, one normal pair (real,
-  imaginary) per entry; the density matrix is G G^dagger / Tr(G G^dagger).
+  imaginary) per entry; the density matrix is G G^dagger / Tr(G G^dagger),
+  valid by construction and so returned unvalidated.
 
 Words are mixed only in :func:`_uniforms`, Box-Muller runs only in
 :meth:`CounterRng.complex_normal_matrix`, and everything downstream of the
@@ -24,8 +25,8 @@ import math
 
 import numpy as np
 
-from .core import DensityMatrix, QuditShape, ToleranceConfig, validate_density
-from .errors import BadShape
+from .core import DensityMatrix, QuditShape
+from .errors import BadShape, shown
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -87,27 +88,22 @@ class CounterRng:
         return out
 
 
-def random_density(
-    d: int,
-    n: int,
-    seed: int,
-    rank: int | None = None,
-    tol: ToleranceConfig | None = None,
-) -> DensityMatrix:
+def random_density(d: int, n: int, seed: int, rank: int | None = None) -> DensityMatrix:
     """Seeded Ginibre-ensemble density matrix: G G^dagger normalized to unit trace.
 
     ``rank`` limits G to N x rank columns (rank 1 gives a pure state);
-    None draws the full square matrix.
+    None draws the full square matrix. The averaged Gram matrix is a density
+    matrix by construction: :func:`validate_density` would return it bit for bit.
     """
     shape = QuditShape(d, n)
     columns = shape.N if rank is None else rank
     if not 1 <= columns <= shape.N:
-        raise BadShape(f"rank must lie in [1, {shape.N}], got {rank}")
+        raise BadShape(f"rank must lie in [1, {shape.N}], got {shown(rank, 'rank')}")
     g = CounterRng(seed).complex_normal_matrix(shape.N, columns)
     gram = g @ g.conj().T
     gram = (gram + gram.conj().T) / 2.0
     gram /= float(np.trace(gram).real)
-    return validate_density(gram, shape, tol)
+    return DensityMatrix(shape, gram)
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

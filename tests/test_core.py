@@ -246,7 +246,7 @@ class TestCoefficientMatrix:
     def test_zero_weight_row_exempt(self):
         c = np.zeros((2, 2), dtype=complex)
         c[0, 1] = 1.0
-        coeffs = CoefficientMatrix(2, c)  # row 1 empty: no reality demand
+        coeffs = CoefficientMatrix(2, c)  # row 1 empty: its zero pivot is real and >= 0
         assert coeffs.row_weights()[1] == 0.0
 
     def test_row_weights(self):
@@ -320,6 +320,19 @@ SINGLE_FAULTS = {
     ),
     "anti-diagonal-imaginary": (
         lambda: CoefficientMatrix(2, np.array([[0.6, 0.8j], [0.0, 0.0]], dtype=complex)),
+        GaugeViolation, "anti-diagonal entries must be real and nonnegative",
+    ),
+    # a light row (weight 1e-14, or NaN) is held to the gauge as any other
+    "light-row-negative": (
+        lambda: CoefficientMatrix(2, np.array([[0.0, 1.0], [-1e-7, 0.0]], dtype=complex)),
+        GaugeViolation, "anti-diagonal entries must be real and nonnegative",
+    ),
+    "light-row-imaginary": (
+        lambda: CoefficientMatrix(2, np.array([[0.0, 1.0], [1e-7j, 0.0]], dtype=complex)),
+        GaugeViolation, "anti-diagonal entries must be real and nonnegative",
+    ),
+    "light-row-nan": (
+        lambda: CoefficientMatrix(2, np.array([[0.0, 1.0], [np.nan, 0.0]], dtype=complex)),
         GaugeViolation, "anti-diagonal entries must be real and nonnegative",
     ),
 }

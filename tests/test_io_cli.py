@@ -790,6 +790,14 @@ class TestJsonFormats:
         with pytest.raises(ShapeMismatch, match=r"^circuit of N=4 for a register of N=8$"):
             io.dump_circuit(QuditShape(2, 3), params, schedule_from_parameters(params))
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (2, 2, 2), ()])
+    def test_coefficient_writer_refuses_non_square(self, shape):
+        # a vector, a 2x3 block or a stack would be written as an "N"-by-N record
+        # that is not one, or in non-canonical text
+        message = f"coefficients must be a square matrix, got shape {shape}"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            io.dump_coefficients(np.zeros(shape))
+
     def test_circuit_rejects_inconsistent_dims(self):
         rho = random_density(2, 1, seed=1)
         params = extract_parameters(cholesky_purify(rho))
@@ -1233,6 +1241,26 @@ class TestCliErrors:
         assert res.exit_code == 2
         assert res.stderr == f"BadShape: {message} exceeds cap 4096\n"
         assert len(res.stderr) < 60
+        assert not out.exists()
+
+    HUGE = "1" + "0" * 400
+
+    # each value is refused before anything is allocated; a huge positive
+    # --alphas or --grid would allocate without bound, so none is run
+    @pytest.mark.parametrize("args,line", [
+        (["random", "--d", f"-{HUGE}", "--n", "1"], "BadShape: local dimension d must be >= 2, got d"),
+        (["random", "--d", "2", "--n", f"-{HUGE}"], "BadShape: qudit count n must be >= 1, got n"),
+        (["random", "--d", "2", "--n", "1", "--rank", HUGE], "BadShape: rank must lie in [1, 2], got rank"),
+        (["random", "--d", "2", "--n", "1", "--rank", f"-{HUGE}"], "BadShape: rank must lie in [1, 2], got rank"),
+        (["bloch", "--alphas", f"-{HUGE}"], "BadRange: alpha count must be >= 1, got count"),
+        (["bloch", "--alpha", "0.3", "--grid", f"-{HUGE}x3"], "BadRange: grid sizes must be >= 2, got THETAx3"),
+    ], ids=["d", "n", "rank", "negative-rank", "alphas", "grid"])
+    def test_400_digit_argument_names_the_field(self, runner, tmp_path, args, line):
+        out = tmp_path / "out"
+        extra = ["--seed", "0"] if args[0] == "random" else []
+        res = runner.invoke(main, [*args, *extra, "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr == line + "\n"
         assert not out.exists()
 
     def test_bloch_requires_one_alpha_flavor(self, runner, tmp_path):
