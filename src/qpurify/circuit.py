@@ -41,7 +41,7 @@ from .core import (
     _frozen_array,
     _strict_lower,
 )
-from .errors import BadRange, DegenerateBranch, ShapeMismatch
+from .errors import BadRange, DegenerateBranch, ShapeMismatch, shown
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -114,7 +114,10 @@ class CircuitParameters:
             phases = np.asarray(phases, dtype=np.float64)
             expected = max(dim - 1, 0)
             if angles.shape != (expected,) or phases.shape != (expected,):
-                raise ShapeMismatch(f"branch of dimension {dim} needs {expected} angles and phases")
+                raise ShapeMismatch(
+                    f"branch of dimension {shown(dim, 'dim')} needs "
+                    f"{shown(expected, 'dim - 1')} angles and phases"
+                )
             rows.append((dim, angles, phases))
         if len(rows) != n:
             raise ShapeMismatch(f"expected {n} branches, got {len(rows)}")

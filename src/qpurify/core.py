@@ -29,6 +29,7 @@ from .errors import (
 
 #: Largest admissible Hilbert-space dimension N = d**n.
 DIM_CAP = 4096
+PSD_SLACK = 4  #: the c of validate_density's PSD bound, derived there
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -46,15 +47,10 @@ def _strict_lower(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric tolerances used by validation, the purifiers, and the verifier.
-
-    ``eps_psd`` bounds the smallest eigenvalue: validation rejects a matrix
-    whose smallest eigenvalue lies below ``-eps_psd``.
-    """
+    """Tolerances of validation, the purifiers and the verifier; positivity takes none."""
 
     eps_herm: float = 1e-10
     eps_trace: float = 1e-10
-    eps_psd: float = 1e-9
     eps_recon: float = 1e-10
     eps_norm: float = 1e-10
     eps_pivot: float = 1e-12
@@ -125,7 +121,9 @@ class PureState:
         amps = _frozen_array(self.amplitudes, np.complex128)
         expected = self.ancilla_dim * self.system_dim
         if amps.shape != (expected,):
-            raise ShapeMismatch(f"expected {expected} amplitudes, got {amps.shape}")
+            raise ShapeMismatch(
+                f"expected {shown(expected, 'ancilla_dim * system_dim')} amplitudes, got {amps.shape}"
+            )
         norm = math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))  # as numpy's norm
         if not abs(norm - 1.0) <= DEFAULT_TOL.eps_norm:
             raise NormFailure(f"state norm {norm!r} deviates from 1 beyond tolerance")
@@ -166,9 +164,11 @@ def validate_density(
     """Check finiteness, Hermiticity, unit trace and positivity; return a DensityMatrix.
 
     Asymmetry within ``eps_herm`` is symmetrized away (file round-trips carry
-    last-ulp noise); anything larger raises NotHermitian. Positivity is a
-    threshold decision on the smallest eigenvalue only, so it uses LAPACK's
-    values-only Hermitian solver; no output depends on that eigenvalue.
+    last-ulp noise); anything larger raises NotHermitian. NotPSD is raised when
+    LAPACK's values-only solver gives lambda_min < -c*N*u*lambda_max (u = 2**-53,
+    c = PSD_SLACK): a backward-stable solver moves each eigenvalue of a PSD rho by
+    at most p(N)*u*||rho||_2 = p(N)*u*lambda_max (Weyl; Higham 2002). Rank-deficient
+    draws reach |lambda_min| = 1.5*N*u*lambda_max (N = 2), so c = 4 has 2.6x margin.
     """
     tol = tol or DEFAULT_TOL
     arr = np.asarray(matrix, dtype=np.complex128)
@@ -185,9 +185,10 @@ def validate_density(
     if abs(trace - 1.0) > tol.eps_trace:
         raise TraceDeviation(f"trace {trace!r} deviates from 1 beyond {tol.eps_trace!r}")
     try:
-        smallest = float(np.linalg.eigvalsh(sym)[0])
+        values = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigenvalue solver failed: {exc}") from exc
-    if smallest < -tol.eps_psd:
-        raise NotPSD(f"smallest eigenvalue {smallest!r} below -{tol.eps_psd!r}")
+    smallest, bound = float(values[0]), PSD_SLACK * shape.N * 2.0**-53 * float(values[-1])
+    if smallest < -bound:
+        raise NotPSD(f"smallest eigenvalue {smallest!r} below -{bound!r}")
     return DensityMatrix(shape, sym)

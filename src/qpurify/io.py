@@ -375,7 +375,7 @@ def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
     shape = QuditShape(_integer(data["d"], "d"), _integer(data["n"], "n"))
     n = _integer(data["N"], "N")
     if n != shape.N:
-        raise ValueError(f"declared N={n} disagrees with d**n={shape.N}")
+        raise ValueError(f"declared N={shown(n, 'N')} disagrees with d**n={shape.N}")
     block = _json(data["parameters"], dict, "parameters")
     branches = [
         (_integer(b["dim"], "dim"), _numbers(b["angles"], "angles"), _numbers(b["phases"], "phases"))

@@ -19,6 +19,12 @@ of the matrix, one for columns p and q of the matrix and the eigenvectors
 is a scalar times a contiguous row, as in the row-at-a-time updates that the
 pinned ``purify --method spectral`` outputs were rounded with: numpy picks a
 complex-multiply kernel by operand layout, and kernels need not round alike.
+
+The iteration stops at the start of a sweep when the largest off-diagonal
+entry is at most 1e-15 * max|a|, or when it is at most the rounding floor
+N * u * ||A||_F (u = 2**-53) and the last sweep did not lower the
+off-diagonal Frobenius norm: with spread-out eigenvectors the first bound
+can lie below what rounding lets a rotation reach.
 """
 
 from __future__ import annotations
@@ -65,6 +71,9 @@ def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
         scale = float(np.abs(a).max())
     stop = 1e-15 * scale
     skip = 0.01 * stop
+    # rotations keep ||A||_F, so the floor is fixed per call (inf, and unused, on overflow)
+    floor = n * 2.0**-53 * math.sqrt(float(np.vdot(a, a).real))
+    last = math.inf
 
     # rotation buffers, allocated once: coefficients, products, column pair
     row_coef, col_coef = coef = np.empty((2, 2, 2, 1), dtype=np.complex128)
@@ -75,8 +84,11 @@ def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     (rp0, rp1), (cp0, cp1) = row_prod.transpose(1, 0, 2), col_prod.transpose(1, 0, 2)
 
     for sweep in range(MAX_SWEEPS + 1):
-        if float(np.abs(a - np.diag(np.diagonal(a))).max()) <= stop:
+        off = a - np.diag(np.diagonal(a))
+        largest, off_sq = float(np.abs(off).max()), float(np.vdot(off, off).real)
+        if largest <= stop or (largest <= floor < math.inf and off_sq >= last):
             break
+        last = off_sq
         if sweep == MAX_SWEEPS:
             raise NoConvergence(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
         for p in range(n - 1):

@@ -117,7 +117,7 @@ def spectral_purify(rho: DensityMatrix) -> PureState:
     """Eigenbasis purification: amplitudes[k*N + i] = sqrt(p_k) * v_k[i].
 
     Eigenvalues use the solver's deterministic descending order; negatives
-    within the PSD tolerance are clamped to zero and the weights
+    within the PSD bound are clamped to zero and the weights
     renormalized.
     """
     n = rho.shape.N

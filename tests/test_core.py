@@ -1,4 +1,5 @@
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qpurify import (
 )
 from qpurify import linalg
 from qpurify.circuit import _branch_cells
-from qpurify.core import _strict_lower
+from qpurify.core import PSD_SLACK, _strict_lower
 from qpurify.errors import (
     BadRange,
     BadShape,
@@ -67,15 +68,20 @@ class TestToleranceConfig:
     def test_defaults(self):
         tol = ToleranceConfig()
         assert tol.eps_herm == tol.eps_trace == tol.eps_norm == 1e-10
-        assert tol.eps_psd == 1e-9
         assert tol.eps_recon == 1e-10
         assert tol.eps_pivot == 1e-12
+        # positivity has no tolerance: validation derives its bound from rho
+        assert [f.name for f in fields(tol)] == [
+            "eps_herm", "eps_trace", "eps_recon", "eps_norm", "eps_pivot"
+        ]
+        with pytest.raises(TypeError):
+            ToleranceConfig(eps_psd=1e-9)
 
     def test_rejects_negative(self):
         with pytest.raises(BadRange):
-            ToleranceConfig(eps_psd=-1e-9)
+            ToleranceConfig(eps_pivot=-1e-12)
 
-    @pytest.mark.parametrize("name", ["eps_herm", "eps_trace", "eps_psd", "eps_recon", "eps_norm", "eps_pivot"])
+    @pytest.mark.parametrize("name", ["eps_herm", "eps_trace", "eps_recon", "eps_norm", "eps_pivot"])
     def test_rejects_nan(self, name):
         # a NaN tolerance would fail every check it bounds, or pass every one
         with pytest.raises(BadRange, match=f"^tolerance {name} must be nonnegative$"):
@@ -176,25 +182,55 @@ def with_smallest_eigenvalue(smallest, dim, seed):
     return (u * spectrum) @ u.conj().T
 
 
+def psd_bound(values, dim: int) -> float:
+    """validate_density's bound c * N * u * lambda_max, from any eigenvalues."""
+    return PSD_SLACK * dim * 2.0**-53 * float(max(values))
+
+
 class TestPsdCriterion:
     """The LAPACK check accepts exactly what the Jacobi oracle accepts."""
 
     @pytest.mark.parametrize("dim", [4, 8, 16])
     @pytest.mark.parametrize(
-        "smallest,accepted", [(-1e-6, False), (-2e-9, False), (-5e-10, True), (0.0, True), (1e-6, True)]
+        "smallest,accepted", [(-1e-6, False), (-2e-9, False), (-5e-10, False), (0.0, True), (1e-6, True)]
     )
     def test_matches_jacobi_oracle(self, dim, smallest, accepted):
         shape = QuditShape(2, dim.bit_length() - 1)
         matrix = with_smallest_eigenvalue(smallest, dim, seed=dim)
         sym = (matrix + matrix.conj().T) / 2.0
-        tol = ToleranceConfig()
-        oracle_rejects = float(linalg.hermitian_eigen(sym)[0][-1]) < -tol.eps_psd
+        values = linalg.hermitian_eigen(sym)[0]
+        oracle_rejects = float(values[-1]) < -psd_bound(values, dim)
         assert oracle_rejects == (not accepted)
         if accepted:
-            validate_density(matrix, shape, tol)
+            validate_density(matrix, shape)
         else:
             with pytest.raises(NotPSD, match="smallest eigenvalue"):
-                validate_density(matrix, shape, tol)
+                validate_density(matrix, shape)
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_bound_is_the_rounding_scale(self, dim):
+        # c * N * u * lambda_max, about 1e-15 here: a tenth of it passes,
+        # ten times it is refused, and the message names both numbers
+        shape = QuditShape(2, dim.bit_length() - 1)
+        for scale, accepted in [(0.1, True), (10.0, False)]:
+            spectrum = np.linspace(1.0, 2.0, dim)
+            spectrum /= spectrum.sum()
+            smallest = -scale * psd_bound(spectrum, dim)
+            matrix = with_smallest_eigenvalue(smallest, dim, seed=dim)
+            values = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
+            bound = psd_bound(values, dim)
+            if accepted:
+                validate_density(matrix, shape)
+                continue
+            with pytest.raises(NotPSD) as caught:
+                validate_density(matrix, shape)
+            assert str(caught.value) == f"smallest eigenvalue {float(values[0])!r} below -{bound!r}"
+
+    def test_bound_reads_no_tolerance(self):
+        # loosening every tolerance leaves the PSD decision as it was
+        loose = ToleranceConfig(*[1.0] * len(fields(ToleranceConfig)))
+        with pytest.raises(NotPSD):
+            validate_density(with_smallest_eigenvalue(-1e-12, 8, seed=8), QuditShape(2, 3), loose)
 
     def test_validation_does_not_run_jacobi(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -259,6 +295,7 @@ class TestCoefficientMatrix:
 QUBIT = QuditShape(2, 1)
 #: psd_fault's eigenvalues are 1.1 and -0.1
 PSD_FAULT = np.array([[0.5, 0.6], [0.6, 0.5]])
+PSD_FAULT_VALUES = np.linalg.eigvalsh(PSD_FAULT)
 
 #: One fault per input: (constructor, error type, exact message).
 SINGLE_FAULTS = {
@@ -280,11 +317,15 @@ SINGLE_FAULTS = {
     ),
     "not-psd": (
         lambda: validate_density(PSD_FAULT, QUBIT),
-        NotPSD, f"smallest eigenvalue {float(np.linalg.eigvalsh(PSD_FAULT)[0])!r} below -1e-09",
+        NotPSD, f"smallest eigenvalue {float(PSD_FAULT_VALUES[0])!r} below -{psd_bound(PSD_FAULT_VALUES, 2)!r}",
     ),
     "matrix-shape": (
         lambda: validate_density(np.eye(3) / 3, QUBIT),
         ShapeMismatch, "expected 2x2 matrix, got (3, 3)",
+    ),
+    "entries-shape": (
+        lambda: DensityMatrix(QUBIT, np.eye(3) / 3),
+        ShapeMismatch, "expected 2x2 entries, got (3, 3)",
     ),
     "norm": (
         lambda: PureState(2, 2, np.array([1.0, 1.0, 0.0, 0.0])),
@@ -301,6 +342,10 @@ SINGLE_FAULTS = {
     "amplitude-count": (
         lambda: PureState(2, 2, np.array([1.0, 0.0])),
         ShapeMismatch, "expected 4 amplitudes, got (2,)",
+    ),
+    "coefficient-shape": (
+        lambda: CoefficientMatrix(2, np.zeros((2, 3))),
+        ShapeMismatch, "expected 2x2 coefficients, got (2, 3)",
     ),
     "beyond-anti-diagonal": (
         lambda: CoefficientMatrix(2, np.array([[0.6, 0.8], [0.0, 1e-300]], dtype=complex)),

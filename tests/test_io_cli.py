@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from qpurify import (
     GATE,
     CircuitParameters,
+    DensityMatrix,
     PureState,
     QuditShape,
     ToleranceConfig,
@@ -20,6 +21,7 @@ from qpurify import (
     coefficients_to_state,
     extract_parameters,
     random_density,
+    random_unitary,
     schedule_from_parameters,
     validate_density,
 )
@@ -27,7 +29,8 @@ from qpurify import bloch_surface, circuit, core, io
 from qpurify.bloch import grid_angles
 from qpurify.circuit import _branch_cells
 from qpurify.cli import main
-from qpurify.errors import BadRange, NormFailure, OutOfRange, QPurifyError, ReconstructionFailure, ShapeMismatch
+from qpurify.errors import BadRange, NormFailure, OutOfRange, QPurifyError, ReconstructionFailure, ShapeMismatch, shown
+from test_core import with_smallest_eigenvalue
 
 
 @pytest.fixture
@@ -201,7 +204,7 @@ def reference_load_circuit(text):
     shape = QuditShape(json_integer(data["d"], "d"), json_integer(data["n"], "n"))
     n = json_integer(data["N"], "N")
     if n != shape.N:
-        raise ValueError(f"declared N={n} disagrees with d**n={shape.N}")
+        raise ValueError(f"declared N={shown(n, 'N')} disagrees with d**n={shape.N}")
     block = data["parameters"]
     if not isinstance(block, dict):
         raise ValueError("'parameters' must be a JSON object")
@@ -954,6 +957,26 @@ class TestMalformedInputs:
             load(text)
         assert outcome(load, text) == outcome(reference, text)
 
+    @pytest.mark.parametrize(
+        "kind,path,value,error,message",
+        [
+            ("circuit", ("N",), -(10**400), ValueError, "declared N=N disagrees with d**n=2"),
+            ("circuit", ("parameters", "branches", 0, "dim"), 10**400, ShapeMismatch,
+             "branch of dimension dim needs dim - 1 angles and phases"),
+            ("state", ("ancilla_dim",), 10**400, ShapeMismatch,
+             "expected ancilla_dim * system_dim amplitudes, got (4,)"),
+        ],
+        ids=["N", "dim", "ancilla_dim"],
+    )
+    def test_400_digit_field_names_the_field(self, kind, path, value, error, message):
+        # a 400-digit integer field is named in a short message, not printed
+        load, reference, canonical = LOADERS[kind]
+        text = with_value(canonical(2, 1), path, value)
+        with pytest.raises(error) as caught:
+            load(text)
+        assert type(caught.value) is error and str(caught.value) == message
+        assert outcome(load, text) == outcome(reference, text)
+
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_huge_integer_is_bad_range(self, kind):
         # 1 followed by 400 zeros is a JSON integer no double holds
@@ -1263,9 +1286,90 @@ class TestCliErrors:
         assert res.stderr == line + "\n"
         assert not out.exists()
 
+    def test_simulate_expect_other_rho_exit_3(self, runner, tmp_path):
+        # the circuit prepares one session's rho, --expect names another's
+        circuit_path, out = tmp_path / "c.json", tmp_path / "psi.json"
+        rho_a = write_density(tmp_path / "a.json", random_density(2, 2, seed=4))
+        rho_b = write_density(tmp_path / "b.json", random_density(2, 2, seed=5))
+        assert runner.invoke(main, ["synth", "--input", rho_a, "--out", str(circuit_path)]).exit_code == 0
+        res = runner.invoke(main, ["simulate", "--circuit", str(circuit_path), "--out", str(out), "--expect", rho_b])
+        assert res.exit_code == 3
+        assert re.fullmatch(r"max_abs_error=\S+\n", res.stdout)
+        error = float(res.stdout.split("=", 1)[1])
+        assert res.stderr == f"ReconstructionFailure: simulated state misses target by {error!r}\n"
+        assert error > 1e-3
+
+    def test_purify_round_trip_failure_exit_3(self, runner, tmp_path, monkeypatch):
+        # no accepted rho misses eps_recon by itself: the verifier's default
+        # tolerance is set to zero, which the spectral round trip cannot meet
+        from qpurify import purify
+
+        rho_path = write_density(tmp_path / "rho.json", random_density(2, 2, seed=4))
+        monkeypatch.setattr(purify, "DEFAULT_TOL", ToleranceConfig(eps_recon=0.0))
+        out = tmp_path / "psi.json"
+        res = runner.invoke(main, ["purify", "--input", rho_path, "--method", "spectral", "--out", str(out)])
+        assert res.exit_code == 3
+        error = float(res.stdout.split("=", 1)[1])
+        assert error > 0.0
+        assert res.stderr == f"ReconstructionFailure: round-trip error {error!r}\n"
+        assert out.exists()  # the state is written before the verdict
+
+    def test_spectral_purifies_at_the_rounding_floor(self, runner, tmp_path):
+        # a 12-decade spectrum under a spread-out basis, N = 64: the Jacobi
+        # solver stops at its rounding floor instead of raising NoConvergence
+        spectrum = 10.0 ** -np.linspace(0, 12, 64)
+        spectrum /= spectrum.sum()
+        u = random_unitary(64, 0)
+        rho = DensityMatrix(QuditShape(2, 6), (u * spectrum) @ u.conj().T)
+        rho_path = write_density(tmp_path / "rho.json", rho)
+        for method in (["--method", "spectral"], [], ["--reshuffle"]):
+            res = runner.invoke(main, ["purify", "--input", rho_path, *method, "--out", str(tmp_path / "psi.json")])
+            assert res.exit_code == 0, (method, res.output)
+            assert float(res.stdout.split("=", 1)[1]) <= 1e-14
+
+    def test_bloch_grid_not_parsed_exit_1(self, runner, tmp_path):
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["bloch", "--alpha", "0.3", "--grid", "abc", "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr == "ParseError: grid must look like 50x50, got 'abc'\n"
+        assert not out.exists()
+
     def test_bloch_requires_one_alpha_flavor(self, runner, tmp_path):
         res = runner.invoke(main, ["bloch", "--grid", "4x4", "--out", str(tmp_path / "s.csv")])
         assert res.exit_code == 2
+
+
+def psd_edge_density(tmp_path, smallest, dim):
+    """A rho file with the given smallest eigenvalue, written unvalidated."""
+    matrix = with_smallest_eigenvalue(smallest, dim, seed=dim)
+    return write_density(tmp_path / "rho.json", DensityMatrix(QuditShape(2, dim.bit_length() - 1), matrix))
+
+
+class TestCliPsdEdge:
+    """Validation refuses what the purifiers would refuse at the PSD edge:
+    below the rounding bound ``purify`` exits 2 under each method (the old
+    fixed 1e-9 bound let -5e-10 through to exit 3), and a zero eigenvalue passes."""
+
+    METHODS = {"cholesky": [], "reshuffle": ["--reshuffle"], "spectral": ["--method", "spectral"]}
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    @pytest.mark.parametrize("smallest", [-1e-9, -5e-10, -1e-11, -1e-12])
+    def test_below_the_bound_exits_2(self, runner, tmp_path, smallest, dim, method):
+        out = tmp_path / "psi.json"
+        path = psd_edge_density(tmp_path, smallest, dim)
+        res = runner.invoke(main, ["purify", "--input", path, *self.METHODS[method], "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert re.fullmatch(r"NotPSD: smallest eigenvalue \S+ below -\S+\n", res.stderr)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_zero_eigenvalue_purifies(self, runner, tmp_path, dim, method):
+        path = psd_edge_density(tmp_path, 0.0, dim)
+        res = runner.invoke(main, ["purify", "--input", path, *self.METHODS[method], "--out", str(tmp_path / "psi.json")])
+        assert res.exit_code == 0, res.output
+        assert float(res.output.split("=", 1)[1]) <= 1e-10
 
 
 class TestCliBloch:
@@ -1288,6 +1392,13 @@ class TestCliBloch:
         alphas = sorted({float(line.split(",")[0]) for line in lines})
         centers = [math.sin(a) ** 2 for a in alphas]
         assert all(b > a for a, b in zip(centers, centers[1:]))
+
+    def test_one_alpha_count_writes_alpha_zero(self, runner, tmp_path):
+        out = tmp_path / "surface.csv"
+        res = runner.invoke(main, ["bloch", "--alphas", "1", "--grid", "3x3", "--out", str(out)])
+        assert res.exit_code == 0
+        assert res.output == "rows=9\n"
+        assert {line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]} == {"0.0"}
 
     def test_near_pole_alpha_collapses(self, runner, tmp_path):
         out = tmp_path / "pole.csv"

@@ -11,6 +11,7 @@ from qpurify import (
     max_abs_diff,
     partial_trace_ancilla,
     random_density,
+    random_unitary,
     reference_cholesky,
 )
 from qpurify import linalg
@@ -253,6 +254,19 @@ class TestHermitianEigen:
             digest.update(np.ascontiguousarray(vecs).tobytes())
         assert digest.hexdigest() == self.PINNED_DIGEST
 
+    def test_stops_at_the_rounding_floor(self):
+        # eigenvalues over 12 decades in a spread-out basis, N = 64: the largest
+        # off-diagonal entry settles above 1e-15 * max|a| but below N * u * ||A||_F
+        spectrum = 10.0 ** -np.linspace(0, 12, 64)
+        spectrum /= spectrum.sum()
+        u = random_unitary(64, 0)
+        h = (u * spectrum) @ u.conj().T
+        h = (h + h.conj().T) / 2.0  # as validation symmetrizes it
+        values, vecs = hermitian_eigen(h)  # NoConvergence after 100 sweeps before
+        assert np.max(np.abs(values - np.linalg.eigvalsh(h)[::-1])) <= 1e-14
+        assert np.max(np.abs(h @ vecs - vecs * values)) <= 1e-14
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(64))) <= 1e-13
+
     def test_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence, match="in 0 sweeps"):
@@ -317,6 +331,10 @@ class TestReferenceCholesky:
     def test_not_psd(self):
         with pytest.raises(NotPSD):
             reference_cholesky(np.array([[0.5, 0.6], [0.6, 0.5]]))
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ShapeMismatch, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            reference_cholesky(np.zeros((2, 3)))
 
     def test_bit_deterministic(self):
         g = CounterRng(4).complex_normal_matrix(5, 5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpurify import (
+    DensityMatrix,
     QuditShape,
     ToleranceConfig,
     cholesky_purify,
@@ -78,10 +79,10 @@ class TestCholeskyPurify:
                 assert c[alpha, i] == 0
 
     def test_reconstruction_failure_on_psd_leakage(self):
-        # passes validation (min eigenvalue within eps_psd) but no Gram
-        # factor can reproduce the negative part within eps_recon
+        # validation refuses this rho (NotPSD); built directly, it reaches the
+        # purifier, and no Gram factor reproduces its negative part within eps_recon
         leak = 9e-10
-        rho = qubit(np.diag([1.0 + leak, -leak]))
+        rho = DensityMatrix(QuditShape(2, 1), np.diag([1.0 + leak, -leak]))
         with pytest.raises(ReconstructionFailure):
             cholesky_purify(rho)
 
@@ -257,6 +258,11 @@ class TestGaugeTransform:
         state = coefficients_to_state(cholesky_purify(rho))
         with pytest.raises(NotUnitary):
             gauge_transform(state, np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+    def test_rejects_wrong_shape(self):
+        state = coefficients_to_state(cholesky_purify(random_density(2, 1, seed=2)))
+        with pytest.raises(ShapeMismatch, match=r"^expected 2x2 ancilla unitary, got \(4, 4\)$"):
+            gauge_transform(state, np.eye(4))
 
     def test_compares_with_eps_norm(self, monkeypatch):
         from qpurify import PureState, purify
