@@ -28,6 +28,12 @@ def grid_angles(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise BadRange unless the mixing angle ``alpha`` lies in [0, pi/2]."""
+    if not 0.0 <= alpha <= HALF_PI:
+        raise BadRange(f"alpha {alpha!r} outside [0, pi/2]")
+
+
 def bloch_surface(alpha: float, grid: tuple[int, int]) -> np.ndarray:
     """Points of the contracted/translated sphere at mixing angle ``alpha``.
 
@@ -38,8 +44,7 @@ def bloch_surface(alpha: float, grid: tuple[int, int]) -> np.ndarray:
     ``math`` cosines and sines taken once per theta and once per phi. Every
     point satisfies x^2 + y^2 + (z - sin^2 a)^2 = cos^4 a.
     """
-    if not 0.0 <= alpha <= HALF_PI:
-        raise BadRange(f"alpha {alpha!r} outside [0, pi/2]")
+    _check_alpha(alpha)
     thetas, phis = grid_angles(*grid)
     ca, sa = math.cos(alpha), math.sin(alpha)
     ca2, sa2 = ca * ca, sa * sa

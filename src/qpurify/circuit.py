@@ -124,10 +124,11 @@ class CircuitParameters:
         for k, (dim, _, _) in enumerate(rows):
             if dim != n - k:
                 raise ShapeMismatch(f"branch {k} must have dimension {n - k}")
-        cells = _branch_cells(n)
-        angles, phases = np.zeros((2, n, n - 1))
-        angles[cells] = np.concatenate([a for _, a, _ in rows])
-        phases[cells] = np.concatenate([p for _, _, p in rows])
+        angles, phases = np.zeros((n, n - 1)), np.zeros((n, n - 1))
+        for k, (_, a, p) in enumerate(rows):  # branch k's values, left-aligned in row k
+            angles[k, : a.size] = a
+            phases[k, : p.size] = p
+        angles.flags.writeable = phases.flags.writeable = False  # held, not copied
         return cls(n, weight_angles, angles, phases)
 
     @property
@@ -256,9 +257,10 @@ def extract_parameters(
     values = work[:, : n - 1][_strict_lower(n).T[:, 1:]]
     phases = np.mod(list(map(cmath.phase, values.tolist())), TWO_PI)
     phases[phases >= TWO_PI] = 0.0
-    angles, branch_phases = np.zeros((2, n, n - 1))
+    angles, branch_phases = np.zeros((n, n - 1)), np.zeros((n, n - 1))
     angles.T[_branch_cells(n).T] = thetas
     branch_phases[_branch_cells(n)] = phases
+    angles.flags.writeable = branch_phases.flags.writeable = False  # held, not copied
     return CircuitParameters(n, weight_angles, angles, branch_phases)
 
 
@@ -298,6 +300,7 @@ def simulate_circuit(params: CircuitParameters, mode: str = "product") -> PureSt
     phased = amp[:, : n - 1]  # phase j of branch k multiplies its amplitude j
     phased[cells] *= factor
     amp *= np.array(_chain(params.weight_angles.tolist()))[:, None]
+    amp.flags.writeable = False  # held, not copied
     return PureState(n, n, amp.reshape(-1))
 
 
@@ -390,4 +393,5 @@ def apply_schedule(schedule: GateSchedule) -> PureState:
     factor = cos[at]
     np.negative(sin.real[at], out=factor.imag)  # e^{-i value}, as cmath.exp rounds it
     vec.reshape(n, n)[:, : n - 1][cells] *= factor
+    vec.flags.writeable = False  # held, not copied
     return PureState(n, n, vec)

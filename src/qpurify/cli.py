@@ -6,6 +6,10 @@ prefixed with the failure kind (e.g. ``NotPSD:``, ``ReconstructionFailure:``).
 
 Each command imports the layers it runs at the top of its body, after its
 usage checks, so ``--help`` and usage errors load neither numpy nor a layer.
+Input files are handed to the ``io`` readers open, which read them a block
+at a time. Output files are written piece by piece as the ``io`` writers
+make them; a writer refuses its input before the file is opened, so a
+refused write leaves no file.
 """
 
 from __future__ import annotations
@@ -19,6 +23,18 @@ import click
 from .errors import QPurifyError
 
 _PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+
+def _read(path: str, load):
+    """What ``load`` reads from the file at ``path``, opened in binary mode."""
+    with Path(path).open("rb") as file:
+        return load(file)
+
+
+def _write(path: str, pieces) -> None:
+    """Write the text ``pieces`` to ``path``, with ``write_text``'s encoding and newlines."""
+    with Path(path).open("w") as out:
+        out.writelines(pieces)
 
 
 def _guarded(body):
@@ -63,7 +79,7 @@ def purify(input_path, method, reshuffle, out_path, coeffs_path):
     from .purify import cholesky_purify, coefficients_to_state, reshuffle_purify, spectral_purify
     from .purify import verify_purification
 
-    rho = io.load_density(Path(input_path).read_text())
+    rho = _read(input_path, io.load_density)
     if method == "spectral":
         state = spectral_purify(rho)
     elif reshuffle:
@@ -71,10 +87,10 @@ def purify(input_path, method, reshuffle, out_path, coeffs_path):
     else:
         state = coefficients_to_state(cholesky_purify(rho))
     report = verify_purification(state, rho)
-    Path(out_path).write_text(io.dump_state(state))
+    _write(out_path, io.state_pieces(state))
     if coeffs_path:
         coeffs = state.amplitudes.reshape(state.ancilla_dim, state.system_dim)
-        Path(coeffs_path).write_text(io.dump_coefficients(coeffs))
+        _write(coeffs_path, io.coefficient_pieces(coeffs))
     click.echo(f"max_abs_error={report.max_abs_error!r}")
     if not report.passed:
         click.echo(f"ReconstructionFailure: round-trip error {report.max_abs_error!r}", err=True)
@@ -92,14 +108,14 @@ def synth(input_path, out_path):
     from .core import DEFAULT_TOL
     from .purify import cholesky_purify, coefficients_to_state
 
-    rho = io.load_density(Path(input_path).read_text())
+    rho = _read(input_path, io.load_density)
     coeffs = cholesky_purify(rho)
     params = extract_parameters(coeffs)
     schedule = schedule_from_parameters(params)
     target = coefficients_to_state(coeffs)
     prepared = apply_schedule(schedule)
     deviation = float(abs(prepared.amplitudes - target.amplitudes).max())
-    Path(out_path).write_text(io.dump_circuit(rho.shape, params, schedule))
+    _write(out_path, io.circuit_pieces(rho.shape, params, schedule))
     click.echo(f"parameters={params.parameter_count} max_deviation={deviation!r}")
     eps = DEFAULT_TOL.eps_recon
     if deviation > eps:
@@ -119,11 +135,11 @@ def simulate(circuit_path, out_path, expect_path):
     from .circuit import apply_schedule
     from .purify import verify_purification
 
-    _, _, schedule = io.load_circuit(Path(circuit_path).read_text())
+    _, _, schedule = _read(circuit_path, io.load_circuit)
     state = apply_schedule(schedule)
-    Path(out_path).write_text(io.dump_state(state))
+    _write(out_path, io.state_pieces(state))
     if expect_path:
-        rho = io.load_density(Path(expect_path).read_text())
+        rho = _read(expect_path, io.load_density)
         report = verify_purification(state, rho)
         click.echo(f"max_abs_error={report.max_abs_error!r}")
         if not report.passed:
@@ -152,7 +168,7 @@ def bloch(alpha, alphas, grid, out_path):
     from . import io
 
     values = [alpha] if alpha is not None else io.sweep_alphas(alphas)
-    Path(out_path).write_text(io.bloch_csv(values, n_theta, n_phi))
+    _write(out_path, io.bloch_pieces(values, n_theta, n_phi))
     click.echo(f"rows={len(values) * n_theta * n_phi}")
 
 
@@ -171,7 +187,7 @@ def random(d, n, seed, rank, out_path):
     from .rng import random_density
 
     rho = random_density(d, n, seed, rank=rank)
-    Path(out_path).write_text(io.dump_density(rho))
+    _write(out_path, io.density_pieces(rho))
     purity = float(np.vdot(rho.entries, rho.entries).real)  # Tr rho^2 = sum |rho_ij|^2
     click.echo(f"purity={purity!r}")
 

@@ -33,6 +33,16 @@ PSD_SLACK = 4  #: the c of validate_density's PSD bound, derived there
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``. An array of that dtype
+    that is read-only, as is every array it views down to the one owning the
+    data, is returned as it is (nothing can write to it); anything else is
+    copied and the copy frozen."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
+        base = values
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return values
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -180,7 +190,8 @@ def validate_density(
     asym = float(np.abs(arr - adjoint).max())
     if asym > tol.eps_herm:
         raise NotHermitian(f"asymmetry {asym!r} exceeds tolerance {tol.eps_herm!r}")
-    sym = (arr + adjoint) / 2.0
+    sym = arr + adjoint
+    sym /= 2.0
     trace = float(sym.trace().real)
     if abs(trace - 1.0) > tol.eps_trace:
         raise TraceDeviation(f"trace {trace!r} deviates from 1 beyond {tol.eps_trace!r}")
@@ -191,4 +202,5 @@ def validate_density(
     smallest, bound = float(values[0]), PSD_SLACK * shape.N * 2.0**-53 * float(values[-1])
     if smallest < -bound:
         raise NotPSD(f"smallest eigenvalue {smallest!r} below -{bound!r}")
+    sym.flags.writeable = False  # held as it is, not copied
     return DensityMatrix(shape, sym)

@@ -1,4 +1,4 @@
-"""JSON and CSV file formats.
+"""JSON and CSV file formats, written and read a block at a time.
 
 Serialization is canonical so golden files are byte-stable: fixed key
 order, compact separators, one trailing newline, and floats rendered as
@@ -6,24 +6,38 @@ the shortest decimal that round-trips to the same IEEE double (Python's
 repr). Complex numbers are stored as [re, im] pairs. The writers build the
 text json.dumps would give straight from the arrays.
 
-The readers first check that a file has the layout the writers produce,
-and read such a file with no Python work per entry:
+Every writer (``*_pieces``) hands out the text in pieces of about
+``_BLOCK_ROWS`` pairs (whole rows of a matrix), gate records or CSV rows,
+for the CLI to write to an open file; no whole-file string is built. It
+runs every refusal check (non-finite values, shape, N, the schedule's
+agreement with its parameters) before it returns, so nothing is written
+for a refused input. ``dump_state`` and ``dump_circuit`` join the pieces.
 
-* a state or density file is parsed up to its array; the array's text,
+The readers take a file's text or the open binary file. They first check,
+front to back and without holding an open file whole, that a file has the
+layout the writers produce, and read such a file with no Python work per
+entry:
+
+* a state or density file is parsed up to its array, which is read into a
+  preallocated array one block of about ``_BLOCK_ROWS`` pairs (whole rows
+  of a matrix) at a time, each block cut at a separator. A block's text,
   once its number tokens are deleted, must be exactly the bracket-and-comma
-  skeleton its dimensions imply, and one ``json.loads`` of the tokens as a
-  flat list gives its doubles;
+  skeleton of its pair or row count, and one ``json.loads`` of its tokens
+  as a flat list gives its doubles;
 * a circuit file's ``schedule`` block is derived from its ``parameters``
-  block. One renderer, :func:`_circuit_pieces`, writes the whole file from
+  block. One renderer, :func:`_render_circuit`, writes the whole file from
   its shape and the parameter lists' number tokens, with every byte of the
   block but its values built once per N; the writer refuses a schedule that
   disagrees with its parameters. The reader decodes the head (the text
   before the block) with the full parse's own :func:`_circuit_head`, takes
   the head's innermost lists as the tokens, and accepts the file only if it
-  is, byte for byte, the text those tokens render to.
+  is, byte for byte, the text those tokens render to, compared a piece at
+  a time.
 
 Any other layout goes through a full parse with the same errors, where gate
-rows from outside are range-checked before they are compared. Dimension
+rows from outside are range-checked before they are compared; an open
+file is read whole for it and decoded as ``Path.read_text`` decodes it.
+Dimension
 fields and gate indices must be JSON integers, every other number a JSON
 int or float (not a string or bool) within the float range (BadRange), and
 every list or object a JSON list or object. A value of the wrong JSON type
@@ -36,11 +50,12 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
+from io import SEEK_END, BytesIO, TextIOWrapper
 from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .bloch import bloch_surface, grid_angles
+from .bloch import _check_alpha, bloch_surface, grid_angles
 from .circuit import (
     GATE,
     CircuitParameters,
@@ -100,8 +115,81 @@ def _objects(values, name: str) -> list:
     return values
 
 
-def _record(text: str, kind: str) -> dict:
+class _Cursor:
+    """A file read front to back: its text, held whole, or an open binary
+    file, read a part at a time (never held whole)."""
+
+    def __init__(self, source):
+        self.source, self.pos = source, 0
+        self.file = not isinstance(source, str)
+        self.size = source.seek(0, SEEK_END) if self.file else len(source)
+        if self.file:
+            source.seek(0)
+
+    def typed(self, literal: str) -> str | bytes:
+        """``literal`` as the parts of this file are typed: str, or ASCII bytes."""
+        return literal.encode() if self.file else literal
+
+    def read(self, n: int) -> str | bytes:
+        """The next ``n`` characters or bytes; fewer at the end of the file."""
+        part = self.source.read(n) if self.file else self.source[self.pos : self.pos + n]
+        self.pos += len(part)
+        return part
+
+    def match(self, piece: str) -> bool:
+        """Whether the file goes on with ``piece``; the cursor moves past it."""
+        piece = self.typed(piece)
+        if self.file:
+            same = self.source.read(len(piece)) == piece
+        else:
+            same = self.source.startswith(piece, self.pos)
+        self.pos += len(piece)
+        return same
+
+    def until(self, key: str) -> str | None:
+        """The text up to the next ``key`` (a file's bytes must be ASCII
+        there: UnicodeDecodeError), with the cursor moved past the key; None
+        if no ``key`` follows."""
+        key = self.typed(key)
+        if self.file:
+            text, start, cut = bytearray(), 0, -1
+            while cut < 0:
+                part = self.source.read(64 * _BLOCK_ROWS)
+                if not part:
+                    return None
+                seen = max(len(text) - len(key) + 1, 0)  # a key across two parts
+                text += part
+                cut = text.find(key, seen)
+            self.source.seek(self.pos + cut + len(key))
+        else:
+            text, start = self.source, self.pos
+            cut = text.find(key, start)
+            if cut < 0:
+                return None
+        self.pos += cut - start + len(key)
+        return str(memoryview(text)[:cut], "ascii") if self.file else text[start:cut]
+
+
+def _rewindable(source):
+    """``source``, a file's text or an open binary file, with a file that
+    cannot seek (a pipe) read whole into one that can."""
+    if isinstance(source, str) or source.seekable():
+        return source
+    return BytesIO(source.read())
+
+
+def _text(source) -> str:
+    """The whole text of a file, as ``Path.read_text`` reads it: its bytes
+    decoded with the locale's encoding, with universal newlines."""
+    if isinstance(source, str):
+        return source
+    source.seek(0)
+    return TextIOWrapper(BytesIO(source.read())).read()
+
+
+def _record(source, kind: str) -> dict:
     """The JSON object of a whole ``kind`` file, as the full parses read it."""
+    text = _text(source)
     try:
         data = json.loads(text)
     except RecursionError:
@@ -109,6 +197,19 @@ def _record(text: str, kind: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{kind} file must be a JSON object")
     return data
+
+
+#: Pairs, gate records or CSV rows per piece of text: the one block size of
+#: the writers' pieces and of the array reader's blocks.
+_BLOCK_ROWS = 4096
+
+#: The characters of a JSON number token.
+_NUMBER_CHARS = b"0123456789+-.eE"
+
+
+def _rows_per_block(width: int) -> int:
+    """Rows of ``width`` pairs in a block: whole rows, about ``_BLOCK_ROWS`` pairs."""
+    return max(_BLOCK_ROWS // max(width, 1), 1)
 
 
 def _pairs(values: np.ndarray) -> str:
@@ -119,21 +220,32 @@ def _pairs(values: np.ndarray) -> str:
     )
 
 
-def _complex_items(values) -> str:
-    """The items of a 1-D or 2-D complex array as json.dumps writes them, without
-    the array's outer brackets."""
+def _complex_pieces(values) -> Iterator[str]:
+    """The items of a 1-D or 2-D complex array as json.dumps writes them,
+    without the array's outer brackets, in pieces of about ``_BLOCK_ROWS``
+    pairs (whole rows of a matrix). A non-finite entry is refused here,
+    before any piece is made."""
     values = np.asarray(values, dtype=np.complex128)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        first = values[bad][0]
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = values[~finite][0]
         json.dumps([float(first.real), float(first.imag)], allow_nan=False)  # raises json's ValueError
-    if values.ndim == 2:
-        return ",".join([f"[{_pairs(row)}]" for row in values])
-    return _pairs(values)
+    width = values.shape[1] if values.ndim == 2 else 1  # pairs per row; a pair is a 1-D row
+    return _blocks(values, _rows_per_block(width))
 
 
-#: The characters of a JSON number token.
-_NUMBER_CHARS = b"0123456789+-.eE"
+def _blocks(values: np.ndarray, step: int) -> Iterator[str]:
+    """:func:`_complex_pieces` after its check: ``step`` pairs or rows a piece."""
+    for top in range(0, len(values), step):
+        block = values[top : top + step]
+        text = _pairs(block) if block.ndim == 1 else ",".join([f"[{_pairs(row)}]" for row in block])
+        yield f",{text}" if top else text
+
+
+def _array_record(head: str, values) -> Iterator[str]:
+    """Pieces of a record whose last key, which ``head`` opens, holds a
+    complex array (see :func:`_complex_pieces`)."""
+    return chain((head,), _complex_pieces(values), ("]}\n",))
 
 
 def _skeleton(shape: tuple[int, ...]) -> bytes:
@@ -143,33 +255,70 @@ def _skeleton(shape: tuple[int, ...]) -> bytes:
     return pairs if len(shape) == 1 else b",".join([b"[" + pairs + b"]"] * shape[0])
 
 
-def _canonical_complex(text: str, key: str, shape_of):
-    """``(record, values)`` of a file whose last key, ``key``, holds a complex
-    array as the writers write it; None for any other text.
+def _canonical_complex(source, key: str, shape_of):
+    """``(record, values)`` of a file (its text or the open binary file)
+    whose last key, ``key``, holds a complex array as the writers write it;
+    None for any other file.
 
     ``record`` is the JSON object before ``key``, and ``shape_of(record)``
-    the shape of the array it declares. Once its number tokens are deleted,
-    the array's text must be exactly the skeleton of that shape: that
-    proves the [re, im] structure. With the separators between pairs and
-    rows turned into commas, one ``json.loads`` of what is left (a flat list
-    of the tokens; for a matrix, wrapped in one more list) proves each token
-    a JSON number; a stray token beside a bracket keeps that bracket, which
-    makes it fail.
+    the shape of the array it declares. The array is read into a read-only
+    array of that shape, a block of about ``_BLOCK_ROWS`` pairs (whole rows
+    of a matrix) at a time, each block cut at the last separator between
+    pairs or rows in the text read so far. Once its number tokens are
+    deleted, a block's text must be exactly the skeleton of its pair or row
+    count: that proves the [re, im] structure. With the separators in it
+    turned into commas, one ``json.loads`` of what is left (a flat list of
+    the tokens; for rows, wrapped in one more list) proves each token a JSON
+    number; a stray token beside a bracket keeps that bracket, which makes
+    it fail. The counts must add up to the declared shape.
     """
-    cut = text.find(key)
-    if cut < 0 or not text.endswith("]}\n"):
-        return None
     try:
-        record = json.loads(text[:cut] + "}")
+        file = _Cursor(source)
+        head = file.until(key)
+        if head is None:
+            return None
+        record = json.loads(head + "}")
         shape = shape_of(record)
-        body = text[cut + len(key) : -3]
+        count, body = math.prod(shape), file.size - file.pos - 3  # the array's text
         # each pair takes at least 6 characters, so a huge declared shape builds nothing
-        if 6 * math.prod(shape) - 1 > len(body):
+        if 6 * count - 1 > body:
             return None
-        if body.encode().translate(None, _NUMBER_CHARS) != _skeleton(shape):
+        values = np.empty(count, dtype=np.complex128)
+        flat = values.view(np.float64)
+        matrix = len(shape) == 2
+        width = shape[1] if matrix else 1  # pairs per row; a 1-D array's row is a pair
+        row_sep, pair_sep, tail, comma = map(file.typed, ("]],[[", "],[", "]}\n", ","))
+        sep = row_sep if matrix else pair_sep
+        half = len(sep) // 2  # the block before a separator keeps its closing brackets
+        # a block's share of the text, for its rows' share of the pairs
+        window = max(body * _rows_per_block(width) * width // max(count, 1), 1)
+        pending, filled = file.typed(""), 0
+        while pending is not None:
+            part = file.read(window)
+            pending += part
+            if len(part) < window:  # the end: the last block, then the record's close
+                if not pending.endswith(tail):
+                    return None
+                block, pending = pending[:-3], None
+            else:
+                at = pending.rfind(sep)
+                if at < 0:
+                    continue
+                block, pending = pending[: at + half], pending[at + half + 1 :]
+            rows = block.count(sep) + 1
+            size = rows * width
+            if filled + size > count:
+                return None
+            skeleton = _skeleton((rows, width) if matrix else (rows,))
+            raw = block if file.file else block.encode()
+            if raw.translate(None, _NUMBER_CHARS) != skeleton:
+                return None
+            numbers = json.loads(block.replace(row_sep, comma).replace(pair_sep, comma))
+            flat[2 * filled : 2 * (filled + size)] = numbers[0] if matrix else numbers
+            filled += size
+        if filled != count:
             return None
-        flat = json.loads(body.replace("]],[[", ",").replace("],[", ","))
-        values = np.array(flat, dtype=np.float64).view(np.complex128)
+        values.flags.writeable = False
         return record, values.reshape(shape)
     except Exception:
         return None  # whatever is wrong, the full parse raises it as it always has
@@ -193,30 +342,36 @@ def _parse_complex(pair) -> complex:
     return complex(_number(pair[0], "re"), _number(pair[1], "im"))
 
 
-def dump_density(rho: DensityMatrix) -> str:
-    return f'{{"d":{rho.shape.d},"n":{rho.shape.n},"matrix":[{_complex_items(rho.entries)}]}}\n'
+def density_pieces(rho: DensityMatrix) -> Iterator[str]:
+    """Canonical text of a density matrix, in pieces (see :func:`_complex_pieces`)."""
+    return _array_record(f'{{"d":{rho.shape.d},"n":{rho.shape.n},"matrix":[', rho.entries)
 
 
 def _density_shape(record) -> QuditShape:
     return QuditShape(_integer(record["d"], "d"), _integer(record["n"], "n"))
 
 
-def load_density(text: str, tol: ToleranceConfig | None = None) -> DensityMatrix:
-    canonical = _canonical_complex(text, ',"matrix":[', lambda r: (_density_shape(r).N,) * 2)
+def load_density(source, tol: ToleranceConfig | None = None) -> DensityMatrix:
+    """The validated density matrix of a file: its text, or the open binary file."""
+    source = _rewindable(source)
+    canonical = _canonical_complex(source, ',"matrix":[', lambda r: (_density_shape(r).N,) * 2)
     if canonical is not None:
         record, matrix = canonical
         return validate_density(matrix, _density_shape(record), tol)
-    data = _record(text, "matrix")
+    data = _record(source, "matrix")
     shape = _density_shape(data)
     matrix = _parse_complex_matrix(data["matrix"], shape.N, shape.N)
     return validate_density(matrix, shape, tol)
 
 
+def state_pieces(state: PureState) -> Iterator[str]:
+    """Canonical text of a state, in pieces (see :func:`_complex_pieces`)."""
+    head = f'{{"ancilla_dim":{state.ancilla_dim},"system_dim":{state.system_dim},"amplitudes":['
+    return _array_record(head, state.amplitudes)
+
+
 def dump_state(state: PureState) -> str:
-    return (
-        f'{{"ancilla_dim":{state.ancilla_dim},"system_dim":{state.system_dim},'
-        f'"amplitudes":[{_complex_items(state.amplitudes)}]}}\n'
-    )
+    return "".join(state_pieces(state))
 
 
 def _state_dims(record) -> tuple[int, int]:
@@ -226,32 +381,32 @@ def _state_dims(record) -> tuple[int, int]:
     )
 
 
-def load_state(text: str) -> PureState:
-    canonical = _canonical_complex(text, ',"amplitudes":[', lambda r: (math.prod(_state_dims(r)),))
+def load_state(source) -> PureState:
+    """The state of a file: its text, or the open binary file."""
+    source = _rewindable(source)
+    canonical = _canonical_complex(source, ',"amplitudes":[', lambda r: (math.prod(_state_dims(r)),))
     if canonical is not None:
         record, amps = canonical
         return PureState(*_state_dims(record), amps)
-    data = _record(text, "state")
+    data = _record(source, "state")
     m, n = _state_dims(data)
     pairs = _json(data["amplitudes"], list, "amplitudes")
     amps = np.array([_parse_complex(p) for p in pairs], dtype=np.complex128)
     return PureState(m, n, amps)
 
 
-def dump_coefficients(matrix) -> str:
-    """Canonical text of a square coefficient matrix; any other shape is refused."""
+def coefficient_pieces(matrix) -> Iterator[str]:
+    """Canonical text of a square coefficient matrix, in pieces; any other
+    shape is refused before the first."""
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeMismatch(f"coefficients must be a square matrix, got shape {arr.shape}")
-    return f'{{"N":{arr.shape[0]},"C":[{_complex_items(arr)}]}}\n'
+    return _array_record(f'{{"N":{arr.shape[0]},"C":[', arr)
 
 
 #: Where the schedule block starts in a canonical circuit file: it is the
 #: record's last key.
 _SCHEDULE_KEY = ',"schedule":['
-
-#: Gate rows rendered per piece of the schedule block.
-_BLOCK_ROWS = 4096
 
 
 def _negated(tokens: str) -> str:
@@ -260,7 +415,7 @@ def _negated(tokens: str) -> str:
     return ("-" + tokens.replace(",", ",-")).replace("--", "") if tokens else ""
 
 
-def _circuit_pieces(shape: QuditShape, lists: list[str]) -> Iterator[str]:
+def _render_circuit(shape: QuditShape, lists: list[str]) -> Iterator[str]:
     """Canonical text of a circuit file, in pieces: the head one branch per
     piece, the schedule block ``_BLOCK_ROWS`` records per piece.
 
@@ -270,7 +425,8 @@ def _circuit_pieces(shape: QuditShape, lists: list[str]) -> Iterator[str]:
     :data:`~qpurify.circuit.GATE`). Every other byte of it depends on N only,
     so a record joins strings built once per call, with no formatting per
     gate (a separator, its group's head, its subspace or basis line, its
-    value). The writer joins the pieces; the reader compares each in place.
+    value). :func:`circuit_pieces` hands the pieces out; the reader compares
+    each with the file as it reads it.
     """
     N, weights, angles, phases = shape.N, lists[0], lists[1::2], lists[2::2]
     yield (
@@ -280,9 +436,8 @@ def _circuit_pieces(shape: QuditShape, lists: list[str]) -> Iterator[str]:
     for k, (a, p) in enumerate(zip(angles, phases)):
         yield f'{"," if k else ""}{{"dim":{N - k},"angles":[{a}],"phases":[{p}]}}'
     yield "]}"
-    values = [weights]
-    for a, p in zip(angles, phases):
-        values += [a, _negated(p)]
+    # one branch's tokens at a time: the negated phases are never all held
+    values = chain((weights,), chain.from_iterable((a, _negated(p)) for a, p in zip(angles, phases)))
     gate = '{"gate":"%s","control_value":%s'
     rot = [f',"subspace":[0,{t}],"value":' for t in range(N - 1, 0, -1)]
     basis = [f',"basis":{a},"value":' for a in range(N - 1)]
@@ -311,8 +466,11 @@ def _check_schedule(gates: np.ndarray, params: CircuitParameters) -> None:
         raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
 
 
-def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSchedule) -> str:
-    """Canonical text of a circuit; a file load_circuit would reject is refused."""
+def circuit_pieces(
+    shape: QuditShape, params: CircuitParameters, schedule: GateSchedule
+) -> Iterator[str]:
+    """Canonical text of a circuit, in pieces; a file load_circuit would
+    reject is refused before the first."""
     if shape.N != params.N:
         raise ShapeMismatch(f"circuit of N={params.N} for a register of N={shape.N}")
     if schedule.parameters is not params:  # a schedule is its parameters
@@ -323,11 +481,15 @@ def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSch
     arrays = [params.weight_angles]
     for k in range(n):  # branch k's values: the first N - 1 - k of row k
         arrays += [params.angles[k, : n - 1 - k], params.phases[k, : n - 1 - k]]
-    return "".join(_circuit_pieces(shape, [",".join(map(repr, a.tolist())) for a in arrays]))
+    return _render_circuit(shape, [",".join(map(repr, a.tolist())) for a in arrays])
+
+
+def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSchedule) -> str:
+    return "".join(circuit_pieces(shape, params, schedule))
 
 
 def _parse_gate(record) -> tuple:
-    """Gate-table row of one JSON record (the inverse of :func:`_circuit_pieces`)."""
+    """Gate-table row of one JSON record (the inverse of :func:`_render_circuit`)."""
     kind = record["gate"]
     control = record["control_value"]
     if control is None:
@@ -385,63 +547,88 @@ def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
     return shape, CircuitParameters.from_branches(n, weights, branches)
 
 
-def _load_canonical_circuit(text: str):
-    """The circuit in ``text`` if it is, byte for byte, the text its own
-    parameter tokens render to (as :func:`dump_circuit` renders the tokens
-    ``repr`` writes); else None."""
-    cut = text.find(_SCHEDULE_KEY)
-    if cut < 0:
-        return None
+def _load_canonical_circuit(source):
+    """The circuit in a file (its text or the open binary file) if the file
+    is, byte for byte, the text its own parameter tokens render to
+    (as :func:`dump_circuit` renders the tokens ``repr`` writes); else None.
+    The schedule block is compared as it is read, a piece at a time."""
     try:
-        shape, params = _circuit_head(json.loads(text[:cut] + "}"))
+        file = _Cursor(source)
+        head = file.until(_SCHEDULE_KEY)
+        if head is None:
+            return None
+        record = head + "}"
+        del head
+        shape, params = _circuit_head(json.loads(record))
     except Exception:
         return None  # whatever is wrong, the full parse raises it as it always has
     # the innermost arrays of the head: its parameter lists, of bare number
     # tokens only (a space would render as "- x" in a negated phase)
-    lists = [p.partition("]")[0] for p in text[:cut].split("[")[1:] if "]" in p]
-    if "".join(lists).encode().translate(None, b"," + _NUMBER_CHARS):
+    lists = [p.partition("]")[0] for p in record.split("[")[1:] if "]" in p]
+    if any(item.encode().translate(None, b"," + _NUMBER_CHARS) for item in lists):
         return None
-    pos = 0
-    for piece in _circuit_pieces(shape, lists):
-        if not text.startswith(piece, pos):
+    pieces, pos = _render_circuit(shape, lists), 0
+    for piece in pieces:  # the head, up to the key the cursor has passed
+        if piece == _SCHEDULE_KEY:
+            break
+        if not record.startswith(piece, pos):
             return None
         pos += len(piece)
-    return (shape, params, schedule_from_parameters(params)) if pos == len(text) else None
+    if pos != len(record) - 1 or not all(map(file.match, pieces)) or file.read(1):
+        return None
+    return shape, params, schedule_from_parameters(params)
 
 
-def load_circuit(text: str) -> tuple[QuditShape, CircuitParameters, GateSchedule]:
-    """Shape, parameters and gate schedule of a circuit file.
+def load_circuit(source) -> tuple[QuditShape, CircuitParameters, GateSchedule]:
+    """Shape, parameters and gate schedule of a circuit file: its text, or
+    the open binary file.
 
     A file as :func:`dump_circuit` writes it is accepted by comparing its
     text with the text its parameter tokens render to. Any other layout is
     parsed in full, and its schedule must agree with its parameters under
     ==; the schedule returned is the parameters' own, signed zeros and all.
     """
-    circuit = _load_canonical_circuit(text)
+    source = _rewindable(source)
+    circuit = _load_canonical_circuit(source)
     if circuit is not None:
         return circuit
-    data = _record(text, "circuit")
+    data = _record(source, "circuit")
     shape, params = _circuit_head(data)
     _check_schedule(_gate_rows(params.N, data["schedule"]), params)
     return shape, params, schedule_from_parameters(params)
 
 
-def bloch_csv(alphas, n_theta: int, n_phi: int) -> str:
-    """CSV of surface points, one block per alpha: alpha,theta,phi,X,Y,Z."""
-    lines = ["alpha,theta,phi,X,Y,Z"]
+def bloch_pieces(alphas, n_theta: int, n_phi: int) -> Iterator[str]:
+    """CSV of surface points, one block per alpha: alpha,theta,phi,X,Y,Z, in
+    pieces of about ``_BLOCK_ROWS`` rows (whole thetas of ``n_phi`` rows).
+    A grid or an alpha that :func:`~qpurify.bloch.bloch_surface` refuses is
+    refused before the first."""
     thetas, phis = grid_angles(n_theta, n_phi)
-    phis = [repr(phi) for phi in phis.tolist()]
+    alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
-        alpha = float(alpha)
-        points = bloch_surface(alpha, (n_theta, n_phi))
-        xs, ys = map(repr, points[:, 0].tolist()), map(repr, points[:, 1].tolist())
-        # theta-major, phi-minor, as bloch_surface emits its points; Z depends
-        # on theta only, so each row's alpha, theta and Z are written once
-        for theta, z in zip(thetas.tolist(), points[::n_phi, 2].tolist()):
-            head, tail = f"{alpha!r},{theta!r},", f",{z!r}"
-            row = zip(phis, islice(xs, n_phi), islice(ys, n_phi))
-            lines += [f"{head}{phi},{x},{y}{tail}" for phi, x, y in row]
-    return "\n".join(lines) + "\n"
+        _check_alpha(alpha)
+    rows = _bloch_rows(alphas, thetas.tolist(), [repr(phi) for phi in phis.tolist()])
+    return chain(("alpha,theta,phi,X,Y,Z\n",), rows)
+
+
+def _bloch_rows(alphas: list[float], thetas: list[float], phis: list[str]) -> Iterator[str]:
+    """:func:`bloch_pieces` after its checks."""
+    n_phi, step = len(phis), _rows_per_block(len(phis))
+    for alpha in alphas:
+        points = bloch_surface(alpha, (len(thetas), n_phi))
+        zs = points[::n_phi, 2].tolist()
+        for top in range(0, len(thetas), step):
+            block = points[top * n_phi : (top + step) * n_phi]
+            xs, ys = map(repr, block[:, 0].tolist()), map(repr, block[:, 1].tolist())
+            lines = []
+            # theta-major, phi-minor, as bloch_surface emits its points; Z
+            # depends on theta only, so each row's alpha, theta and Z are
+            # written once per theta
+            for theta, z in zip(thetas[top : top + step], zs[top : top + step]):
+                head, tail = f"{alpha!r},{theta!r},", f",{z!r}\n"
+                row = zip(phis, islice(xs, n_phi), islice(ys, n_phi))
+                lines += [f"{head}{phi},{x},{y}{tail}" for phi, x, y in row]
+            yield "".join(lines)
 
 
 def sweep_alphas(count: int) -> list[float]:

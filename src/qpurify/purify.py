@@ -57,6 +57,7 @@ def cholesky_purify(rho: DensityMatrix, tol: ToleranceConfig | None = None) -> C
         c[alpha, t] = q
         if t and q > tol.eps_pivot:
             c[alpha, :t] = (r[:t, t] - c[:alpha, :t].T @ col.conj()) / q
+    c.flags.writeable = False  # held, not copied
     coeffs = CoefficientMatrix(n, c)
     err = max_abs_diff(reconstruct(coeffs), r)
     if err > tol.eps_recon:

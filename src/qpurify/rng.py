@@ -103,6 +103,7 @@ def random_density(d: int, n: int, seed: int, rank: int | None = None) -> Densit
     gram = g @ g.conj().T
     gram = (gram + gram.conj().T) / 2.0
     gram /= float(np.trace(gram).real)
+    gram.flags.writeable = False  # held, not copied
     return DensityMatrix(shape, gram)
 
 

@@ -435,3 +435,64 @@ class TestNOnlyMasks:
         for n in range(1, 12):
             _strict_lower(n)
         assert _strict_lower.cache_info().currsize <= 4
+
+
+class TestFrozenArrays:
+    """The frozen dataclasses copy what a caller could still write to, and
+    hold as it is what the package built and froze."""
+
+    def test_writeable_input_is_copied(self):
+        entries = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(QuditShape(2, 1), entries)
+        entries[0, 0] = 5.0
+        assert rho.entries[0, 0] == 0.5 and not np.shares_memory(rho.entries, entries)
+        amplitudes = np.array([1.0, 0.0], dtype=complex)
+        state = PureState(1, 2, amplitudes)
+        amplitudes[0] = 0.0
+        assert state.amplitudes[0] == 1.0
+
+    def test_read_only_view_of_writeable_array_is_copied(self):
+        # the caller can still write through the base
+        entries = np.eye(2, dtype=complex) / 2
+        view = entries.view()
+        view.flags.writeable = False
+        rho = DensityMatrix(QuditShape(2, 1), view)
+        entries[0, 0] = 5.0
+        assert rho.entries[0, 0] == 0.5 and not np.shares_memory(rho.entries, entries)
+
+    def test_other_dtype_is_copied(self):
+        entries = np.eye(2) / 2
+        entries.flags.writeable = False
+        rho = DensityMatrix(QuditShape(2, 1), entries)
+        assert rho.entries.dtype == np.complex128 and not np.shares_memory(rho.entries, entries)
+
+    def test_package_built_arrays_are_shared(self):
+        from qpurify import (
+            CircuitParameters,
+            apply_schedule,
+            cholesky_purify,
+            coefficients_to_state,
+            extract_parameters,
+            schedule_from_parameters,
+            simulate_circuit,
+        )
+
+        rho = random_density(2, 3, seed=4)
+        assert np.shares_memory(DensityMatrix(rho.shape, rho.entries).entries, rho.entries)
+        valid = validate_density(rho.entries, rho.shape)
+        assert np.shares_memory(DensityMatrix(rho.shape, valid.entries).entries, valid.entries)
+        coeffs = cholesky_purify(rho)
+        assert np.shares_memory(coefficients_to_state(coeffs).amplitudes, coeffs.C)
+        params = extract_parameters(coeffs)
+        loaded = CircuitParameters.from_branches(
+            params.N,
+            params.weight_angles,
+            [(params.N - k, a[: params.N - 1 - k], p[: params.N - 1 - k]) for k, (a, p) in enumerate(zip(params.angles, params.phases))],
+        )
+        for built in (params, loaded):
+            again = CircuitParameters(built.N, built.weight_angles, built.angles, built.phases)
+            assert np.shares_memory(again.angles, built.angles)
+            assert np.shares_memory(again.phases, built.phases)
+        for state in (simulate_circuit(params, "product"), apply_schedule(schedule_from_parameters(params))):
+            again = PureState(state.ancilla_dim, state.system_dim, state.amplitudes)
+            assert np.shares_memory(again.amplitudes, state.amplitudes)

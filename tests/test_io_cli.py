@@ -38,8 +38,20 @@ def runner():
     return CliRunner()
 
 
+def dump_density(rho):
+    return "".join(io.density_pieces(rho))
+
+
+def dump_coefficients(matrix):
+    return "".join(io.coefficient_pieces(matrix))
+
+
+def bloch_csv(alphas, n_theta, n_phi):
+    return "".join(io.bloch_pieces(alphas, n_theta, n_phi))
+
+
 def write_density(path, rho):
-    path.write_text(io.dump_density(rho))
+    path.write_text(dump_density(rho))
     return str(path)
 
 
@@ -393,7 +405,7 @@ def canonical_state(d, n, rank):
 
 
 def canonical_density(d, n, rank):
-    return io.dump_density(random_density(d, n, seed=d**n, rank=rank))
+    return dump_density(random_density(d, n, seed=d**n, rank=rank))
 
 
 #: Per array format: its reader, the full parse, a canonical file and the array's key.
@@ -461,13 +473,13 @@ def array_variants(text, key):
 class TestJsonFormats:
     def test_density_byte_round_trip(self):
         rho = random_density(2, 2, seed=9)
-        text = io.dump_density(rho)
-        again = io.dump_density(io.load_density(text))
+        text = dump_density(rho)
+        again = dump_density(io.load_density(text))
         assert again == text
 
     def test_density_fields(self):
         rho = random_density(3, 1, seed=2)
-        data = json.loads(io.dump_density(rho))
+        data = json.loads(dump_density(rho))
         assert list(data.keys()) == ["d", "n", "matrix"]
         assert data["d"] == 3 and data["n"] == 1
         assert len(data["matrix"]) == 3 and len(data["matrix"][0][0]) == 2
@@ -564,9 +576,9 @@ class TestJsonFormats:
         extremes = np.array([[complex(1.0, -0.0), complex(5e-324, 1e300)], [complex(-2.0, 3.0), -0.0]])
         densities = [rho, SimpleNamespace(shape=QuditShape(2, 1), entries=extremes)]
         for density in densities:
-            assert io.dump_density(density) == json_text(density_record(density))
+            assert dump_density(density) == json_text(density_record(density))
         for matrix in (cholesky_purify(rho).C, extremes):
-            assert io.dump_coefficients(matrix) == json_text(coefficient_record(matrix))
+            assert dump_coefficients(matrix) == json_text(coefficient_record(matrix))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_state_writer_rejects_non_finite(self, runner, tmp_path, monkeypatch, bad):
@@ -575,8 +587,8 @@ class TestJsonFormats:
         density = SimpleNamespace(shape=QuditShape(2, 1), entries=matrix)
         cases = [
             (io.dump_state, state, state_record),
-            (io.dump_density, density, density_record),
-            (io.dump_coefficients, matrix, coefficient_record),
+            (dump_density, density, density_record),
+            (dump_coefficients, matrix, coefficient_record),
         ]
         for writer, value, record in cases:
             with pytest.raises(ValueError) as want:
@@ -665,7 +677,7 @@ class TestJsonFormats:
     def test_dimension_fields_must_be_integers(self, runner, tmp_path, kind, field, value):
         rho = random_density(2, 1, seed=1)
         if kind == "density":
-            text, load, command = io.dump_density(rho), io.load_density, "purify --input"
+            text, load, command = dump_density(rho), io.load_density, "purify --input"
         elif kind == "state":
             text, load, command = io.dump_state(coefficients_to_state(cholesky_purify(rho))), io.load_state, None
         else:
@@ -701,7 +713,7 @@ class TestJsonFormats:
     def test_number_fields_must_be_numbers(self, runner, tmp_path, kind, field, value):
         rho = random_density(2, 1, seed=1)
         if kind == "density":
-            data, load, command = json.loads(io.dump_density(rho)), io.load_density, "purify --input"
+            data, load, command = json.loads(dump_density(rho)), io.load_density, "purify --input"
             entries = data["matrix"][0][0]
         elif kind == "state":
             data, load, command = json.loads(io.dump_state(coefficients_to_state(cholesky_purify(rho)))), io.load_state, None
@@ -799,7 +811,7 @@ class TestJsonFormats:
         # that is not one, or in non-canonical text
         message = f"coefficients must be a square matrix, got shape {shape}"
         with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
-            io.dump_coefficients(np.zeros(shape))
+            dump_coefficients(np.zeros(shape))
 
     def test_circuit_rejects_inconsistent_dims(self):
         rho = random_density(2, 1, seed=1)
@@ -811,7 +823,7 @@ class TestJsonFormats:
             io.load_circuit(json.dumps(data))
 
     def test_bloch_csv_layout(self):
-        text = io.bloch_csv([0.0], 3, 4)
+        text = bloch_csv([0.0], 3, 4)
         lines = text.strip().split("\n")
         assert lines[0] == "alpha,theta,phi,X,Y,Z"
         assert len(lines) == 1 + 12
@@ -831,7 +843,7 @@ class TestJsonFormats:
             alpha = float(alpha)
             points = bloch_surface(alpha, (n_theta, n_phi)).tolist()
             lines += [f"{alpha!r},{at},{x!r},{y!r},{z!r}" for at, (x, y, z) in zip(grid, points)]
-        assert io.bloch_csv(alphas, n_theta, n_phi) == "\n".join(lines) + "\n"
+        assert bloch_csv(alphas, n_theta, n_phi) == "\n".join(lines) + "\n"
 
     def test_sweep_alphas(self):
         values = io.sweep_alphas(6)
@@ -1107,7 +1119,7 @@ class TestCliErrors:
         rho = random_density(2, 1, seed=3)
         params = extract_parameters(cholesky_purify(rho))
         inputs = {
-            "simulate": io.dump_density(rho),
+            "simulate": dump_density(rho),
             "purify": io.dump_circuit(rho.shape, params, schedule_from_parameters(params)),
         }
         path, out = tmp_path / "input.json", tmp_path / "out.json"

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from test_io_cli import circuit_record, json_text
+from test_io_cli import circuit_record, dump_density, json_text
 
 from qpurify import CircuitParameters, QuditShape, io, schedule_from_parameters
 
@@ -68,7 +68,7 @@ def test_matrix_round_trip_is_bit_exact(dims, data):
         # the parsed matrix itself, before validation; and no per-entry parse
         patch.setattr(io, "validate_density", lambda matrix, shape, tol: SimpleNamespace(shape=shape, entries=matrix))
         patch.setattr(io, "_parse_complex", refuse)
-        loaded = io.load_density(io.dump_density(rho))
+        loaded = io.load_density(dump_density(rho))
     assert loaded.shape == shape
     assert same_bits(loaded.entries, rho.entries)
 
