@@ -6,10 +6,11 @@ prefixed with the failure kind (e.g. ``NotPSD:``, ``ReconstructionFailure:``).
 
 Each command imports the layers it runs at the top of its body, after its
 usage checks, so ``--help`` and usage errors load neither numpy nor a layer.
-Input files are handed to the ``io`` readers open, which read them a block
-at a time. Output files are written piece by piece as the ``io`` writers
-make them; a writer refuses its input before the file is opened, so a
-refused write leaves no file.
+``bloch`` runs on ``math`` alone and loads no numpy. Input files are handed
+to the ``io`` readers open, which read them a block at a time. Output files
+are written piece by piece as the ``io`` and ``bloch`` writers make them;
+a writer refuses its input before the file is opened, so a refused write
+leaves no file.
 """
 
 from __future__ import annotations
@@ -165,10 +166,10 @@ def bloch(alpha, alphas, grid, out_path):
         n_theta, n_phi = (int(part) for part in grid.lower().split("x"))
     except ValueError as exc:
         raise ValueError(f"grid must look like 50x50, got {grid!r}") from exc
-    from . import io
+    from .bloch import bloch_pieces, sweep_alphas
 
-    values = [alpha] if alpha is not None else io.sweep_alphas(alphas)
-    _write(out_path, io.bloch_pieces(values, n_theta, n_phi))
+    values = [alpha] if alpha is not None else sweep_alphas(alphas)
+    _write(out_path, bloch_pieces(values, n_theta, n_phi))
     click.echo(f"rows={len(values) * n_theta * n_phi}")
 
 

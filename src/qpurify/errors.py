@@ -1,6 +1,12 @@
-"""Exception types shared across the package, and how their messages print integers."""
+"""Exception types shared across the package, how their messages print
+integers, and the block size of the file writers: the one module every
+layer imports, numpy-free."""
 
 import sys
+
+#: Pairs, gate records or CSV rows per piece of text: the one block size of
+#: the writers' pieces (``io`` and ``bloch``) and of the array reader's blocks.
+BLOCK_ROWS = 4096
 
 
 def shown(value: int, name: str) -> int | str:

@@ -1,4 +1,5 @@
-"""JSON and CSV file formats, written and read a block at a time.
+"""JSON file formats, written and read a block at a time. (The CSV of the
+``bloch`` command is written by :mod:`qpurify.bloch`, which loads no numpy.)
 
 Serialization is canonical so golden files are byte-stable: fixed key
 order, compact separators, one trailing newline, and floats rendered as
@@ -7,8 +8,8 @@ repr). Complex numbers are stored as [re, im] pairs. The writers build the
 text json.dumps would give straight from the arrays.
 
 Every writer (``*_pieces``) hands out the text in pieces of about
-``_BLOCK_ROWS`` pairs (whole rows of a matrix), gate records or CSV rows,
-for the CLI to write to an open file; no whole-file string is built. It
+``errors.BLOCK_ROWS`` pairs (whole rows of a matrix) or gate records, for
+the CLI to write to an open file; no whole-file string is built. It
 runs every refusal check (non-finite values, shape, N, the schedule's
 agreement with its parameters) before it returns, so nothing is written
 for a refused input. ``dump_state`` and ``dump_circuit`` join the pieces.
@@ -19,11 +20,11 @@ layout the writers produce, and read such a file with no Python work per
 entry:
 
 * a state or density file is parsed up to its array, which is read into a
-  preallocated array one block of about ``_BLOCK_ROWS`` pairs (whole rows
-  of a matrix) at a time, each block cut at a separator. A block's text,
-  once its number tokens are deleted, must be exactly the bracket-and-comma
-  skeleton of its pair or row count, and one ``json.loads`` of its tokens
-  as a flat list gives its doubles;
+  preallocated array one block of about ``errors.BLOCK_ROWS`` pairs (whole
+  rows of a matrix) at a time, each block cut at a separator. A block's
+  text, once its number tokens are deleted, must be exactly the
+  bracket-and-comma skeleton of its pair or row count, and one
+  ``json.loads`` of its tokens as a flat list gives its doubles;
 * a circuit file's ``schedule`` block is derived from its ``parameters``
   block. One renderer, :func:`_render_circuit`, writes the whole file from
   its shape and the parameter lists' number tokens, with every byte of the
@@ -55,7 +56,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .bloch import _check_alpha, bloch_surface, grid_angles
+from . import errors
 from .circuit import (
     GATE,
     CircuitParameters,
@@ -154,7 +155,7 @@ class _Cursor:
         if self.file:
             text, start, cut = bytearray(), 0, -1
             while cut < 0:
-                part = self.source.read(64 * _BLOCK_ROWS)
+                part = self.source.read(64 * errors.BLOCK_ROWS)
                 if not part:
                     return None
                 seen = max(len(text) - len(key) + 1, 0)  # a key across two parts
@@ -199,17 +200,14 @@ def _record(source, kind: str) -> dict:
     return data
 
 
-#: Pairs, gate records or CSV rows per piece of text: the one block size of
-#: the writers' pieces and of the array reader's blocks.
-_BLOCK_ROWS = 4096
-
 #: The characters of a JSON number token.
 _NUMBER_CHARS = b"0123456789+-.eE"
 
 
 def _rows_per_block(width: int) -> int:
-    """Rows of ``width`` pairs in a block: whole rows, about ``_BLOCK_ROWS`` pairs."""
-    return max(_BLOCK_ROWS // max(width, 1), 1)
+    """Rows of ``width`` pairs in a block: whole rows, about
+    ``errors.BLOCK_ROWS`` pairs."""
+    return max(errors.BLOCK_ROWS // max(width, 1), 1)
 
 
 def _pairs(values: np.ndarray) -> str:
@@ -222,9 +220,9 @@ def _pairs(values: np.ndarray) -> str:
 
 def _complex_pieces(values) -> Iterator[str]:
     """The items of a 1-D or 2-D complex array as json.dumps writes them,
-    without the array's outer brackets, in pieces of about ``_BLOCK_ROWS``
-    pairs (whole rows of a matrix). A non-finite entry is refused here,
-    before any piece is made."""
+    without the array's outer brackets, in pieces of about
+    ``errors.BLOCK_ROWS`` pairs (whole rows of a matrix). A non-finite entry
+    is refused here, before any piece is made."""
     values = np.asarray(values, dtype=np.complex128)
     finite = np.isfinite(values)
     if not finite.all():
@@ -262,8 +260,8 @@ def _canonical_complex(source, key: str, shape_of):
 
     ``record`` is the JSON object before ``key``, and ``shape_of(record)``
     the shape of the array it declares. The array is read into a read-only
-    array of that shape, a block of about ``_BLOCK_ROWS`` pairs (whole rows
-    of a matrix) at a time, each block cut at the last separator between
+    array of that shape, a block of about ``errors.BLOCK_ROWS`` pairs (whole
+    rows of a matrix) at a time, each block cut at the last separator between
     pairs or rows in the text read so far. Once its number tokens are
     deleted, a block's text must be exactly the skeleton of its pair or row
     count: that proves the [re, im] structure. With the separators in it
@@ -417,7 +415,7 @@ def _negated(tokens: str) -> str:
 
 def _render_circuit(shape: QuditShape, lists: list[str]) -> Iterator[str]:
     """Canonical text of a circuit file, in pieces: the head one branch per
-    piece, the schedule block ``_BLOCK_ROWS`` records per piece.
+    piece, the schedule block ``errors.BLOCK_ROWS`` records per piece.
 
     ``lists`` are the parameter lists as comma-joined number tokens of
     finite values: the weight angles, then each branch's angles and phases.
@@ -450,7 +448,7 @@ def _render_circuit(shape: QuditShape, lists: list[str]) -> Iterator[str]:
     tokens = chain.from_iterable(v.split(",") for v in values if v)
     cells = chain.from_iterable(zip(seps, chain(*heads), chain(*lines), tokens))
     yield _SCHEDULE_KEY
-    while block := "".join(islice(cells, 4 * _BLOCK_ROWS)):
+    while block := "".join(islice(cells, 4 * errors.BLOCK_ROWS)):
         yield block
     yield "}]}\n"
 
@@ -597,45 +595,3 @@ def load_circuit(source) -> tuple[QuditShape, CircuitParameters, GateSchedule]:
     _check_schedule(_gate_rows(params.N, data["schedule"]), params)
     return shape, params, schedule_from_parameters(params)
 
-
-def bloch_pieces(alphas, n_theta: int, n_phi: int) -> Iterator[str]:
-    """CSV of surface points, one block per alpha: alpha,theta,phi,X,Y,Z, in
-    pieces of about ``_BLOCK_ROWS`` rows (whole thetas of ``n_phi`` rows).
-    A grid or an alpha that :func:`~qpurify.bloch.bloch_surface` refuses is
-    refused before the first."""
-    thetas, phis = grid_angles(n_theta, n_phi)
-    alphas = [float(alpha) for alpha in alphas]
-    for alpha in alphas:
-        _check_alpha(alpha)
-    rows = _bloch_rows(alphas, thetas.tolist(), [repr(phi) for phi in phis.tolist()])
-    return chain(("alpha,theta,phi,X,Y,Z\n",), rows)
-
-
-def _bloch_rows(alphas: list[float], thetas: list[float], phis: list[str]) -> Iterator[str]:
-    """:func:`bloch_pieces` after its checks."""
-    n_phi, step = len(phis), _rows_per_block(len(phis))
-    for alpha in alphas:
-        points = bloch_surface(alpha, (len(thetas), n_phi))
-        zs = points[::n_phi, 2].tolist()
-        for top in range(0, len(thetas), step):
-            block = points[top * n_phi : (top + step) * n_phi]
-            xs, ys = map(repr, block[:, 0].tolist()), map(repr, block[:, 1].tolist())
-            lines = []
-            # theta-major, phi-minor, as bloch_surface emits its points; Z
-            # depends on theta only, so each row's alpha, theta and Z are
-            # written once per theta
-            for theta, z in zip(thetas[top : top + step], zs[top : top + step]):
-                head, tail = f"{alpha!r},{theta!r},", f",{z!r}\n"
-                row = zip(phis, islice(xs, n_phi), islice(ys, n_phi))
-                lines += [f"{head}{phi},{x},{y}{tail}" for phi, x, y in row]
-            yield "".join(lines)
-
-
-def sweep_alphas(count: int) -> list[float]:
-    """``count`` mixing angles spanning [0, pi/2] uniformly."""
-    if count < 1:
-        raise BadRange(f"alpha count must be >= 1, got {shown(count, 'count')}")
-    if count == 1:
-        return [0.0]
-    step = (math.pi / 2.0) / (count - 1)
-    return [i * step for i in range(count)]

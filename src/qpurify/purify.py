@@ -153,19 +153,22 @@ def verify_purification(
     return VerificationReport(err, err <= tol.eps_recon)
 
 
-def gauge_transform(state: PureState, unitary) -> PureState:
+def gauge_transform(
+    state: PureState, unitary, tol: ToleranceConfig | None = None
+) -> PureState:
     """Apply an ancilla-only unitary (U_A tensor identity) to a purification.
 
     Any such transform maps one purification of rho onto another; the
     partial trace is unchanged. ``unitary`` is refused when max|U†U - I|
-    exceeds the default ``eps_norm``.
+    exceeds ``tol.eps_norm``.
     """
+    tol = tol or DEFAULT_TOL
     u = np.asarray(unitary, dtype=np.complex128)
     m = state.ancilla_dim
     if u.shape != (m, m):
         raise ShapeMismatch(f"expected {m}x{m} ancilla unitary, got {u.shape}")
     defect = float(np.abs(u.conj().T @ u - np.eye(m)).max())
-    eps = DEFAULT_TOL.eps_norm
+    eps = tol.eps_norm
     if defect > eps:
         raise NotUnitary(f"unitarity defect {defect!r} exceeds eps_norm {eps!r}")
     rotated = u @ state.amplitudes.reshape(m, state.system_dim)

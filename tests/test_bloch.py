@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,10 +11,36 @@ from qpurify import (
     random_density,
     validate_density,
 )
-from qpurify.bloch import grid_angles
+from qpurify.bloch import grid_angles, sweep_alphas
 from qpurify.errors import BadRange, QPurifyError
 
 HALF_PI = math.pi / 2
+
+
+def numpy_grid_angles(n_theta, n_phi):
+    """The sampling grid as numpy spaces it: the oracle of ``grid_angles``."""
+    return (
+        np.linspace(0.0, math.pi, n_theta),
+        np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
+    )
+
+
+def numpy_bloch_surface(alpha, grid):
+    """The surface points with the entrywise arithmetic in numpy arrays: the
+    oracle of ``bloch_surface`` and of the CSV."""
+    thetas, phis = numpy_grid_angles(*grid)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    ca2, sa2 = ca * ca, sa * sa
+    ct = np.array([math.cos(t) for t in thetas.tolist()])
+    st = np.array([math.sin(t) for t in thetas.tolist()])
+    cp = np.array([math.cos(p) for p in phis.tolist()])
+    sp = np.array([math.sin(p) for p in phis.tolist()])
+    r = (ca2 * ct * st)[:, None]
+    points = np.empty((thetas.size, phis.size, 3))
+    points[:, :, 0] = 2.0 * (r * cp) + 0.0
+    points[:, :, 1] = -2.0 * (r * sp) + 0.0
+    points[:, :, 2] = ((ca2 * ct * ct + sa2) - ca2 * st * st + 0.0)[:, None]
+    return points.reshape(-1, 3)
 
 
 def mixed_state_matrix(alpha, theta, phi):
@@ -90,6 +117,31 @@ class TestBlochSurface:
     def test_bad_grid(self):
         with pytest.raises(BadRange):
             bloch_surface(0.3, (1, 5))
+
+
+#: Mixing angles of the bit-exact comparison: both ends, the CLI's sweep,
+#: the doubles next to the ends, and four drawn ones.
+DRAWS = random.Random(21)
+ORACLE_ALPHAS = sorted(
+    {0.0, HALF_PI, *sweep_alphas(6), 5e-324, math.nextafter(HALF_PI, 0.0)}
+    | {DRAWS.uniform(0.0, HALF_PI) for _ in range(4)}
+)
+
+
+class TestNumpyOracles:
+    def test_grid_is_numpy_spacing_bit_for_bit(self):
+        for side in range(2, 2001):
+            thetas, phis = grid_angles(side, side)
+            ref_thetas, ref_phis = numpy_grid_angles(side, side)
+            assert np.array(thetas).tobytes() == ref_thetas.tobytes(), side
+            assert np.array(phis).tobytes() == ref_phis.tobytes(), side
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_points_are_the_numpy_arithmetic_bit_for_bit(self, alpha):
+        for grid in [(2, 2), (3, 5), (7, 2), (50, 50), (101, 37), (2, 300)]:
+            points = bloch_surface(alpha, grid)
+            assert points.dtype == np.float64 and points.shape == (grid[0] * grid[1], 3)
+            assert points.tobytes() == numpy_bloch_surface(alpha, grid).tobytes(), grid
 
 
 class TestInvasionCoverage:

@@ -25,11 +25,11 @@ from qpurify import (
     schedule_from_parameters,
     validate_density,
 )
-from qpurify import bloch_surface, circuit, core, io
-from qpurify.bloch import grid_angles
+from qpurify import bloch, circuit, core, io
 from qpurify.circuit import _branch_cells
 from qpurify.cli import main
 from qpurify.errors import BadRange, NormFailure, OutOfRange, QPurifyError, ReconstructionFailure, ShapeMismatch, shown
+from test_bloch import numpy_bloch_surface, numpy_grid_angles
 from test_core import with_smallest_eigenvalue
 
 
@@ -47,7 +47,7 @@ def dump_coefficients(matrix):
 
 
 def bloch_csv(alphas, n_theta, n_phi):
-    return "".join(io.bloch_pieces(alphas, n_theta, n_phi))
+    return "".join(bloch.bloch_pieces(alphas, n_theta, n_phi))
 
 
 def write_density(path, rho):
@@ -831,28 +831,29 @@ class TestJsonFormats:
         assert first[0] == "0.0" and first[1] == "0.0" and first[2] == "0.0"
 
     @pytest.mark.parametrize("alphas,n_theta,n_phi", [
-        ([0.0], 2, 2), ([0.3, 1.0], 3, 5), ([1.2], 7, 2), (io.sweep_alphas(6), 10, 10),
+        ([0.0], 2, 2), ([0.3, 1.0], 3, 5), ([1.2], 7, 2), (bloch.sweep_alphas(6), 10, 10),
         (np.array([0.25, math.pi / 2]), 4, 3),
     ])
     def test_bloch_csv_matches_point_by_point_formulation(self, alphas, n_theta, n_phi):
-        # the rows as they were written: one repr of each of X, Y and Z per point
+        # the rows as they were written: one repr of each of X, Y and Z per
+        # point, from the numpy grid and arithmetic
         lines = ["alpha,theta,phi,X,Y,Z"]
-        thetas, phis = grid_angles(n_theta, n_phi)
+        thetas, phis = numpy_grid_angles(n_theta, n_phi)
         grid = [f"{theta!r},{phi!r}" for theta in thetas.tolist() for phi in phis.tolist()]
         for alpha in alphas:
             alpha = float(alpha)
-            points = bloch_surface(alpha, (n_theta, n_phi)).tolist()
+            points = numpy_bloch_surface(alpha, (n_theta, n_phi)).tolist()
             lines += [f"{alpha!r},{at},{x!r},{y!r},{z!r}" for at, (x, y, z) in zip(grid, points)]
         assert bloch_csv(alphas, n_theta, n_phi) == "\n".join(lines) + "\n"
 
     def test_sweep_alphas(self):
-        values = io.sweep_alphas(6)
+        values = bloch.sweep_alphas(6)
         assert len(values) == 6
         assert values[0] == 0.0
         assert abs(values[-1] - math.pi / 2) < 1e-15
         assert abs(values[1] - math.pi / 10) < 1e-15
         with pytest.raises(BadRange):
-            io.sweep_alphas(0)
+            bloch.sweep_alphas(0)
 
 
 #: The values set, one at a time, at every JSON path of a canonical file.

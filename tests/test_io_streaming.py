@@ -1,5 +1,5 @@
 """The text codec block by block: writers hand out pieces of about
-``io._BLOCK_ROWS`` pairs, gate records or CSV rows, the array reader parses
+``errors.BLOCK_ROWS`` pairs, gate records or CSV rows, the array reader parses
 one block at a time, and the CLI writes the pieces to disk.
 
 The codec's results must not depend on the block size, so the canonical
@@ -42,7 +42,7 @@ from qpurify import (
     random_density,
     schedule_from_parameters,
 )
-from qpurify import io
+from qpurify import bloch, errors, io
 from qpurify.cli import main
 
 #: Block sizes that put a block boundary after every pair or every third one.
@@ -51,7 +51,7 @@ SMALL_BLOCKS = [1, 3]
 
 @pytest.fixture(params=SMALL_BLOCKS, ids=lambda b: f"block{b}")
 def small_block(request, monkeypatch):
-    monkeypatch.setattr(io, "_BLOCK_ROWS", request.param)
+    monkeypatch.setattr(errors, "BLOCK_ROWS", request.param)
     return request.param
 
 
@@ -149,7 +149,7 @@ class TestSmallBlocks:
         assert all(p.lstrip(",").count("],[") < small_block for p in pieces)
         rows = list(io.density_pieces(rho))[1:-1]
         assert len(rows) == 4 and all(r.lstrip(",").count("]],[[") == 0 for r in rows)
-        csv = list(io.bloch_pieces([0.0, 0.5], 6, 2))[1:]  # whole thetas of 2 rows
+        csv = list(bloch.bloch_pieces([0.0, 0.5], 6, 2))[1:]  # whole thetas of 2 rows
         assert all(p.count("\n") == 2 * max(small_block // 2, 1) for p in csv)
         assert sum(p.count("\n") for p in csv) == 2 * 6 * 2
         params = extract_parameters(cholesky_purify(rho))
@@ -186,7 +186,7 @@ def writers(rho, coeffs, params, schedule):
         "density": (lambda: io.density_pieces(rho), N * N),
         "coefficients": (lambda: io.coefficient_pieces(coeffs.C), N * N),
         "circuit": (lambda: io.circuit_pieces(rho.shape, params, schedule), N * N - 1),
-        "bloch": (lambda: io.bloch_pieces(io.sweep_alphas(5), 100, 100), 5 * 100 * 100),
+        "bloch": (lambda: bloch.bloch_pieces(bloch.sweep_alphas(5), 100, 100), 5 * 100 * 100),
     }
 
 
@@ -199,7 +199,7 @@ class TestMemoryAtN256:
         # the joined text and the list of its pieces, and little else
         assert peak <= 2.5 * len(text), peak / len(text)
         # no piece longer than twice the mean text of a block of units
-        assert max(map(len, pieces())) <= 2 * len(text) * io._BLOCK_ROWS / units
+        assert max(map(len, pieces())) <= 2 * len(text) * errors.BLOCK_ROWS / units
         assert len(list(pieces())) > 8
 
     @pytest.mark.parametrize("kind", ["state", "density", "circuit"])
@@ -253,8 +253,8 @@ class TestCliStreams:
         assert (tmp_path / "state.json").read_text() == io.dump_state(simulated)
 
         run("bloch", "--alphas", "3", "--grid", "80x80", "--out", "bloch.csv")
-        assert (tmp_path / "bloch.csv").read_text() == bloch_csv(io.sweep_alphas(3), 80, 80)
-        assert len(list(io.bloch_pieces(io.sweep_alphas(3), 80, 80))) > 3
+        assert (tmp_path / "bloch.csv").read_text() == bloch_csv(bloch.sweep_alphas(3), 80, 80)
+        assert len(list(bloch.bloch_pieces(bloch.sweep_alphas(3), 80, 80))) > 3
 
 
 class TestOpenFiles:

@@ -277,6 +277,18 @@ class TestGaugeTransform:
         moved = gauge_transform(state, u)
         assert np.array_equal(moved.amplitudes, state.amplitudes)
 
+    def test_reads_the_callers_eps_norm(self):
+        from qpurify import PureState
+
+        # max|U†U - I| of diag(1, 1 + 1e-11) is about 2e-11: inside the
+        # default eps_norm 1e-10, outside a tight 1e-12
+        state = PureState(2, 2, np.array([0.6, 0.8, 0.0, 0.0], dtype=complex))
+        u = np.diag([1.0, 1.0 + 1e-11])
+        moved = gauge_transform(state, u)
+        assert np.array_equal(moved.amplitudes, state.amplitudes)
+        with pytest.raises(NotUnitary, match=r"exceeds eps_norm 1e-12$"):
+            gauge_transform(state, u, ToleranceConfig(eps_norm=1e-12))
+
 
 class TestReshuffle:
     def test_still_purifies(self):

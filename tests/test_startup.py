@@ -1,9 +1,11 @@
 """The front door loads only what a command runs.
 
-``--help`` and click usage errors import neither numpy nor a layer; the
-package namespace imports a layer on the first read of one of its names;
-and each command, run alone in a fresh interpreter, imports everything it
-needs (in-process runs share earlier imports and cannot show a missing one).
+``--help`` and click usage errors import neither numpy nor a layer; ``bloch``
+loads no numpy and, of the package, only ``cli``, ``bloch`` and ``errors``,
+and no JSON command loads ``bloch``; the package namespace imports a layer
+on the first read of one of its names; and each command, run alone in a
+fresh interpreter, imports everything it needs (in-process runs share
+earlier imports and cannot show a missing one).
 """
 
 import hashlib
@@ -76,6 +78,49 @@ def test_front_door_loads_no_layer(argv, code, tmp_path):
     assert sorted(n for n in names if n.split(".")[0] == "numpy") == []
     assert {n for n in names if n.split(".")[0] == "qpurify"} <= {"qpurify", "qpurify.errors"}
     assert list(tmp_path.iterdir()) == []
+
+
+#: Runs the command line on its arguments and, at exit, prints the names of
+#: the loaded modules to stderr as one JSON line. (``-X importtime`` misses
+#: the modules the package namespace loads through importlib.)
+LIST_MODULES = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+    "from qpurify.cli import main\n"
+    "main(sys.argv[1:], prog_name='qpurify')\n"
+)
+
+
+def loaded_modules(argv, cwd):
+    """The finished run of a command in a fresh interpreter, and the modules it loaded."""
+    proc = fresh_python(["-c", LIST_MODULES, *argv], cwd)
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [(["--alpha", "0.3", "--grid", "5x5"], 25), (["--alphas", "3", "--grid", "4x4"], 48)],
+    ids=["alpha", "alphas"],
+)
+def test_bloch_runs_without_numpy(argv, rows, tmp_path):
+    proc, names = loaded_modules(["bloch", *argv, "--out", "s.csv"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"rows={rows}\n"
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + rows
+    assert sorted(n for n in names if n.split(".")[0] == "numpy") == []
+    assert {n for n in names if n.split(".")[0] == "qpurify"} == {
+        "qpurify", "qpurify.cli", "qpurify.errors", "qpurify.bloch"
+    }
+
+
+def test_json_commands_load_no_bloch(tmp_path):
+    for argv in (
+        ["random", "--d", "2", "--n", "1", "--seed", "1", "--out", "rho.json"],
+        ["purify", "--input", "rho.json", "--out", "psi.json"],
+    ):
+        proc, names = loaded_modules(argv, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "qpurify.io" in names and "qpurify.bloch" not in names, argv[0]
 
 
 def test_bare_import_loads_nothing_and_resolves_submodules(tmp_path):

@@ -18,11 +18,10 @@ PACKAGE = Path(qpurify.__file__).parent
 ALLOWED = [
     ("cli", "synth", "eps_recon"),  # ROADMAP item 1
     ("core", "PureState.__post_init__", "eps_norm"),  # ROADMAP item 1
-    ("purify", "gauge_transform", "eps_norm"),  # ROADMAP item 1
 ]
 
 #: Fields that no function reads from a caller's ``tol``.
-UNREAD = ["eps_norm"]  # ROADMAP item 1
+UNREAD = []
 
 
 def tolerance_reads(source: str) -> list[tuple[str, str, int]]:
