@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,7 +103,8 @@ def assert_matches_reference(matrix):
 def jacobi_cases(dim):
     """Full rank, rank one, tied eigenvalues (a rotated repeat and a diagonal
     with repeats), I/N and zero; from N = 3 on, also the edge cases of the
-    rotation angles (see ``angle_cases``)."""
+    rotation angles (see ``angle_cases``) and a block-diagonal matrix (see
+    ``block_diagonal``)."""
     h = random_hermitian(dim, seed=dim)
     v = CounterRng(50 + dim).complex_normal_matrix(dim, 1)
     u = np.linalg.qr(CounterRng(70 + dim).complex_normal_matrix(dim, dim))[0]
@@ -114,7 +116,18 @@ def jacobi_cases(dim):
         np.diag(repeats),
         np.eye(dim) / dim,
         np.zeros((dim, dim)),
-    ] + (angle_cases(h) if dim >= 3 else [])
+    ] + (angle_cases(h) + [block_diagonal(dim)] if dim >= 3 else [])
+
+
+def block_diagonal(dim):
+    """Two complex Hermitian blocks, of sizes dim // 2 and the rest, with
+    exact zeros between them: every rotation inside one block carries the
+    zeros of the other through its strided column products."""
+    k = dim // 2
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[:k, :k] = random_hermitian(k, seed=30 + dim)
+    out[k:, k:] = random_hermitian(dim - k, seed=40 + dim)
+    return out
 
 
 def angle_cases(h):
@@ -238,7 +251,7 @@ class TestHermitianEigen:
     #: sha256 of the eigenvalue and eigenvector bytes on every case above
     #: (jacobi_cases, the two N = 64 inputs, SUBNORMAL), pinned like the CLI
     #: goldens
-    PINNED_DIGEST = "687ce0a7d8c1049cd275988bd0d652bdcc5ac71b6c6a8f52a3b58828c0f01cb1"
+    PINNED_DIGEST = "aea80c0e6ac16c97d3499ea3d9e70ccade6df2c256de3006784cddc2380af1a4"
 
     def test_returns_pinned_pair(self):
         matrices = [m for dim in (1, 2, 3, 4, 8, 9, 16) for m in jacobi_cases(dim)]
@@ -266,6 +279,24 @@ class TestHermitianEigen:
         assert np.max(np.abs(values - np.linalg.eigvalsh(h)[::-1])) <= 1e-14
         assert np.max(np.abs(h @ vecs - vecs * values)) <= 1e-14
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(64))) <= 1e-13
+
+    def test_peak_memory_is_a_few_work_arrays(self):
+        # the 2N x N work array (a over the eigenvectors), one sweep's N x N
+        # stop-test temporaries and the closing sort's keys and lexsort
+        # buffers: 3.4 work arrays at N = 128. The rotation buffers are O(N);
+        # a plan of views per pair (320-400 B each) would add 5-6 more.
+        n = 128
+        v = CounterRng(3).complex_normal_matrix(n, 1)
+        matrix = v @ v.conj().T
+        hermitian_eigen(matrix[:4, :4])  # warm caches
+        tracemalloc.start()
+        try:
+            hermitian_eigen(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work = 2 * n * n * np.dtype(np.complex128).itemsize
+        assert peak <= 4 * work, peak / work
 
     def test_sweep_cap(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
