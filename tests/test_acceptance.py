@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from qpurify import (
     QuditShape,

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from qpurify.cli import main
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from qpurify import (
     GATE,
@@ -1350,6 +1350,45 @@ class TestCliErrors:
     def test_bloch_requires_one_alpha_flavor(self, runner, tmp_path):
         res = runner.invoke(main, ["bloch", "--grid", "4x4", "--out", str(tmp_path / "s.csv")])
         assert res.exit_code == 2
+
+    # rho.json is a readable input, so an abbreviation taken for --input
+    # would purify and write psi.json
+    @pytest.mark.parametrize("argv,option", [
+        (["purify", "--input", "rho.json", "--inp", "rho.json", "--out", "psi.json"], "--inp"),
+        (["random", "--d", "x", "--n", "1", "--seed", "1", "--out", "r.json"], "--d"),
+        (["purify", "--input", "rho.json", "--method", "foo", "--out", "psi.json"], "--method"),
+        (["purify", "--input", "rho.json"], "--out"),
+        (["bloch", "--alpha", "0.3", "--alphas", "3", "--out", "s.csv"], "--alphas"),
+        (["purify", "--input", "rho.json", "--reshuffle", "--method", "spectral", "--out", "psi.json"], "--reshuffle"),
+    ], ids=["prefix", "not-an-int", "not-a-choice", "missing", "both-alphas", "reshuffle-spectral"])
+    def test_usage_error_names_the_option(self, runner, tmp_path, monkeypatch, argv, option):
+        rho = write_density(tmp_path / "rho.json", random_density(2, 1, seed=1))
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        res = runner.invoke(main, [rho if arg == "rho.json" else arg for arg in argv])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage: qpurify ")
+        assert re.search(rf"{option}(?![\w-])", res.stderr.splitlines()[-1]), res.stderr
+        assert list(out.iterdir()) == []
+
+    # values that start with a dash are values, not options
+    @pytest.mark.parametrize("argv,code,line", [
+        (["random", "--d", "2", "--n", "1", "--seed", "1", "--out=r.json"], 0, None),
+        (["random", "--d", "-1", "--n", "1", "--seed", "1", "--out", "r.json"], 2,
+         "BadShape: local dimension d must be >= 2, got -1"),
+        (["bloch", "--alpha", "-1e-3", "--out", "s.csv"], 2, "BadRange: alpha -0.001 outside [0, pi/2]"),
+    ], ids=["out-equals", "negative-int", "negative-exponent"])
+    def test_values_still_parse(self, runner, tmp_path, monkeypatch, argv, code, line):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, argv)
+        assert res.exit_code == code, res.output
+        if line is None:
+            assert res.stdout.startswith("purity=") and (tmp_path / "r.json").exists()
+        else:
+            assert res.stderr == line + "\n"
+            assert list(tmp_path.iterdir()) == []
 
 
 def psd_edge_density(tmp_path, smallest, dim):

@@ -13,7 +13,7 @@ import tracemalloc
 from io import BytesIO
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 from test_io_cli import (
     ARRAY_FORMATS,
     ARRAY_SHAPES,

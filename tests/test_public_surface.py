@@ -2,9 +2,9 @@
 criterion. A public function, class, constant or method of ``src/qpurify``
 (a module-level or class-level name without a leading underscore) must be
 read outside its own definition: in a module of ``src/qpurify``, in
-``tests/test_acceptance.py``, or in ``bench/``. A click command registered
-on ``main`` is reached through the CLI. A name only the unit tests read
-belongs in those tests, as an oracle."""
+``tests/test_acceptance.py``, or in ``bench/``. A command handler is read
+by the CLI's parser table. A name only the unit tests read belongs in those
+tests, as an oracle."""
 
 import ast
 from pathlib import Path
@@ -39,16 +39,6 @@ def uses(tree: ast.AST) -> list[tuple[str, frozenset[int]]]:
     return found
 
 
-def is_command(node) -> bool:
-    """Whether ``node`` is decorated ``@main.command(...)``."""
-    for decorator in getattr(node, "decorator_list", ()):
-        call = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(call, ast.Attribute) and call.attr == "command":
-            if isinstance(call.value, ast.Name) and call.value.id == "main":
-                return True
-    return False
-
-
 def public_definitions(module: str, tree: ast.Module):
     """``(qualified name, name, node)`` of each public function, class and
     constant of a module, and each public method of its public classes."""
@@ -73,8 +63,6 @@ def unused_public_names(package: Path, readers: list[Path]) -> list[str]:
     unused = []
     for module, tree in trees.items():
         for qualified, name, node in public_definitions(module, tree):
-            if is_command(node):
-                continue
             if not any(read == name and id(node) not in inside for read, inside in reads):
                 unused.append(qualified)
     return unused
@@ -87,7 +75,7 @@ def test_every_public_name_is_used():
 
 def test_guard_sees_methods_and_self_reads(tmp_path):
     # a method read only by itself, and a constant read only in its own
-    # assignment, are flagged; a click command is not
+    # assignment, are flagged
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "mod.py").write_text(
@@ -98,8 +86,6 @@ def test_guard_sees_methods_and_self_reads(tmp_path):
         "        return self.draw() + LIMIT\n"
         "    def used(self):\n"
         "        return 1\n"
-        "@main.command()\n"
-        "def run():\n"
-        "    Stream().used()\n"
+        "Stream().used()\n"
     )
     assert unused_public_names(package, []) == ["mod.ECHO", "mod.Stream.draw"]

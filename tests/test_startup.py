@@ -1,11 +1,11 @@
 """The front door loads only what a command runs.
 
-``--help`` and click usage errors import neither numpy nor a layer; ``bloch``
-loads no numpy and, of the package, only ``cli``, ``bloch`` and ``errors``,
-and no JSON command loads ``bloch``; the package namespace imports a layer
-on the first read of one of its names; and each command, run alone in a
-fresh interpreter, imports everything it needs (in-process runs share
-earlier imports and cannot show a missing one).
+``--help`` and usage errors import neither numpy nor a layer, nor click;
+``bloch`` loads no numpy and, of the package, only ``cli``, ``bloch`` and
+``errors``, and no JSON command loads ``bloch``; the package namespace
+imports a layer on the first read of one of its names; and each command,
+run alone in a fresh interpreter, imports everything it needs (in-process
+runs share earlier imports and cannot show a missing one).
 """
 
 import hashlib
@@ -78,15 +78,18 @@ def loaded_modules(argv, cwd):
     "argv,code",
     [
         (["--help"], 0),
+        (["purify", "--help"], 0),
+        ([], 2),
+        (["nonesuch"], 2),
         (["bloch", "--grid", "4x4", "--out", "s.csv"], 2),
         (["purify", "--input", "rho.json", "--method", "spectral", "--reshuffle", "--out", "p.json"], 2),
     ],
-    ids=["help", "bloch-usage", "reshuffle-usage"],
+    ids=["help", "purify-help", "no-command", "unknown-command", "bloch-usage", "reshuffle-usage"],
 )
 def test_front_door_loads_no_layer(argv, code, tmp_path):
     proc, names = loaded_modules(argv, tmp_path)
     assert proc.returncode == code, proc.stderr
-    assert "click" in names
+    assert "click" not in names
     assert sorted(n for n in names if n.split(".")[0] == "numpy") == []
     assert {n for n in names if n.split(".")[0] == "qpurify"} <= {"qpurify", "qpurify.cli", "qpurify.errors"}
     assert list(tmp_path.iterdir()) == []
