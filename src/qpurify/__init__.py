@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _HOMES = {
     "bloch": ("bloch_surface",),
     "circuit": (
-        "GATE", "CircuitParameters", "GateSchedule", "apply_schedule",
-        "extract_parameters", "schedule_from_parameters", "simulate_circuit",
+        "GATE", "CircuitParameters", "apply_schedule", "extract_parameters",
+        "schedule_from_parameters", "simulate_circuit",
     ),
     "core": (
         "CoefficientMatrix", "DensityMatrix", "PureState", "QuditShape",

@@ -18,9 +18,9 @@ whole, with no per-branch record. Simulation offers two modes that must
 agree: the direct product formulas (``math`` trig), and a gate schedule of
 two-level rotations and phase shifts applied to |0...0> (numpy trig). The
 parameters fix the schedule: one gate per parameter, in an order that
-depends on N only, so a :class:`GateSchedule` holds its parameters and
-nothing else. Its gate table (:data:`GATE` rows) is built on demand for the
-file format.
+depends on N only, so a schedule is its :class:`CircuitParameters`. Their
+gate table (:attr:`CircuitParameters.gates`, :data:`GATE` rows) is built on
+demand for the file format.
 """
 
 from __future__ import annotations
@@ -135,8 +135,29 @@ class CircuitParameters:
     def parameter_count(self) -> int:
         return int(self.weight_angles.size + 2 * np.count_nonzero(_branch_cells(self.N)))
 
+    @property
+    def gates(self) -> np.ndarray:
+        """The gates these parameters fix, as a read-only 1-D :data:`GATE` table
+        built on each access, in the order of :func:`schedule_from_parameters`:
+        the weight chain on (0, t), t descending, then branch k's rotations r
+        on (0, N - 1 - k - r) and its phases r on line r."""
+        n = self.N
+        gates = np.zeros(n * n - 1, dtype=GATE)
+        gates["value"] = _gate_values(self)
+        gates["control"][: n - 1] = -1
+        gates["b"][: n - 1] = np.arange(n - 1, 0, -1)
+        k, col = np.nonzero(_branch_rows(n))
+        phase = col >= n - 1
+        branches = gates[n - 1 :]
+        branches["phase"] = phase
+        branches["control"] = k
+        branches["a"] = np.where(phase, col - (n - 1), 0)
+        branches["b"] = np.where(phase, 0, n - 1 - k - col)
+        gates.flags.writeable = False
+        return gates
 
-#: One row per gate of a :attr:`GateSchedule.gates` table.
+
+#: One row per gate of a :attr:`CircuitParameters.gates` table.
 #:
 #: * ``phase`` False: two-level rotation [[cos, -sin], [sin, cos]] on basis
 #:   lines ``a < b``.
@@ -156,23 +177,6 @@ GATE = np.dtype(
         ("value", np.float64),
     ]
 )
-
-
-@dataclass(frozen=True, eq=False)
-class GateSchedule:
-    """Ordered gates whose application to |0...0> prepares the purification:
-    one gate per parameter, in the fixed order of
-    :func:`schedule_from_parameters`, so the parameters are the whole
-    schedule."""
-
-    parameters: CircuitParameters
-
-    @property
-    def gates(self) -> np.ndarray:
-        """The gates as a read-only 1-D :data:`GATE` table, built on each access."""
-        gates = _gate_table(self.parameters)
-        gates.flags.writeable = False
-        return gates
 
 
 def _extract_weight_angles(weights: np.ndarray) -> np.ndarray:
@@ -280,11 +284,11 @@ def simulate_circuit(params: CircuitParameters, mode: str = "product") -> PureSt
     ``mode="product"`` evaluates the closed-form products directly:
     amplitude[k*N + i] = (weight chain factor k) * (branch-k amplitude i),
     with ``math`` trig and sequential prefix products, and phase j of
-    branch k on its amplitude j. ``mode="gates"`` builds the gate schedule
-    and applies it to |0...0>. Both agree to within a few ulp.
+    branch k on its amplitude j. ``mode="gates"`` applies the parameters'
+    gate schedule to |0...0>. Both agree to within a few ulp.
     """
     if mode == "gates":
-        return apply_schedule(schedule_from_parameters(params))
+        return apply_schedule(params)
     if mode != "product":
         raise BadRange(f"unknown simulation mode {mode!r}")
     n = params.N
@@ -304,15 +308,16 @@ def simulate_circuit(params: CircuitParameters, mode: str = "product") -> PureSt
     return PureState(n, n, amp.reshape(-1))
 
 
-def schedule_from_parameters(params: CircuitParameters) -> GateSchedule:
+def schedule_from_parameters(params: CircuitParameters) -> CircuitParameters:
     """Gate realization: ancilla weight chain, then per-branch controlled gates.
 
     Each chain is a column-preparation sequence of rotations on subspace
     pairs (0, t) with t descending; branch k adds its rotations, then its
     phases, all controlled on ancilla value k. One gate per parameter,
-    N^2 - 1 in total.
+    N^2 - 1 in total. The order depends on N only, so the schedule is
+    ``params`` itself.
     """
-    return GateSchedule(params)
+    return params
 
 
 def _branch_rows(n: int) -> np.ndarray:
@@ -330,27 +335,8 @@ def _gate_values(params: CircuitParameters) -> np.ndarray:
     return np.concatenate([params.weight_angles, rows[_branch_rows(params.N)]])
 
 
-def _gate_table(params: CircuitParameters) -> np.ndarray:
-    """The :data:`GATE` table of a :class:`GateSchedule`: the weight chain on
-    (0, t), t descending, then branch k's rotations r on (0, N - 1 - k - r)
-    and its phases r on line r."""
-    n = params.N
-    gates = np.zeros(n * n - 1, dtype=GATE)
-    gates["value"] = _gate_values(params)
-    gates["control"][: n - 1] = -1
-    gates["b"][: n - 1] = np.arange(n - 1, 0, -1)
-    k, col = np.nonzero(_branch_rows(n))
-    phase = col >= n - 1
-    branches = gates[n - 1 :]
-    branches["phase"] = phase
-    branches["control"] = k
-    branches["a"] = np.where(phase, col - (n - 1), 0)
-    branches["b"] = np.where(phase, 0, n - 1 - k - col)
-    return gates
-
-
-def apply_schedule(schedule: GateSchedule) -> PureState:
-    """Apply the gates to |0...0> and return the resulting state.
+def apply_schedule(params: CircuitParameters) -> PureState:
+    """Apply the parameters' gates to |0...0> and return the resulting state.
 
     Gates controlled on different ancilla values act on disjoint lines, so
     they commute, and the fixed gate order runs in 2N - 1 vector steps:
@@ -364,7 +350,6 @@ def apply_schedule(schedule: GateSchedule) -> PureState:
     Every line still sees its gates in table order. The trig is taken once
     over the value column, in table order.
     """
-    params = schedule.parameters
     n = params.N
     value = _gate_values(params)
     # complex with +0 imaginary parts, as numpy promotes a float operand, so

@@ -1,8 +1,9 @@
 """Command-line surface: purify, synth, simulate, bloch, random.
 
 Exit codes: 0 success, 1 IO/parse errors, 2 validation failures,
-3 reconstruction/verification failures. Errors print one line to stderr
-prefixed with the failure kind (e.g. ``NotPSD:``, ``ReconstructionFailure:``).
+3 reconstruction/verification failures. A command raises its failure, and
+:func:`main` alone prints it as one stderr line prefixed with the failure
+kind (e.g. ``NotPSD:``, ``ReconstructionFailure:``) and exits.
 A usage error (a missing, unknown or abbreviated option, a value of the
 wrong type or choice, no command, or options that do not go together)
 prints the usage and one error line to stderr and exits 2 before any file
@@ -21,12 +22,11 @@ opened, so a refused write leaves no file.
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from pathlib import Path
 
-from .errors import QPurifyError
+from .errors import QPurifyError, ReconstructionFailure
 
 _PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
@@ -47,24 +47,6 @@ def _write(path: str, pieces) -> None:
         out.writelines(pieces)
 
 
-def _guarded(body):
-    @functools.wraps(body)
-    def wrapper(*args, **kwargs):
-        try:
-            body(*args, **kwargs)
-        except QPurifyError as exc:
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            sys.exit(exc.exit_code)
-        except _PARSE_ERRORS as exc:
-            # str(KeyError) is only the key's repr
-            message = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-            print(f"ParseError: {message}", file=sys.stderr)
-            sys.exit(1)
-
-    return wrapper
-
-
-@_guarded
 def purify(input_path, method, reshuffle, out_path, coeffs_path):
     """Purify a density matrix and verify the result by partial trace."""
     if reshuffle and method != "cholesky":
@@ -87,58 +69,46 @@ def purify(input_path, method, reshuffle, out_path, coeffs_path):
         _write(coeffs_path, io.coefficient_pieces(coeffs))
     print(f"max_abs_error={report.max_abs_error!r}")
     if not report.passed:
-        print(f"ReconstructionFailure: round-trip error {report.max_abs_error!r}", file=sys.stderr)
-        sys.exit(3)
+        raise ReconstructionFailure(f"round-trip error {report.max_abs_error!r}")
 
 
-@_guarded
 def synth(input_path, out_path):
     """Purify, extract circuit parameters, and emit the gate schedule."""
     from . import io
-    from .circuit import apply_schedule, extract_parameters, schedule_from_parameters
+    from .circuit import apply_schedule, extract_parameters
     from .core import DEFAULT_TOL
     from .purify import cholesky_purify, coefficients_to_state
 
     rho = _read(input_path, io.load_density)
     coeffs = cholesky_purify(rho)
     params = extract_parameters(coeffs)
-    schedule = schedule_from_parameters(params)
     target = coefficients_to_state(coeffs)
-    prepared = apply_schedule(schedule)
+    prepared = apply_schedule(params)
     deviation = float(abs(prepared.amplitudes - target.amplitudes).max())
-    _write(out_path, io.circuit_pieces(rho.shape, params, schedule))
+    _write(out_path, io.circuit_pieces(rho.shape, params))
     print(f"parameters={params.parameter_count} max_deviation={deviation!r}")
     eps = DEFAULT_TOL.eps_recon
     if deviation > eps:
-        message = f"schedule deviates by {deviation!r} above eps_recon {eps!r}"
-        print(f"ReconstructionFailure: {message}", file=sys.stderr)
-        sys.exit(3)
+        raise ReconstructionFailure(f"schedule deviates by {deviation!r} above eps_recon {eps!r}")
 
 
-@_guarded
 def simulate(circuit_path, out_path, expect_path):
     """Apply a circuit's gate schedule to |0...0> and optionally check it."""
     from . import io
     from .circuit import apply_schedule
     from .purify import verify_purification
 
-    _, _, schedule = _read(circuit_path, io.load_circuit)
-    state = apply_schedule(schedule)
+    _, params, _ = _read(circuit_path, io.load_circuit)
+    state = apply_schedule(params)
     _write(out_path, io.state_pieces(state))
     if expect_path:
         rho = _read(expect_path, io.load_density)
         report = verify_purification(state, rho)
         print(f"max_abs_error={report.max_abs_error!r}")
         if not report.passed:
-            print(
-                f"ReconstructionFailure: simulated state misses target by "
-                f"{report.max_abs_error!r}",
-                file=sys.stderr,
-            )
-            sys.exit(3)
+            raise ReconstructionFailure(f"simulated state misses target by {report.max_abs_error!r}")
 
 
-@_guarded
 def bloch(alpha, alphas, grid, out_path):
     """Emit surface points of the contracted/translated Bloch sphere."""
     if (alpha is None) == (alphas is None):
@@ -154,7 +124,6 @@ def bloch(alpha, alphas, grid, out_path):
     print(f"rows={len(values) * n_theta * n_phi}")
 
 
-@_guarded
 def random(d, n, seed, rank, out_path):
     """Write a seeded random density matrix (Ginibre ensemble)."""
     import numpy as np
@@ -241,6 +210,14 @@ def main(args=None, prog_name=None):
         handler(**options)
     except _UsageError as exc:
         usage_error(str(exc))
+    except QPurifyError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
+    except _PARSE_ERRORS as exc:
+        # str(KeyError) is only the key's repr
+        message = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        print(f"ParseError: {message}", file=sys.stderr)
+        sys.exit(1)
     sys.exit(0)
 
 

@@ -10,9 +10,9 @@ text json.dumps would give straight from the arrays.
 Every writer (``*_pieces``) hands out the text in pieces of about
 ``errors.BLOCK_ROWS`` pairs (whole rows of a matrix) or gate records, for
 the CLI to write to an open file; no whole-file string is built. It
-runs every refusal check (non-finite values, shape, N, the schedule's
-agreement with its parameters) before it returns, so nothing is written
-for a refused input. ``dump_state`` and ``dump_circuit`` join the pieces.
+runs every refusal check (non-finite values, shape, N) before it returns,
+so nothing is written for a refused input. ``dump_state`` and
+``dump_circuit`` join the pieces.
 
 The readers take a file's text or the open binary file. They first check,
 front to back and without holding an open file whole, that a file has the
@@ -26,14 +26,15 @@ entry:
   bracket-and-comma skeleton of its pair or row count, and one
   ``json.loads`` of its tokens as a flat list gives its doubles;
 * a circuit file's ``schedule`` block is derived from its ``parameters``
-  block. One renderer, :func:`_render_circuit`, writes the whole file from
-  its shape and the parameter lists' number tokens, with every byte of the
-  block but its values built once per N; the writer refuses a schedule that
-  disagrees with its parameters. The reader decodes the head (the text
-  before the block) with the full parse's own :func:`_circuit_head`, takes
-  the head's innermost lists as the tokens, and accepts the file only if it
-  is, byte for byte, the text those tokens render to, compared a piece at
-  a time.
+  block: a schedule is its :class:`~qpurify.circuit.CircuitParameters`.
+  One renderer, :func:`_render_circuit`, writes the whole file from its
+  shape and the parameter lists' number tokens, with every byte of the
+  block but its values built once per N; :func:`dump_circuit` refuses a
+  schedule that disagrees with its parameters. The reader decodes the head
+  (the text before the block) with the full parse's own
+  :func:`_circuit_head`, takes the head's innermost lists as the tokens,
+  and accepts the file only if it is, byte for byte, the text those tokens
+  render to, compared a piece at a time.
 
 Any other layout goes through a full parse with the same errors, where gate
 rows from outside are range-checked before they are compared; an open
@@ -57,13 +58,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from . import errors
-from .circuit import (
-    GATE,
-    CircuitParameters,
-    GateSchedule,
-    _gate_table,
-    schedule_from_parameters,
-)
+from .circuit import GATE, CircuitParameters
 from .core import (
     DensityMatrix,
     PureState,
@@ -456,7 +451,7 @@ def _render_circuit(shape: QuditShape, lists: list[str]) -> Iterator[str]:
 def _check_schedule(gates: np.ndarray, params: CircuitParameters) -> None:
     """Raise ReconstructionFailure, naming the first differing row, unless
     ``gates`` equals the table ``params`` prepare under ==."""
-    expected = _gate_table(params)
+    expected = params.gates
     rows = min(len(gates), len(expected))
     differs = np.flatnonzero(gates[:rows] != expected[:rows])
     if differs.size or len(gates) != len(expected):
@@ -464,15 +459,11 @@ def _check_schedule(gates: np.ndarray, params: CircuitParameters) -> None:
         raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
 
 
-def circuit_pieces(
-    shape: QuditShape, params: CircuitParameters, schedule: GateSchedule
-) -> Iterator[str]:
+def circuit_pieces(shape: QuditShape, params: CircuitParameters) -> Iterator[str]:
     """Canonical text of a circuit, in pieces; a file load_circuit would
     reject is refused before the first."""
     if shape.N != params.N:
         raise ShapeMismatch(f"circuit of N={params.N} for a register of N={shape.N}")
-    if schedule.parameters is not params:  # a schedule is its parameters
-        _check_schedule(schedule.gates, params)
     # one repr per parameter; the table of these parameters holds the weight
     # angles, then each branch's angles and its phases negated
     n = params.N
@@ -482,8 +473,16 @@ def circuit_pieces(
     return _render_circuit(shape, [",".join(map(repr, a.tolist())) for a in arrays])
 
 
-def dump_circuit(shape: QuditShape, params: CircuitParameters, schedule: GateSchedule) -> str:
-    return "".join(circuit_pieces(shape, params, schedule))
+def dump_circuit(
+    shape: QuditShape, params: CircuitParameters, schedule: CircuitParameters
+) -> str:
+    """Canonical text of a circuit whose ``schedule`` is ``params``; other
+    parameters are refused unless their gate table equals that of ``params``
+    under ==."""
+    pieces = circuit_pieces(shape, params)
+    if schedule is not params:
+        _check_schedule(schedule.gates, params)
+    return "".join(pieces)
 
 
 def _parse_gate(record) -> tuple:
@@ -574,17 +573,17 @@ def _load_canonical_circuit(source):
         pos += len(piece)
     if pos != len(record) - 1 or not all(map(file.match, pieces)) or file.read(1):
         return None
-    return shape, params, schedule_from_parameters(params)
+    return shape, params, params
 
 
-def load_circuit(source) -> tuple[QuditShape, CircuitParameters, GateSchedule]:
+def load_circuit(source) -> tuple[QuditShape, CircuitParameters, CircuitParameters]:
     """Shape, parameters and gate schedule of a circuit file: its text, or
-    the open binary file.
+    the open binary file. The schedule is the parameters, returned twice.
 
     A file as :func:`dump_circuit` writes it is accepted by comparing its
     text with the text its parameter tokens render to. Any other layout is
     parsed in full, and its schedule must agree with its parameters under
-    ==; the schedule returned is the parameters' own, signed zeros and all.
+    ==; the parameters keep their own signed zeros.
     """
     source = _rewindable(source)
     circuit = _load_canonical_circuit(source)
@@ -593,5 +592,5 @@ def load_circuit(source) -> tuple[QuditShape, CircuitParameters, GateSchedule]:
     data = _record(source, "circuit")
     shape, params = _circuit_head(data)
     _check_schedule(_gate_rows(params.N, data["schedule"]), params)
-    return shape, params, schedule_from_parameters(params)
+    return shape, params, params
 

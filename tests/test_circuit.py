@@ -76,7 +76,7 @@ def random_params(n, seed, low=0.15, high=0.8):
 def reference_apply(schedule):
     """Gate by gate with math/cmath on numpy slices: the arithmetic that
     apply_schedule must reproduce bit for bit."""
-    n = schedule.parameters.N
+    n = schedule.N
     vec = np.zeros(n * n, dtype=np.complex128)
     vec[0] = 1.0
     for phase, ctrl, a, b, value in schedule.gates.tolist():
@@ -446,7 +446,7 @@ class TestSimulateCircuit:
             simulate_circuit(random_params(2, 9), mode="exact")
 
 
-class TestGateSchedule:
+class TestGatesAndApply:
     def test_qubit_gate_sequence(self):
         alpha, theta, phi = 0.4, 0.9, 1.1
         params = make_params(2, [alpha], [([theta], [phi]), ([], [])])
@@ -473,7 +473,7 @@ class TestGateSchedule:
     def test_schedule_is_its_parameters(self):
         params = random_params(5, seed=45)
         schedule = schedule_from_parameters(params)
-        assert schedule.parameters is params  # wrapped, not copied or rebuilt
+        assert schedule is params  # not wrapped, copied or rebuilt
         assert not schedule.gates.flags.writeable
         with pytest.raises(AttributeError):
             schedule.gates = schedule.gates

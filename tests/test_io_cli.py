@@ -466,6 +466,7 @@ def array_variants(text, key):
         "trailing whitespace": text + "  \n",
         "no final newline": text[:-1],
         "empty list": json_text({**data, key: []}),
+        "one row or pair too many": json_text({**data, key: [*data[key], data[key][0]]}),
         "not an object": json_text(list(data.values())),
     }
 

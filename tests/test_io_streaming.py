@@ -153,7 +153,7 @@ class TestSmallBlocks:
         assert all(p.count("\n") == 2 * max(small_block // 2, 1) for p in csv)
         assert sum(p.count("\n") for p in csv) == 2 * 6 * 2
         params = extract_parameters(cholesky_purify(rho))
-        pieces = list(io.circuit_pieces(rho.shape, params, schedule_from_parameters(params)))
+        pieces = list(io.circuit_pieces(rho.shape, params))
         block = pieces[pieces.index(',"schedule":[') + 1 : -1]
         assert all(p.count('{"gate"') <= small_block for p in block)
         assert sum(p.count('{"gate"') for p in block) == 15
@@ -185,7 +185,7 @@ def writers(rho, coeffs, params, schedule):
         "state": (lambda: io.state_pieces(state), N * N),
         "density": (lambda: io.density_pieces(rho), N * N),
         "coefficients": (lambda: io.coefficient_pieces(coeffs.C), N * N),
-        "circuit": (lambda: io.circuit_pieces(rho.shape, params, schedule), N * N - 1),
+        "circuit": (lambda: io.circuit_pieces(rho.shape, params), N * N - 1),
         "bloch": (lambda: bloch.bloch_pieces(bloch.sweep_alphas(5), 100, 100), 5 * 100 * 100),
     }
 
