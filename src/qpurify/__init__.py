@@ -26,11 +26,10 @@ _HOMES = {
         "CoefficientMatrix", "DensityMatrix", "PureState", "QuditShape",
         "ToleranceConfig", "validate_density",
     ),
-    "linalg": ("hermitian_eigen", "max_abs_diff", "partial_trace_ancilla", "reference_cholesky"),
+    "linalg": ("hermitian_eigen", "partial_trace_ancilla", "reference_cholesky"),
     "purify": (
         "VerificationReport", "cholesky_purify", "coefficients_to_state", "gauge_transform",
-        "qubit_closed_form", "reconstruct", "reshuffle_purify", "spectral_purify",
-        "verify_purification",
+        "qubit_closed_form", "reshuffle_purify", "spectral_purify", "verify_purification",
     ),
     "rng": ("CounterRng", "random_density", "random_unitary"),
 }

@@ -47,7 +47,8 @@ TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
 
 #: Leftover amplitude above this scale when a branch cosine underflows
-#: signals a malformed (non-unit or off-pattern) coefficient row.
+#: raises DegenerateBranch. Rows are normalized first, so valid input reaches
+#: it too: a coherence of about 5e-9 in a nearly diagonal rho (ROADMAP item 3).
 _LEFTOVER_LIMIT = 1e-8
 
 #: Rows per band of an extraction step's scaling.

@@ -180,11 +180,3 @@ def reference_cholesky(matrix, tol: ToleranceConfig | None = None) -> np.ndarray
         if k and pivot > tol.eps_pivot:
             d[:k, k] = (rho[:k, k] - d[:k, k + 1 :] @ rest.conj()) / pivot
     return d
-
-
-def max_abs_diff(a, b) -> float:
-    """Largest entrywise absolute difference between two equal-shape matrices."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).max())

@@ -23,12 +23,7 @@ from .core import (
     ToleranceConfig,
 )
 from .errors import NotUnitary, ReconstructionFailure, ShapeMismatch
-from .linalg import hermitian_eigen, max_abs_diff, partial_trace_ancilla
-
-
-def reconstruct(coeffs: CoefficientMatrix) -> np.ndarray:
-    """Density matrix implied by the coefficients: rho = C^T @ conj(C)."""
-    return coeffs.C.T @ coeffs.C.conj()
+from .linalg import hermitian_eigen, partial_trace_ancilla
 
 
 def cholesky_purify(rho: DensityMatrix, tol: ToleranceConfig | None = None) -> CoefficientMatrix:
@@ -59,7 +54,7 @@ def cholesky_purify(rho: DensityMatrix, tol: ToleranceConfig | None = None) -> C
             c[alpha, :t] = (r[:t, t] - c[:alpha, :t].T @ col.conj()) / q
     c.flags.writeable = False  # held, not copied
     coeffs = CoefficientMatrix(n, c)
-    err = max_abs_diff(reconstruct(coeffs), r)
+    err = float(np.abs(c.T @ c.conj() - r).max())  # rho = C^T @ conj(C)
     if err > tol.eps_recon:
         raise ReconstructionFailure(
             f"factor reproduces rho only to {err!r} (> {tol.eps_recon!r})"
@@ -149,7 +144,7 @@ def verify_purification(
         raise ShapeMismatch(
             f"state system dim {state.system_dim} vs rho dim {rho.shape.N}"
         )
-    err = max_abs_diff(partial_trace_ancilla(state), rho.entries)
+    err = float(np.abs(partial_trace_ancilla(state) - rho.entries).max())
     return VerificationReport(err, err <= tol.eps_recon)
 
 

@@ -588,6 +588,27 @@ class TestRoundTrips:
             target = coefficients_to_state(coeffs)
             assert np.max(np.abs(state.amplitudes - target.amplitudes)) <= 1e-10
 
+    #: Full-rank diagonal rho with a small real coherence at [0, N-1]: the
+    #: last peel takes asin|v| with 1 - |v| ~ eps^2/2 at or below the unit
+    #: roundoff and divides by its cosine, so the coherence is lost (the
+    #: 5.25e-9 case raises DegenerateBranch)
+    NEARLY_DIAGONAL = [
+        (3, 1, [0.3, 0.2, 0.5], 5e-10),
+        (3, 1, [0.3, 0.2, 0.5], 5.25e-9),
+        (3, 1, [0.3, 0.2, 0.5], 1e-8),
+        (2, 2, [0.1, 0.2, 0.3, 0.4], 4e-9),
+    ]
+
+    @pytest.mark.xfail(strict=True, reason="angles from a running division (ROADMAP item 3)")
+    @pytest.mark.parametrize("d,n,diagonal,corner", NEARLY_DIAGONAL)
+    def test_circuit_keeps_a_small_coherence(self, d, n, diagonal, corner):
+        matrix = np.diag(np.array(diagonal, dtype=complex))
+        matrix[0, -1] = matrix[-1, 0] = corner
+        coeffs = cholesky_purify(validate_density(matrix, QuditShape(d, n)))
+        state = apply_schedule(extract_parameters(coeffs))
+        deviation = np.max(np.abs(state.amplitudes - coefficients_to_state(coeffs).amplitudes))
+        assert deviation <= ToleranceConfig().eps_recon
+
     def test_params_to_coeffs_to_params(self):
         # a circuit state reinterpreted as coefficients extracts back to
         # the same parameters when every weight is substantial

@@ -9,7 +9,6 @@ import pytest
 from qpurify import (
     PureState,
     hermitian_eigen,
-    max_abs_diff,
     partial_trace_ancilla,
     random_density,
     random_unitary,
@@ -381,15 +380,3 @@ class TestReferenceCholesky:
         assert np.all(np.diagonal(d).real > 0)
         rebuilt = reference_cholesky(d @ d.conj().T)
         assert np.max(np.abs(rebuilt - d)) <= 1e-10
-
-
-class TestMaxAbsDiff:
-    def test_examples(self):
-        assert max_abs_diff(np.eye(2), np.eye(2)) == 0.0
-        assert max_abs_diff(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == 1.0
-        rho = np.eye(2) / 2
-        assert abs(max_abs_diff(rho, rho + 1e-12 * np.eye(2)) - 1e-12) < 1e-15
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            max_abs_diff(np.eye(2), np.eye(3))

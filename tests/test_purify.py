@@ -14,7 +14,6 @@ from qpurify import (
     qubit_closed_form,
     random_density,
     random_unitary,
-    reconstruct,
     reference_cholesky,
     reshuffle_purify,
     spectral_purify,
@@ -96,7 +95,7 @@ class TestCholeskyPurify:
             rho = validate_density(mixed, rho.shape)
             coeffs = cholesky_purify(rho)
             # (i) rho = C^T conj(C)
-            assert np.max(np.abs(reconstruct(coeffs) - rho.entries)) <= 1e-10
+            assert np.max(np.abs(coeffs.C.T @ coeffs.C.conj() - rho.entries)) <= 1e-10
             # (ii) C^T with columns reversed is upper triangular, diag >= 0
             folded = coeffs.C.T[:, ::-1]
             assert np.all(np.tril(folded, -1) == 0)

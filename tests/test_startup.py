@@ -38,11 +38,11 @@ HOMES = {
         "core",
     ),
     **dict.fromkeys(
-        ["hermitian_eigen", "max_abs_diff", "partial_trace_ancilla", "reference_cholesky"], "linalg"
+        ["hermitian_eigen", "partial_trace_ancilla", "reference_cholesky"], "linalg"
     ),
     **dict.fromkeys(
         ["VerificationReport", "cholesky_purify", "coefficients_to_state", "gauge_transform",
-         "qubit_closed_form", "reconstruct", "reshuffle_purify", "spectral_purify",
+         "qubit_closed_form", "reshuffle_purify", "spectral_purify",
          "verify_purification"],
         "purify",
     ),
@@ -50,11 +50,14 @@ HOMES = {
 }
 
 
-def fresh_python(args, cwd):
-    """Run ``python ARGS`` in a new interpreter that imports the package from ``src``."""
+def fresh_python(args, cwd, **run):
+    """Run ``python ARGS`` in a new interpreter that imports the package from
+    ``src``; ``run`` goes on to ``subprocess.run``."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, **run
+    )
 
 
 #: Runs the command line on its arguments and, at exit, prints the names of
