@@ -77,7 +77,7 @@ def synth(input_path, out_path):
     from . import io
     from .circuit import apply_schedule, extract_parameters
     from .core import DEFAULT_TOL
-    from .purify import cholesky_purify, coefficients_to_state
+    from .purify import cholesky_purify, coefficients_to_state, verify_purification
 
     rho = _read(input_path, io.load_density)
     coeffs = cholesky_purify(rho)
@@ -90,6 +90,9 @@ def synth(input_path, out_path):
     eps = DEFAULT_TOL.eps_recon
     if deviation > eps:
         raise ReconstructionFailure(f"schedule deviates by {deviation!r} above eps_recon {eps!r}")
+    report = verify_purification(prepared, rho)
+    if not report.passed:
+        raise ReconstructionFailure(f"circuit state misses rho by {report.max_abs_error!r}")
 
 
 def simulate(circuit_path, out_path, expect_path):

@@ -23,6 +23,7 @@ from qpurify import (
     random_unitary,
     schedule_from_parameters,
     validate_density,
+    verify_purification,
 )
 from qpurify import bloch, circuit, core, io
 from qpurify.circuit import _branch_cells
@@ -1327,6 +1328,24 @@ class TestCliErrors:
         assert error > 0.0
         assert res.stderr == f"ReconstructionFailure: round-trip error {error!r}\n"
         assert out.exists()  # the state is written before the verdict
+
+    def test_synth_circuit_state_misses_rho_exit_3(self, runner, tmp_path, monkeypatch):
+        # the verifier's default tolerance is set to zero; core's stays, so the
+        # amplitude comparison passes and the partial trace of the circuit
+        # state is what fails
+        from qpurify import purify
+
+        rho_path = write_density(tmp_path / "rho.json", random_density(2, 2, seed=4))
+        rho = io.load_density((tmp_path / "rho.json").read_text())
+        prepared = apply_schedule(extract_parameters(cholesky_purify(rho)))
+        error = verify_purification(prepared, rho).max_abs_error
+        assert error > 0.0
+        monkeypatch.setattr(purify, "DEFAULT_TOL", ToleranceConfig(eps_recon=0.0))
+        out = tmp_path / "c.json"
+        res = runner.invoke(main, ["synth", "--input", rho_path, "--out", str(out)])
+        assert res.exit_code == 3
+        assert res.stderr == f"ReconstructionFailure: circuit state misses rho by {error!r}\n"
+        assert out.exists()  # the circuit is written before the verdict
 
     def test_spectral_purifies_at_the_rounding_floor(self, runner, tmp_path):
         # a 12-decade spectrum under a spread-out basis, N = 64: the Jacobi

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from qpurify import (
     validate_density,
     verify_purification,
 )
-from qpurify.errors import NotUnitary, ReconstructionFailure, ShapeMismatch
+from qpurify.errors import NormFailure, NotPSD, NotUnitary, ShapeMismatch
 
 SQ5 = math.sqrt(0.5)
 
@@ -77,13 +79,30 @@ class TestCholeskyPurify:
             for i in range(n - alpha, n):
                 assert c[alpha, i] == 0
 
-    def test_reconstruction_failure_on_psd_leakage(self):
-        # validation refuses this rho (NotPSD); built directly, it reaches the
-        # purifier, and no Gram factor reproduces its negative part within eps_recon
+    def test_psd_leakage_is_refused(self):
+        # validation refuses this rho; built directly, it reaches the purifier,
+        # whose factor drops the negative part and so is not a unit state
         leak = 9e-10
-        rho = DensityMatrix(QuditShape(2, 1), np.diag([1.0 + leak, -leak]))
-        with pytest.raises(ReconstructionFailure):
+        entries = np.diag([1.0 + leak, -leak])
+        with pytest.raises(NotPSD):
+            qubit(entries)
+        coeffs = cholesky_purify(DensityMatrix(QuditShape(2, 1), entries))
+        with pytest.raises(NormFailure, match=r"^state norm 1\.00000000045 "):
+            coefficients_to_state(coeffs)
+
+    def test_peak_memory_is_at_most_two_arrays(self):
+        # C itself and the row updates' temporaries, 1.6 arrays at N = 256;
+        # a Gram product C^T conj(C) and its residual would add 1.5 more
+        rho = random_density(2, 8, seed=1)
+        cholesky_purify(random_density(2, 2, seed=1))  # warm caches
+        tracemalloc.start()
+        try:
             cholesky_purify(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = rho.entries.nbytes
+        assert peak <= 2 * array, peak / array
 
     def test_oracle_equivalence_positive_definite(self):
         # the coefficient rows are the reversed columns of the independent
@@ -255,8 +274,12 @@ class TestGaugeTransform:
     def test_rejects_nonunitary(self):
         rho = random_density(2, 1, seed=2)
         state = coefficients_to_state(cholesky_purify(rho))
-        with pytest.raises(NotUnitary):
-            gauge_transform(state, np.array([[1.0, 0.0], [0.0, 0.5]]))
+        # a non-finite entry makes the defect NaN, which compares False with eps_norm
+        for entry in (0.5, math.nan, math.inf, -math.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotUnitary):
+                    gauge_transform(state, np.array([[1.0, 0.0], [0.0, entry]]))
 
     def test_rejects_wrong_shape(self):
         state = coefficients_to_state(cholesky_purify(random_density(2, 1, seed=2)))
@@ -312,7 +335,8 @@ class TestReshuffle:
 
 
 class TestTolerancePropagation:
-    def test_tight_recon_tolerance_raises(self):
+    def test_tight_recon_tolerance_fails_verification(self):
         rho = random_density(2, 2, seed=3)
-        with pytest.raises(ReconstructionFailure):
-            cholesky_purify(rho, ToleranceConfig(eps_recon=1e-20))
+        state = coefficients_to_state(cholesky_purify(rho))
+        assert verify_purification(state, rho).passed
+        assert not verify_purification(state, rho, ToleranceConfig(eps_recon=1e-20)).passed
