@@ -18,9 +18,11 @@ whole, with no per-branch record. Simulation offers two modes that must
 agree: the direct product formulas (``math`` trig), and a gate schedule of
 two-level rotations and phase shifts applied to |0...0> (numpy trig). The
 parameters fix the schedule: one gate per parameter, in an order that
-depends on N only, so a schedule is its :class:`CircuitParameters`. Their
-gate table (:attr:`CircuitParameters.gates`, :data:`GATE` rows) is built on
-demand for the file format.
+depends on N only, so a schedule is its :class:`CircuitParameters`. Each
+reader takes the values in its own order: extraction writes a step's angles
+into their column, and apply takes its trig once, in step order. Only the
+gate table (:attr:`CircuitParameters.gates`, :data:`GATE` rows, built on
+demand for the file format) lists them in table order.
 """
 
 from __future__ import annotations
@@ -143,11 +145,14 @@ class CircuitParameters:
         the weight chain on (0, t), t descending, then branch k's rotations r
         on (0, N - 1 - k - r) and its phases r on line r."""
         n = self.N
+        cells = _branch_cells(n)
+        rows = np.concatenate([cells, cells], axis=1)  # branch k's rotations, then its phases
         gates = np.zeros(n * n - 1, dtype=GATE)
-        gates["value"] = _gate_values(self)
+        gates["value"][: n - 1] = self.weight_angles
+        gates["value"][n - 1 :] = np.concatenate([self.angles, -self.phases], axis=1)[rows]
         gates["control"][: n - 1] = -1
         gates["b"][: n - 1] = np.arange(n - 1, 0, -1)
-        k, col = np.nonzero(_branch_rows(n))
+        k, col = np.nonzero(rows)
         phase = col >= n - 1
         branches = gates[n - 1 :]
         branches["phase"] = phase
@@ -235,13 +240,13 @@ def extract_parameters(
     work /= np.sqrt(np.where(weighted, weights, 1.0))[:, None]
     work[:, : n - 1] /= 1.0  # the sign step
     flat = work.view(np.float64)  # re, im of column j in columns 2j, 2j + 1
-    thetas = []  # column-major: step s peels column N - s of branches 0..N-s-1
+    angles = np.zeros((n, n - 1))
     for step in range(1, n):
         col = n - step  # branches 0..col-1 peel this column
         sines = [1.0 if x > 1.0 else x for x in map(abs, work[:col, col].tolist())]
         theta = list(map(math.asin, sines))
         cos = list(map(math.cos, theta))
-        thetas += theta
+        angles[:col, step - 1] = theta  # angle step - 1 of branches 0..col-1
         if min(cos) <= tol.eps_pivot:
             for i, c in enumerate(cos):
                 if c <= tol.eps_pivot:
@@ -262,8 +267,7 @@ def extract_parameters(
     values = work[:, : n - 1][_strict_lower(n).T[:, 1:]]
     phases = np.mod(list(map(cmath.phase, values.tolist())), TWO_PI)
     phases[phases >= TWO_PI] = 0.0
-    angles, branch_phases = np.zeros((n, n - 1)), np.zeros((n, n - 1))
-    angles.T[_branch_cells(n).T] = thetas
+    branch_phases = np.zeros((n, n - 1))
     branch_phases[_branch_cells(n)] = phases
     angles.flags.writeable = branch_phases.flags.writeable = False  # held, not copied
     return CircuitParameters(n, weight_angles, angles, branch_phases)
@@ -321,21 +325,6 @@ def schedule_from_parameters(params: CircuitParameters) -> CircuitParameters:
     return params
 
 
-def _branch_rows(n: int) -> np.ndarray:
-    """N x 2(N - 1) mask: the cells of ``angles`` and, beside them, of
-    ``phases`` that hold values. Row-major, it lists the branch gates in
-    table order: branch k's rotations, then its phases."""
-    cells = _branch_cells(n)
-    return np.concatenate([cells, cells], axis=1)
-
-
-def _gate_values(params: CircuitParameters) -> np.ndarray:
-    """The value column of the gate table: the weight angles, then branch by
-    branch its angles and its phases negated."""
-    rows = np.concatenate([params.angles, -params.phases], axis=1)
-    return np.concatenate([params.weight_angles, rows[_branch_rows(params.N)]])
-
-
 def apply_schedule(params: CircuitParameters) -> PureState:
     """Apply the parameters' gates to |0...0> and return the resulting state.
 
@@ -349,35 +338,39 @@ def apply_schedule(params: CircuitParameters) -> PureState:
     3. every phase, in one multiply.
 
     Every line still sees its gates in table order. The trig is taken once
-    over the value column, in table order.
+    over one value column in step order: the weight angles, then column r of
+    ``angles`` (rotation r of branches 0 .. N - 2 - r) for each r, then the
+    negated phases branch by branch, so each step reads a slice of it.
     """
     n = params.N
-    value = _gate_values(params)
+    cells = _branch_cells(n)
+    value = np.concatenate([params.weight_angles, params.angles.T[cells.T], -params.phases[cells]])
     # complex with +0 imaginary parts, as numpy promotes a float operand, so
     # no step has to cast
     cos = np.zeros(value.size, dtype=np.complex128)
     sin = np.zeros(value.size, dtype=np.complex128)
     np.cos(value, out=cos.real)
     np.sin(value, out=sin.real)
-    k = np.arange(n)
-    first = n - 1 + k * (2 * n - 1 - k)  # table row of branch k's first gate
+    del value  # freed before the state is allocated
+    # (lines a, lines b, rotation count): one weight rotation per step, then
+    # rotation r of m = N - 1 - r branches, the next m values of the column
     blocks = range(n - 1, 0, -1)
-    steps = [(slice(0, n), slice(b * n, b * n + n), slice(j, j + 1)) for j, b in enumerate(blocks)]
-    # line (k, N - 1 - k - r) is m + k(N - 1), with m = N - 1 - r branches
-    steps += [(slice(0, m * n, n), slice(m, m * n, n - 1), first[:m] + (n - 1 - m)) for m in blocks]
+    steps = [(slice(0, n), slice(b * n, b * n + n), 1) for b in blocks]
+    # line (k, N - 1 - k - r) is m + k(N - 1)
+    steps += [(slice(0, m * n, n), slice(m, m * n, n - 1), m) for m in blocks]
     vec = np.zeros(n * n, dtype=np.complex128)
     vec[0] = 1.0
-    for ia, ib, at in steps:
+    at = 0
+    for ia, ib, m in steps:
         xa, xb = vec[ia], vec[ib]
-        c, s = cos[at], sin[at]
+        c, s = cos[at : at + m], sin[at : at + m]
+        at += m
         # both results before either write: the slices are views
         new_a, new_b = c * xa - s * xb, s * xa + c * xb
         vec[ia], vec[ib] = new_a, new_b
     # phase r of branch k is on line (k, r), after its N - 1 - k rotations
-    cells = _branch_cells(n)
-    at = ((first + n - 1 - k)[:, None] + np.arange(n - 1))[cells]
-    factor = cos[at]
-    np.negative(sin.real[at], out=factor.imag)  # e^{-i value}, as cmath.exp rounds it
+    factor = cos[at:]  # in place: no step reads cos again
+    np.negative(sin.real[at:], out=factor.imag)  # e^{-i value}, as cmath.exp rounds it
     vec.reshape(n, n)[:, : n - 1][cells] *= factor
     vec.flags.writeable = False  # held, not copied
     return PureState(n, n, vec)

@@ -63,18 +63,20 @@ def reshuffle_purify(
     Permutes the system basis so the diagonal of rho is nonincreasing,
     runs the triangular purifier there, and un-permutes the coefficient
     columns. The returned matrix purifies rho but generally breaks the
-    anti-triangular pattern, so it is handed back as a plain array
-    alongside the purification state.
+    anti-triangular pattern, so it is handed back as a read-only array
+    alongside the purification state, which views it.
     """
     tol = tol or DEFAULT_TOL
     n = rho.shape.N
     diag = rho.entries.diagonal().real
     perm = np.argsort(-diag, kind="stable")
-    permuted = DensityMatrix(rho.shape, rho.entries[perm[:, None], perm])
-    coeffs = cholesky_purify(permuted, tol)
-    unshuffled = coeffs.C[:, np.argsort(perm)]  # the inverse permutation
-    state = PureState(n, n, unshuffled.reshape(-1))
-    return unshuffled, state
+    permuted = rho.entries[perm[:, None], perm]
+    permuted.flags.writeable = False  # held, not copied
+    coeffs = cholesky_purify(DensityMatrix(rho.shape, permuted), tol)
+    del permuted  # freed before the un-permuted copy is made
+    unshuffled = np.take(coeffs.C, np.argsort(perm), axis=1)  # the inverse permutation
+    unshuffled.flags.writeable = False  # held, not copied
+    return unshuffled, PureState(n, n, unshuffled.reshape(-1))
 
 
 def qubit_closed_form(rho: DensityMatrix, tol: ToleranceConfig | None = None) -> CoefficientMatrix:

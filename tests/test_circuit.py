@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import hypothesis
 import hypothesis.strategies as st
@@ -141,6 +142,22 @@ def reference_extract(coeffs, eps_pivot=1e-12):
         else:
             phases[0] = wrap(cmath.phase(complex(work[0])))
     return weight_angles, branches
+
+
+def peak_arrays(call, make):
+    """Transient tracemalloc peak of ``call(make(rho))`` in N x N complex
+    arrays, for the N = 256 rho of the memory bounds; ``make`` runs before
+    the tracing starts, and a call at N = 4 warms the caches."""
+    call(make(random_density(2, 2, seed=1)))
+    rho = random_density(2, 8, seed=1)
+    value = make(rho)
+    tracemalloc.start()
+    try:
+        call(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / rho.entries.nbytes
 
 
 def same_bits(got, want):
@@ -314,6 +331,13 @@ class TestExtractParameters:
             if rank < size:
                 assert_extract_matches_reference(coeffs, eps_pivot=1e-3)
 
+    def test_peak_memory_is_at_most_four_and_a_half_arrays(self):
+        # the work matrix, the phase values as complex, as Python complex
+        # and as Python floats, and the angles: 4.3 arrays at N = 256.
+        # Holding the angles in a list as well would add half an array.
+        peak = peak_arrays(extract_parameters, cholesky_purify)
+        assert peak <= 4.5, peak
+
     def test_extract_matches_reference_with_gaps_and_stops(self):
         # a zero-weight row between weighted ones, and branches that stop
         # part way (an angle of pi/2 leaves cos(pi/2) ~ 6e-17 to divide by)
@@ -469,6 +493,14 @@ class TestGatesAndApply:
             schedule = schedule_from_parameters(params)
             got = apply_schedule(schedule).amplitudes
             assert np.array_equal(got.view(np.uint64), reference_apply(schedule).view(np.uint64))
+
+    def test_peak_memory_is_at_most_four_and_a_half_arrays(self):
+        # the complex cos and sin columns, the state and the phase step's
+        # gather of its lines: 3.6 arrays at N = 256. Keeping the float value
+        # column, with index tables and gathers of cos and sin in table
+        # order, would add 1.5 more.
+        peak = peak_arrays(apply_schedule, lambda rho: extract_parameters(cholesky_purify(rho)))
+        assert peak <= 4.5, peak
 
     def test_schedule_is_its_parameters(self):
         params = random_params(5, seed=45)

@@ -333,6 +333,21 @@ class TestReshuffle:
         raw, state = reshuffle_purify(rho)
         assert np.max(np.abs(raw.T @ raw.conj() - rho.entries)) <= 1e-10
 
+    def test_peak_memory_is_at_most_three_arrays(self):
+        # the permuted rho, C with the row updates' temporaries, then C and
+        # its un-permuted copy, which the state views: 2.5 arrays at N = 256.
+        # A copy by either constructor would add 1 more.
+        rho = random_density(2, 8, seed=1)
+        reshuffle_purify(random_density(2, 2, seed=1))  # warm caches
+        tracemalloc.start()
+        try:
+            reshuffle_purify(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = rho.entries.nbytes
+        assert peak <= 3 * array, peak / array
+
 
 class TestTolerancePropagation:
     def test_tight_recon_tolerance_fails_verification(self):
