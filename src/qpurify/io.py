@@ -58,7 +58,6 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from . import errors
-from .circuit import GATE, CircuitParameters
 from .core import (
     DensityMatrix,
     PureState,
@@ -508,6 +507,8 @@ def _parse_gate(record) -> tuple:
 def _gate_rows(n: int, records) -> np.ndarray:
     """The :data:`GATE` table of an N-line circuit's schedule records, with
     every index in range (OutOfRange) and every value finite (BadRange)."""
+    from .circuit import GATE
+
     rows = [_parse_gate(g) for g in _objects(records, "schedule")]
     try:
         gates = np.array(rows, dtype=GATE)
@@ -531,6 +532,8 @@ def _gate_rows(n: int, records) -> np.ndarray:
 def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
     """Shape and parameters of a parsed circuit record, or of the record
     before its ``schedule`` key: the one decoder of a circuit file's head."""
+    from .circuit import CircuitParameters
+
     shape = QuditShape(_integer(data["d"], "d"), _integer(data["n"], "n"))
     n = _integer(data["N"], "N")
     if n != shape.N:

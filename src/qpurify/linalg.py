@@ -10,24 +10,30 @@ needs just a threshold decision on the smallest eigenvalue and takes it
 from LAPACK (``numpy.linalg.eigvalsh``) instead.
 
 Each Jacobi rotation works out its angles in Python floats from entries read
-with ``item``. The phase a_pq / |a_pq| and the sine take numpy's formulas for
-the complex-by-real quotient and the full complex product, so they round as
-numpy's scalars do on every Python version. The eight rotation coefficients
-go into a buffer in one write, and the rotation is four vector calls into
-buffers allocated once per call: a broadcast product and a sum for rows p and
-q of the matrix, then for columns p and q of the matrix and the eigenvectors
-(stacked as one 2N x N array). The column pair is read in place, a strided
-view, where the pinned ``purify --method spectral`` outputs were rounded with
-each product a scalar times a contiguous copy. numpy picks a complex-multiply
-kernel by operand layout, and kernels need not round alike (its contiguous
-kernel fuses multiply-adds, and Python's complex product differs from it on
-about half of random operands). With numpy 2.4 on x86-64 (AVX-512), the strided
-and contiguous kernels do round alike: 1.57 million broadcast products on
-strided, column-major and contiguous operands gave the same bits, and the
-solver matched the contiguous-copy version bit for bit on 3,248 inputs
-(random, sparse, signed-zero, subnormal and 1e100 matrices, N = 2 to 64). The
-bit-for-bit tests against ``reference_jacobi``, which multiplies contiguous
-copies, would fail on a build where they do not.
+with ``item``, with no complex scalar built: the phase a_pq / |a_pq| term by
+term as numpy's complex-by-real quotient rounds it, and the sine
+s = (t * c + 0j) * conj(phase) term by term as CPython's complex product
+rounds it, signed zeros included. The eight rotation coefficients go into a
+buffer as sixteen floats in one ``struct`` pack, and the rotation is four
+vector calls into buffers allocated once per call: a broadcast product and a
+sum for rows p and q of the matrix, then for columns p and q of the matrix
+and the eigenvectors. Matrix and eigenvectors are stacked as one 2N x N
+column-major array, so each column of the pair is one contiguous run of 2N
+entries, and the row pair is read in place at a stride of 2N entries. The
+pinned ``purify --method spectral`` outputs were rounded with each product a
+scalar times a contiguous copy. numpy picks a complex-multiply kernel by
+operand layout, and kernels need not round alike (its contiguous kernel fuses
+multiply-adds, and Python's complex product differs from it on about half of
+random operands). With numpy 2.4 on x86-64 (AVX-512), the strided and
+contiguous kernels do round alike: 2.37 million broadcast products and sums
+on row pairs of a column-major array, column pairs of a row-major one and
+contiguous copies gave the same bits; the row-major solver matched the
+contiguous-copy version bit for bit on 3,248 inputs (random, sparse,
+signed-zero, subnormal and 1e100 matrices, N = 2 to 64), and this one matched
+the row-major solver on 622 (the same kinds, real-symmetric, column-major and
+transposed inputs, N = 2 to 64). The bit-for-bit tests against
+``reference_jacobi``, which multiplies contiguous copies, would fail on a
+build where they do not.
 
 The iteration stops at the start of a sweep when the largest off-diagonal
 entry is at most 1e-15 * max|a|, or when it is at most the rounding floor
@@ -39,12 +45,13 @@ can lie below what rounding lets a rotation reach.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 
 import numpy as np
 
 from .core import DEFAULT_TOL, PureState, ToleranceConfig, _strict_lower
-from .errors import NoConvergence, NotPSD, ShapeMismatch
+from .errors import BadRange, NoConvergence, NotPSD, ShapeMismatch
 
 #: Sweep cap for the cyclic Jacobi iteration.
 MAX_SWEEPS = 100
@@ -52,31 +59,38 @@ MAX_SWEEPS = 100
 
 def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     """``(eigenvalues, eigenvectors)`` of a complex Hermitian matrix by cyclic
-    Jacobi rotations; eigenvector k is column k.
+    Jacobi rotations; eigenvector k is column k. A matrix with an inf or NaN
+    entry raises BadRange.
 
     Deterministic for a fixed input: the sweep order is fixed (p < q
     ascending) and the final ordering sorts eigenvalues descending with
     exact ties broken by the first differing eigenvector component
     (larger real part first, then larger imaginary part).
     """
-    a = np.array(matrix, dtype=np.complex128)
+    a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    # one column rotation updates a and the eigenvectors together
-    w = np.concatenate([a, np.eye(n, dtype=np.complex128)])
-    a, vecs = w[:n], w[n:]
-    if n == 1:
-        return np.array([a[0, 0].real]), vecs
-
     scale = float(np.abs(a).max())
+    if not math.isfinite(scale):
+        raise BadRange("matrix has non-finite entries")
+    if n == 1:
+        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
     if scale == 0.0:
-        return np.zeros(n), vecs
+        return np.zeros(n), np.eye(n, dtype=np.complex128)
+
+    # one column rotation updates a and the eigenvectors together: a stacked
+    # over them, column-major, so that each column is contiguous
+    w = np.zeros((2 * n, n), dtype=np.complex128, order="F")
+    w[:n] = a
+    a, vecs = w[:n], w[n:]
+    np.fill_diagonal(vecs, 1.0)
     # where the skip bound 1e-17 * scale is subnormal, 1/|a_pq| can overflow:
     # rotate a copy scaled up by a power of two, which is exact
     shift = -math.frexp(scale)[1] if scale < sys.float_info.min / 1e-17 else 0
     if shift:
-        np.ldexp(a.view(np.float64), shift, out=a.view(np.float64))
+        for part in (a.real, a.imag):
+            np.ldexp(part, shift, out=part)
         scale = float(np.abs(a).max())
     stop = 1e-15 * scale
     skip = 0.01 * stop
@@ -84,12 +98,12 @@ def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     floor = n * 2.0**-53 * math.sqrt(float(np.vdot(a, a).real))
     last = math.inf
 
-    # rotation buffers, allocated once: coefficients (written through one
-    # flat view) and the two broadcast products
+    # rotation buffers, allocated once: the coefficients (written as 16
+    # floats in one pack) and the two broadcast products
     row_coef, col_coef = coef = np.empty((2, 2, 2, 1), dtype=np.complex128)
     row_prod = np.empty((2, 2, n), dtype=np.complex128)
     col_prod = np.empty((2, 2, 2 * n), dtype=np.complex128)
-    flat, wt = coef.reshape(8), w.T
+    pack, wt = struct.Struct("16d").pack_into, w.T
     (rp0, rp1), (cp0, cp1) = row_prod.transpose(1, 0, 2), col_prod.transpose(1, 0, 2)
     multiply, add, item, sqrt = np.multiply, np.add, a.item, math.sqrt
 
@@ -107,21 +121,22 @@ def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
                 g = abs(apq)
                 if g <= skip:
                     continue
-                # numpy's quotient apq / (g + 0j) by Smith's formula and its full
-                # product (t * c + 0j) * conj(phase): Python's apq / g, apq * (1 / g)
-                # and (from 3.14) float * complex round signed zeros differently
-                inv = 1.0 / g
-                phase = complex((apq.real + apq.imag * 0.0) * inv, (apq.imag - apq.real * 0.0) * inv)
+                # the phase u = apq / (g + 0j) by numpy's Smith quotient, in floats
+                re, im, inv = apq.real, apq.imag, 1.0 / g
+                ur, ui = (re + im * 0.0) * inv, (im - re * 0.0) * inv
                 tau = (item(p, p).real - item(q, q).real) / (2.0 * g)
                 sign = 1.0 if tau >= 0.0 else -1.0
                 t = sign / (abs(tau) + sqrt(1.0 + tau * tau))
                 c = 1.0 / sqrt(1.0 + t * t)
-                s = complex(t * c, 0.0) * phase.conjugate()
+                # s = (t * c + 0j) * conj(u) by CPython's complex product
+                x = t * c
+                sr, si = x * ur - 0.0 * -ui, x * -ui + 0.0 * ur
                 # a <- U† a U and vecs <- vecs U, U embedding
-                # [[c, -conj(s)], [s, c]] at (p, q); the column pair is read
-                # in place, strided (see module docstring)
-                sc = s.conjugate()
-                flat[:] = c, sc, -s, c, c, s, -sc, c
+                # [[c, -conj(s)], [s, c]] at (p, q): coefficients
+                # c, conj(s), -s, c for the rows and c, s, -conj(s), c for the
+                # columns; the row pair is read in place, strided (see module
+                # docstring)
+                pack(coef, 0, c, 0.0, sr, -si, -sr, -si, c, 0.0, c, 0.0, sr, si, -sr, si, c, 0.0)
                 rows = a[p : q + 1 : q - p]
                 multiply(row_coef, rows, row_prod)
                 add(rp0, rp1, rows)

@@ -15,7 +15,7 @@ from qpurify import (
     reference_cholesky,
 )
 from qpurify import linalg
-from qpurify.errors import NoConvergence, NotPSD, ShapeMismatch
+from qpurify.errors import BadRange, NoConvergence, NotPSD, ShapeMismatch
 from qpurify.rng import CounterRng
 
 
@@ -118,6 +118,21 @@ def jacobi_cases(dim):
     ] + (angle_cases(h) + [block_diagonal(dim)] if dim >= 3 else [])
 
 
+def layout_cases(dim):
+    """Inputs whose layout moves which operand a rotation reads strided: a
+    real-symmetric matrix (every imaginary part +0.0), a column-major matrix,
+    and the conjugate-transposed view of a matrix that is Hermitian only up
+    to rounding."""
+    g = CounterRng(80 + dim).complex_normal_matrix(dim, dim)
+    u = np.linalg.qr(CounterRng(90 + dim).complex_normal_matrix(dim, dim))[0]
+    rounded = (u * np.linspace(1.0, 0.1, dim)) @ u.conj().T
+    return [
+        ((g.real + g.real.T) / 2.0).astype(np.complex128),
+        np.asfortranarray(random_hermitian(dim, seed=60 + dim)),
+        rounded.conj().T,
+    ]
+
+
 def block_diagonal(dim):
     """Two complex Hermitian blocks, of sizes dim // 2 and the rest, with
     exact zeros between them: every rotation inside one block carries the
@@ -205,13 +220,24 @@ class TestHermitianEigen:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 9, 16])
     def test_matches_reference_bit_for_bit(self, dim):
-        for matrix in jacobi_cases(dim):
+        for matrix in jacobi_cases(dim) + layout_cases(dim):
             assert_matches_reference(matrix)
 
-    @pytest.mark.parametrize("d,n,seed,rank", [(2, 6, 1000, None), (4, 3, 1003, 16)])
+    @pytest.mark.parametrize(
+        "d,n,seed,rank", [(2, 6, 1000, None), (4, 3, 1001, None), (2, 6, 1002, 16), (4, 3, 1003, 16)]
+    )
     def test_roundtrip_inputs_bit_for_bit(self, d, n, seed, rank):
-        # a full-rank and a rank-16 input of the pinned CLI sessions, N = 64
+        # the four inputs of the pinned CLI sessions, N = 64
         assert_matches_reference(random_density(d, n, seed, rank=rank).entries)
+
+    @pytest.mark.parametrize("entries", [[(0, 1), (1, 0)], [(0, 0)]], ids=["off-diagonal", "diagonal"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_entries(self, entries, value):
+        matrix = np.eye(16, dtype=np.complex128) / 16
+        for i, j in entries:
+            matrix[i, j] = value
+        with pytest.raises(BadRange, match="non-finite"):
+            hermitian_eigen(matrix)
 
     #: Hermitian matrices whose entries are all subnormal: 1 / |a_pq| overflows
     SUBNORMAL = [

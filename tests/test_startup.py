@@ -2,10 +2,11 @@
 
 ``--help`` and usage errors import neither numpy nor a layer, nor click;
 ``bloch`` loads no numpy and, of the package, only ``cli``, ``bloch`` and
-``errors``, and no JSON command loads ``bloch``; the package namespace
-imports a layer on the first read of one of its names; and each command,
-run alone in a fresh interpreter, imports everything it needs (in-process
-runs share earlier imports and cannot show a missing one).
+``errors``; no JSON command loads ``bloch``, and ``random`` and ``purify``
+load no ``circuit``; the package namespace imports a layer on the first
+read of one of its names; and each command, run alone in a fresh
+interpreter, imports everything it needs (in-process runs share earlier
+imports and cannot show a missing one).
 """
 
 import hashlib
@@ -118,10 +119,14 @@ def test_json_commands_load_no_bloch(tmp_path):
     for argv in (
         ["random", "--d", "2", "--n", "1", "--seed", "1", "--out", "rho.json"],
         ["purify", "--input", "rho.json", "--out", "psi.json"],
+        ["purify", "--input", "rho.json", "--reshuffle", "--out", "psi.json"],
+        ["purify", "--input", "rho.json", "--method", "spectral", "--out", "psi.json"],
     ):
         proc, names = loaded_modules(argv, tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert "qpurify.io" in names and "qpurify.bloch" not in names, argv[0]
+        assert "qpurify.io" in names and "qpurify.bloch" not in names, argv
+        # only synth and simulate build or read a circuit
+        assert "qpurify.circuit" not in names, argv
 
 
 def test_bare_import_loads_nothing_and_resolves_submodules(tmp_path):
