@@ -21,8 +21,12 @@ parameters fix the schedule: one gate per parameter, in an order that
 depends on N only, so a schedule is its :class:`CircuitParameters`. Each
 reader takes the values in its own order: extraction writes a step's angles
 into their column, and apply takes its trig once, in step order. Only the
-gate table (:attr:`CircuitParameters.gates`, :data:`GATE` rows, built on
-demand for the file format) lists them in table order.
+gate table (:attr:`CircuitParameters.gates`, :data:`GATE` rows) lists them
+in table order. The file writer renders the schedule block from the
+parameters' number tokens and never builds the table; it is built on
+demand by the full parse's schedule check, by :func:`~qpurify.io.dump_circuit`
+when given a schedule that is not its parameters, and by the gate counter
+of ``bench/tracing.py``.
 """
 
 from __future__ import annotations

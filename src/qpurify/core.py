@@ -187,11 +187,14 @@ def validate_density(
     if not np.isfinite(arr).all():
         raise BadRange("matrix has non-finite entries")
     adjoint = arr.conj().T
-    asym = float(np.abs(arr - adjoint).max())
-    if asym > tol.eps_herm:
-        raise NotHermitian(f"asymmetry {asym!r} exceeds tolerance {tol.eps_herm!r}")
-    sym = arr + adjoint
-    sym /= 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # entries past about 8.99e307
+        asym = float(np.abs(arr - adjoint).max())
+        if asym > tol.eps_herm:
+            raise NotHermitian(f"asymmetry {asym!r} exceeds tolerance {tol.eps_herm!r}")
+        sym = arr + adjoint
+        sym /= 2.0
+    if not np.isfinite(sym).all():
+        raise BadRange("matrix entries overflow its Hermitian part")
     trace = float(sym.trace().real)
     if abs(trace - 1.0) > tol.eps_trace:
         raise TraceDeviation(f"trace {trace!r} deviates from 1 beyond {tol.eps_trace!r}")

@@ -17,7 +17,8 @@ so nothing is written for a refused input. ``dump_state`` and
 The readers take a file's text or the open binary file. They first check,
 front to back and without holding an open file whole, that a file has the
 layout the writers produce, and read such a file with no Python work per
-entry:
+entry. This check works in bytes: an open file is read a part at a time,
+and a text is encoded one window at a time, never copied whole.
 
 * a state or density file is parsed up to its array, which is read into a
   preallocated array one block of about ``errors.BLOCK_ROWS`` pairs (whole
@@ -111,66 +112,54 @@ def _objects(values, name: str) -> list:
 
 
 class _Cursor:
-    """A file read front to back: its text, held whole, or an open binary
-    file, read a part at a time (never held whole)."""
+    """A file read front to back, a part at a time, as bytes: an open binary
+    file (one that cannot seek, a pipe, is read whole into one that can, so
+    the full parse can rewind it), or a file's text, held whole and encoded
+    one window at a time. Positions count the text's characters, or the
+    file's bytes."""
 
     def __init__(self, source):
-        self.source, self.pos = source, 0
         self.file = not isinstance(source, str)
+        if self.file and not source.seekable():
+            source = BytesIO(source.read())
+        self.source, self.pos = source, 0
         self.size = source.seek(0, SEEK_END) if self.file else len(source)
         if self.file:
             source.seek(0)
 
-    def typed(self, literal: str) -> str | bytes:
-        """``literal`` as the parts of this file are typed: str, or ASCII bytes."""
-        return literal.encode() if self.file else literal
-
-    def read(self, n: int) -> str | bytes:
-        """The next ``n`` characters or bytes; fewer at the end of the file."""
+    def read(self, n: int) -> bytes:
+        """The next ``n`` bytes, or characters encoded (a lone surrogate as
+        non-ASCII bytes); fewer at the end of the file."""
         part = self.source.read(n) if self.file else self.source[self.pos : self.pos + n]
         self.pos += len(part)
-        return part
+        return part if self.file else part.encode("utf-8", "surrogatepass")
 
     def match(self, piece: str) -> bool:
-        """Whether the file goes on with ``piece``; the cursor moves past it."""
-        piece = self.typed(piece)
-        if self.file:
-            same = self.source.read(len(piece)) == piece
-        else:
-            same = self.source.startswith(piece, self.pos)
-        self.pos += len(piece)
-        return same
+        """Whether the file goes on with ``piece`` (ASCII); the cursor moves past it."""
+        return self.read(len(piece)) == piece.encode()
 
     def until(self, key: str) -> str | None:
         """The text up to the next ``key`` (a file's bytes must be ASCII
         there: UnicodeDecodeError), with the cursor moved past the key; None
         if no ``key`` follows."""
-        key = self.typed(key)
-        if self.file:
-            text, start, cut = bytearray(), 0, -1
-            while cut < 0:
-                part = self.source.read(64 * errors.BLOCK_ROWS)
-                if not part:
-                    return None
-                seen = max(len(text) - len(key) + 1, 0)  # a key across two parts
-                text += part
-                cut = text.find(key, seen)
-            self.source.seek(self.pos + cut + len(key))
-        else:
-            text, start = self.source, self.pos
-            cut = text.find(key, start)
+        if not self.file:
+            cut = self.source.find(key, self.pos)
             if cut < 0:
                 return None
-        self.pos += cut - start + len(key)
-        return str(memoryview(text)[:cut], "ascii") if self.file else text[start:cut]
-
-
-def _rewindable(source):
-    """``source``, a file's text or an open binary file, with a file that
-    cannot seek (a pipe) read whole into one that can."""
-    if isinstance(source, str) or source.seekable():
-        return source
-    return BytesIO(source.read())
+            head, self.pos = self.source[self.pos : cut], cut + len(key)
+            return head
+        key = key.encode()
+        text, cut = bytearray(), -1
+        while cut < 0:
+            part = self.source.read(64 * errors.BLOCK_ROWS)
+            if not part:
+                return None
+            seen = max(len(text) - len(key) + 1, 0)  # a key across two parts
+            text += part
+            cut = text.find(key, seen)
+        self.pos += cut + len(key)
+        self.source.seek(self.pos)
+        return str(memoryview(text)[:cut], "ascii")
 
 
 def _text(source) -> str:
@@ -247,8 +236,8 @@ def _skeleton(shape: tuple[int, ...]) -> bytes:
     return pairs if len(shape) == 1 else b",".join([b"[" + pairs + b"]"] * shape[0])
 
 
-def _canonical_complex(source, key: str, shape_of):
-    """``(record, values)`` of a file (its text or the open binary file)
+def _canonical_complex(file: _Cursor, key: str, shape_of):
+    """``(record, values)`` of a file, read from ``file`` at its start,
     whose last key, ``key``, holds a complex array as the writers write it;
     None for any other file.
 
@@ -265,7 +254,6 @@ def _canonical_complex(source, key: str, shape_of):
     it fail. The counts must add up to the declared shape.
     """
     try:
-        file = _Cursor(source)
         head = file.until(key)
         if head is None:
             return None
@@ -279,17 +267,19 @@ def _canonical_complex(source, key: str, shape_of):
         flat = values.view(np.float64)
         matrix = len(shape) == 2
         width = shape[1] if matrix else 1  # pairs per row; a 1-D array's row is a pair
-        row_sep, pair_sep, tail, comma = map(file.typed, ("]],[[", "],[", "]}\n", ","))
+        row_sep, pair_sep = b"]],[[", b"],["
         sep = row_sep if matrix else pair_sep
         half = len(sep) // 2  # the block before a separator keeps its closing brackets
         # a block's share of the text, for its rows' share of the pairs
         window = max(body * _rows_per_block(width) * width // max(count, 1), 1)
-        pending, filled = file.typed(""), 0
+        pending, filled = b"", 0
         while pending is not None:
             part = file.read(window)
             pending += part
-            if len(part) < window:  # the end: the last block, then the record's close
-                if not pending.endswith(tail):
+            # a short part is the end (n characters encode to at least n
+            # bytes): the last block, then the record's close
+            if len(part) < window:
+                if not pending.endswith(b"]}\n"):
                     return None
                 block, pending = pending[:-3], None
             else:
@@ -302,10 +292,9 @@ def _canonical_complex(source, key: str, shape_of):
             if filled + size > count:
                 return None
             skeleton = _skeleton((rows, width) if matrix else (rows,))
-            raw = block if file.file else block.encode()
-            if raw.translate(None, _NUMBER_CHARS) != skeleton:
+            if block.translate(None, _NUMBER_CHARS) != skeleton:
                 return None
-            numbers = json.loads(block.replace(row_sep, comma).replace(pair_sep, comma))
+            numbers = json.loads(block.replace(row_sep, b",").replace(pair_sep, b","))
             flat[2 * filled : 2 * (filled + size)] = numbers[0] if matrix else numbers
             filled += size
         if filled != count:
@@ -345,12 +334,12 @@ def _density_shape(record) -> QuditShape:
 
 def load_density(source, tol: ToleranceConfig | None = None) -> DensityMatrix:
     """The validated density matrix of a file: its text, or the open binary file."""
-    source = _rewindable(source)
-    canonical = _canonical_complex(source, ',"matrix":[', lambda r: (_density_shape(r).N,) * 2)
+    file = _Cursor(source)
+    canonical = _canonical_complex(file, ',"matrix":[', lambda r: (_density_shape(r).N,) * 2)
     if canonical is not None:
         record, matrix = canonical
         return validate_density(matrix, _density_shape(record), tol)
-    data = _record(source, "matrix")
+    data = _record(file.source, "matrix")
     shape = _density_shape(data)
     matrix = _parse_complex_matrix(data["matrix"], shape.N, shape.N)
     return validate_density(matrix, shape, tol)
@@ -375,12 +364,12 @@ def _state_dims(record) -> tuple[int, int]:
 
 def load_state(source) -> PureState:
     """The state of a file: its text, or the open binary file."""
-    source = _rewindable(source)
-    canonical = _canonical_complex(source, ',"amplitudes":[', lambda r: (math.prod(_state_dims(r)),))
+    file = _Cursor(source)
+    canonical = _canonical_complex(file, ',"amplitudes":[', lambda r: (math.prod(_state_dims(r)),))
     if canonical is not None:
         record, amps = canonical
         return PureState(*_state_dims(record), amps)
-    data = _record(source, "state")
+    data = _record(file.source, "state")
     m, n = _state_dims(data)
     pairs = _json(data["amplitudes"], list, "amplitudes")
     amps = np.array([_parse_complex(p) for p in pairs], dtype=np.complex128)
@@ -547,13 +536,12 @@ def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
     return shape, CircuitParameters.from_branches(n, weights, branches)
 
 
-def _load_canonical_circuit(source):
-    """The circuit in a file (its text or the open binary file) if the file
+def _load_canonical_circuit(file: _Cursor):
+    """The circuit in a file, read from ``file`` at its start, if the file
     is, byte for byte, the text its own parameter tokens render to
     (as :func:`dump_circuit` renders the tokens ``repr`` writes); else None.
     The schedule block is compared as it is read, a piece at a time."""
     try:
-        file = _Cursor(source)
         head = file.until(_SCHEDULE_KEY)
         if head is None:
             return None
@@ -588,11 +576,11 @@ def load_circuit(source) -> tuple[QuditShape, CircuitParameters, CircuitParamete
     parsed in full, and its schedule must agree with its parameters under
     ==; the parameters keep their own signed zeros.
     """
-    source = _rewindable(source)
-    circuit = _load_canonical_circuit(source)
+    file = _Cursor(source)
+    circuit = _load_canonical_circuit(file)
     if circuit is not None:
         return circuit
-    data = _record(source, "circuit")
+    data = _record(file.source, "circuit")
     shape, params = _circuit_head(data)
     _check_schedule(_gate_rows(params.N, data["schedule"]), params)
     return shape, params, params

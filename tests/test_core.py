@@ -307,6 +307,10 @@ SINGLE_FAULTS = {
         lambda: validate_density([[np.nan, 0.0], [0.0, 0.5]], QUBIT),
         BadRange, "matrix has non-finite entries",
     ),
+    "hermitian-overflow": (
+        lambda: validate_density([[0.5, 9e307], [9e307, 0.5]], QUBIT),
+        BadRange, "matrix entries overflow its Hermitian part",
+    ),
     "not-hermitian": (
         lambda: validate_density([[0.5, 1e-3], [0.0, 0.5]], QUBIT),
         NotHermitian, "asymmetry 0.001 exceeds tolerance 1e-10",

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -1166,6 +1167,33 @@ class TestCliErrors:
         res = runner.invoke(main, ["purify", "--input", str(path), "--out", str(tmp_path / "x.json")])
         assert res.exit_code == 2
         assert res.stderr.startswith("BadRange: matrix has non-finite entries")
+
+    @pytest.mark.parametrize(
+        "matrix,line",
+        [
+            ([[0.5, 9e307], [9e307, 0.5]], "BadRange: matrix entries overflow its Hermitian part"),
+            ([[0.5, 1e308], [1e308, 0.5]], "BadRange: matrix entries overflow its Hermitian part"),
+            ([[9e307, 0], [0, -9e307]], "BadRange: matrix entries overflow its Hermitian part"),
+            ([[1e308, 0], [0, -1e308]], "BadRange: matrix entries overflow its Hermitian part"),
+            ([[0.5, 1e308], [-1e308, 0.5]], "NotHermitian: asymmetry inf exceeds tolerance 1e-10"),
+        ],
+        ids=["off-diagonal 9e307", "off-diagonal 1e308", "diagonal 9e307", "diagonal 1e308", "antisymmetric 1e308"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["purify"], ["purify", "--reshuffle"], ["purify", "--method", "spectral"], ["synth"]],
+        ids=" ".join,
+    )
+    def test_hermitian_part_overflow_exit_2(self, runner, tmp_path, matrix, line, command):
+        # finite entries whose sum or difference with the adjoint passes the float range
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d": 2, "n": 1, "matrix": [[[x, 0] for x in row] for row in matrix]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, [*command, "--input", str(path), "--out", str(tmp_path / "x.json")])
+        assert res.exit_code == 2
+        assert res.stderr == line + "\n"
+        assert not caught, [str(w.message) for w in caught]
 
     def test_eigensolver_failure_exit_3(self, runner, tmp_path, monkeypatch):
         rho_path = write_density(tmp_path / "rho.json", random_density(2, 1, seed=3))

@@ -159,6 +159,49 @@ class TestSmallBlocks:
         assert sum(p.count('{"gate"') for p in block) == 15
 
 
+#: A character of two UTF-8 bytes, and a lone surrogate, which UTF-8 cannot encode.
+NON_ASCII = {"e-acute": "\u00e9", "lone surrogate": "\ud800"}
+
+
+def edits_from(text, start, char):
+    """``text`` with ``char`` put in before, and in place of, each of its
+    characters from ``start`` on."""
+    for i in range(start, len(text)):
+        yield text[:i] + char + text[i:]
+        yield text[:i] + char + text[i + 1 :]
+
+
+class TestNonAsciiText:
+    """A text source is encoded one window at a time, with its positions
+    counted in characters: a character of more than one byte, or of none,
+    moves no window off the text it belongs to. Blocks of 1 and 3 put a
+    window edge every few pairs or records, and each edit is made at every
+    character of the block, so some sit at an edge."""
+
+    @pytest.mark.parametrize("notes", [1, 2, 3])
+    def test_non_ascii_head_reads_block_by_block(self, small_block, monkeypatch, notes):
+        monkeypatch.setattr(io, "_parse_complex", refuse)
+        note = '{"note":"%s",' % (NON_ASCII["e-acute"] * notes)
+        for load, _, canonical, _ in ARRAY_FORMATS.values():
+            for d, n, rank in ARRAY_SHAPES:
+                text = canonical(d, n, rank)
+                assert array_outcome(load, text.replace("{", note, 1)) == array_outcome(load, text)
+
+    @pytest.mark.parametrize("char", NON_ASCII.values(), ids=NON_ASCII)
+    def test_non_ascii_in_array_matches_full_parse(self, small_block, char):
+        for kind, (load, reference, canonical, key) in ARRAY_FORMATS.items():
+            text = canonical(2, 1, None)
+            start = text.index(f'"{key}":[') + len(key) + 4
+            for variant in edits_from(text, start, char):
+                assert array_outcome(load, variant) == array_outcome(reference, variant), (kind, variant)
+
+    @pytest.mark.parametrize("char", NON_ASCII.values(), ids=NON_ASCII)
+    def test_non_ascii_in_schedule_matches_full_parse(self, small_block, char):
+        text = canonical_circuit(2, 1, None)
+        for variant in edits_from(text, text.index(io._SCHEDULE_KEY), char):
+            assert load_outcome(io.load_circuit, variant) == load_outcome(reference_load_circuit, variant), variant
+
+
 def traced_peak(fn):
     """The result of ``fn()`` and the peak of the memory traced while it runs."""
     tracemalloc.start()
