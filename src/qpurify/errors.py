@@ -1,11 +1,11 @@
 """Exception types shared across the package, how their messages print
-integers, and the block size of the file writers: the one module every
-layer imports, numpy-free."""
+integers, and the one block size: the one module every layer imports,
+numpy-free."""
 
 import sys
 
-#: Pairs, gate records or CSV rows per piece of text: the one block size of
-#: the writers' pieces (``io`` and ``bloch``) and of the array reader's blocks.
+#: Pairs, gate records or CSV rows per piece of text: the one block size of the
+#: writers' pieces (``io``, ``bloch``), the array reader and ``rng``'s fill.
 BLOCK_ROWS = 4096
 
 

@@ -37,15 +37,15 @@ and a text is encoded one window at a time, never copied whole.
   and accepts the file only if it is, byte for byte, the text those tokens
   render to, compared a piece at a time.
 
-Any other layout goes through a full parse with the same errors, where gate
-rows from outside are range-checked before they are compared; an open
-file is read whole for it and decoded as ``Path.read_text`` decodes it.
-Dimension
-fields and gate indices must be JSON integers, every other number a JSON
-int or float (not a string or bool) within the float range (BadRange), and
-every list or object a JSON list or object. A value of the wrong JSON type
-is a ValueError that names its field; so is a file nested too deeply for
-``json`` to decode, which names the file kind.
+Any other layout goes through a full parse with the same errors; an open
+file is read whole for it and decoded as ``Path.read_text`` decodes it. The
+full parse checks a circuit's branch and gate records in the order they are
+written, as it reads them, so of several faults it names the first.
+Dimension fields and gate indices must be JSON integers, every other number
+a JSON int or float (not a string or bool) within the float range
+(BadRange), and every list or object a JSON list or object. A value of the
+wrong JSON type is a ValueError that names its field; so is a file nested
+too deeply for ``json`` to decode, which names the file kind.
 """
 
 from __future__ import annotations
@@ -102,13 +102,6 @@ def _numbers(values, name: str) -> np.ndarray:
         except OverflowError:
             pass  # an integer beyond the float range, which _number names
     return np.array([_number(v, name) for v in values], dtype=np.float64)
-
-
-def _objects(values, name: str) -> list:
-    """``values``, which must be a JSON list of objects."""
-    if not all(isinstance(v, dict) for v in _json(values, list, name)):
-        raise ValueError(f"{name!r} entries must be JSON objects")
-    return values
 
 
 class _Cursor:
@@ -473,49 +466,50 @@ def dump_circuit(
     return "".join(pieces)
 
 
-def _parse_gate(record) -> tuple:
-    """Gate-table row of one JSON record (the inverse of :func:`_render_circuit`)."""
-    kind = record["gate"]
-    control = record["control_value"]
+def _parse_gate(record, n: int) -> tuple:
+    """Gate-table row of one JSON record of an N-line circuit's schedule (the
+    inverse of :func:`_render_circuit`), its indices in range (OutOfRange)."""
+    if not isinstance(record, dict):
+        raise ValueError("'schedule' entries must be JSON objects")
+    kind, control = record["gate"], record["control_value"]
     if control is None:
         control = -1
-    elif _integer(control, "control_value") < 0:
-        raise OutOfRange(f"control value {control} outside ancilla register")
+    elif not 0 <= _integer(control, "control_value") < n:
+        raise OutOfRange(f"control value {shown(control, 'control_value')} outside ancilla register")
     value = _number(record["value"], "value")
     if kind == "rotation":
         pair = record["subspace"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError("'subspace' must be a JSON list of two integers")
-        a, b = pair
-        return (False, control, _integer(a, "subspace"), _integer(b, "subspace"), value)
+        a, b = _integer(pair[0], "subspace"), _integer(pair[1], "subspace")
+        if not 0 <= a < b < n:
+            a, b = shown(a, "subspace"), shown(b, "subspace")
+            raise OutOfRange(f"rotation subspace ({a}, {b}) invalid for dim {n}")
+        return (False, control, a, b, value)
     if kind == "phase":
-        return (True, control, _integer(record["basis"], "basis"), 0, value)
+        a = _integer(record["basis"], "basis")
+        if not 0 <= a < n:
+            raise OutOfRange(f"phase basis {shown(a, 'basis')} outside register of dim {n}")
+        return (True, control, a, 0, value)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def _gate_rows(n: int, records) -> np.ndarray:
-    """The :data:`GATE` table of an N-line circuit's schedule records, with
-    every index in range (OutOfRange) and every value finite (BadRange)."""
+    """The :data:`GATE` table of an N-line circuit's schedule records, each
+    read by :func:`_parse_gate`, with every value finite (BadRange)."""
     from .circuit import GATE
 
-    rows = [_parse_gate(g) for g in _objects(records, "schedule")]
-    try:
-        gates = np.array(rows, dtype=GATE)
-    except OverflowError as exc:
-        raise OutOfRange(f"gate index beyond the int64 range: {exc}") from exc
-    control, a, b, phase = gates["control"], gates["a"], gates["b"], gates["phase"]
-    bad = control >= n  # _parse_gate refuses a control below -1 (null)
-    if bad.any():
-        raise OutOfRange(f"control value {control[bad][0]} outside ancilla register")
-    bad = ~phase & ~((0 <= a) & (a < b) & (b < n))
-    if bad.any():
-        raise OutOfRange(f"rotation subspace ({a[bad][0]}, {b[bad][0]}) invalid for dim {n}")
-    bad = phase & ~((0 <= a) & (a < n))
-    if bad.any():
-        raise OutOfRange(f"phase basis {a[bad][0]} outside register of dim {n}")
+    gates = np.array([_parse_gate(g, n) for g in _json(records, list, "schedule")], dtype=GATE)
     if not np.isfinite(gates["value"]).all():
         raise BadRange("gate values must be finite")
     return gates
+
+
+def _branch(b) -> tuple:
+    """``(dim, angles, phases)`` of one JSON branch record."""
+    if not isinstance(b, dict):
+        raise ValueError("'branches' entries must be JSON objects")
+    return _integer(b["dim"], "dim"), _numbers(b["angles"], "angles"), _numbers(b["phases"], "phases")
 
 
 def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
@@ -528,11 +522,8 @@ def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
     if n != shape.N:
         raise ValueError(f"declared N={shown(n, 'N')} disagrees with d**n={shape.N}")
     block = _json(data["parameters"], dict, "parameters")
-    branches = [
-        (_integer(b["dim"], "dim"), _numbers(b["angles"], "angles"), _numbers(b["phases"], "phases"))
-        for b in _objects(block["branches"], "branches")
-    ]
     weights = _numbers(block["weight_angles"], "weight_angles")
+    branches = map(_branch, _json(block["branches"], list, "branches"))  # one at a time
     return shape, CircuitParameters.from_branches(n, weights, branches)
 
 

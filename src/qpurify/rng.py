@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from . import errors
 from .core import DensityMatrix, QuditShape
 from .errors import BadShape, shown
 
@@ -33,8 +34,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TO_UNIT = 2.0 ** -53
-#: Entries per block of :meth:`CounterRng.complex_normal_matrix`.
-_BLOCK = 4096
 
 
 def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
@@ -69,12 +68,12 @@ class CounterRng:
         the next two uniforms per entry.
 
         The integer stream is mixed in numpy a block of whole rows, about
-        ``_BLOCK`` entries, at a time. Box-Muller keeps ``math``'s log, cos
-        and sin, one call per entry; its square root and products, which
-        IEEE 754 rounds exactly, run on the block's arrays.
+        ``errors.BLOCK_ROWS`` entries, at a time. Box-Muller keeps ``math``'s
+        log, cos and sin, one call per entry; its square root and products,
+        which IEEE 754 rounds exactly, run on the block's arrays.
         """
         out = np.empty((rows, cols), dtype=np.complex128)
-        per_block = max(1, _BLOCK // max(cols, 1))
+        per_block = max(1, errors.BLOCK_ROWS // max(cols, 1))
         steps = np.arange(1, 2 * per_block * cols + 1, dtype=np.uint64)
         for top in range(0, rows, per_block):
             block = out[top : top + per_block].reshape(-1)

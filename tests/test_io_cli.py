@@ -144,14 +144,6 @@ def json_list(value, name):
     return value
 
 
-def json_objects(values, name):
-    """The full parse's rule for a list of records: every entry an object."""
-    for value in json_list(values, name):
-        if not isinstance(value, dict):
-            raise ValueError(f"{name!r} entries must be JSON objects")
-    return values
-
-
 def json_record(text, kind):
     """The full parse's reading of a whole file: one JSON object."""
     try:
@@ -163,47 +155,64 @@ def json_record(text, kind):
     return data
 
 
-def reference_gate(record):
+def reference_gate(record, n):
+    """The GATE row of one schedule record of an N-line circuit, checked in
+    full as it is read: an object, its fields' JSON types, its indices in
+    range (an index past sys.maxsize named, not printed)."""
+    if not isinstance(record, dict):
+        raise ValueError("'schedule' entries must be JSON objects")
     kind = record["gate"]
     control = record["control_value"]
     if control is None:
         control = -1
-    elif json_integer(control, "control_value") < 0:
-        raise OutOfRange(f"control value {control} outside ancilla register")
+    elif not 0 <= json_integer(control, "control_value") < n:
+        raise OutOfRange(f"control value {shown(control, 'control_value')} outside ancilla register")
     value = json_number(record["value"], "value")
     if kind == "rotation":
         pair = record["subspace"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError("'subspace' must be a JSON list of two integers")
-        a, b = pair
-        return (False, control, json_integer(a, "subspace"), json_integer(b, "subspace"), value)
+        a, b = json_integer(pair[0], "subspace"), json_integer(pair[1], "subspace")
+        if not 0 <= a < b < n:
+            raise OutOfRange(f"rotation subspace ({shown(a, 'subspace')}, {shown(b, 'subspace')}) invalid for dim {n}")
+        return (False, control, a, b, value)
     if kind == "phase":
-        return (True, control, json_integer(record["basis"], "basis"), 0, value)
+        a = json_integer(record["basis"], "basis")
+        if not 0 <= a < n:
+            raise OutOfRange(f"phase basis {shown(a, 'basis')} outside register of dim {n}")
+        return (True, control, a, 0, value)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def reference_gate_table(n, records):
-    """The GATE rows of an N-line circuit's schedule records, checked one
-    kind of fault at a time over all rows: indices beyond int64, control
-    values, rotation subspaces, phase lines, then values."""
-    rows = [reference_gate(g) for g in json_objects(records, "schedule")]
-    try:
-        gates = np.array(rows, dtype=GATE)
-    except OverflowError as exc:
-        raise OutOfRange(f"gate index beyond the int64 range: {exc}") from exc
-    rows = gates.tolist()
-    for _, control, _, _, _ in rows:
-        if not -1 <= control < n:
-            raise OutOfRange(f"control value {control} outside ancilla register")
-    for phase, _, a, b, _ in rows:
-        if not phase and not 0 <= a < b < n:
-            raise OutOfRange(f"rotation subspace ({a}, {b}) invalid for dim {n}")
-    for phase, _, a, _, _ in rows:
-        if phase and not 0 <= a < n:
-            raise OutOfRange(f"phase basis {a} outside register of dim {n}")
-    if not all(math.isfinite(value) for *_, value in rows):
+    """The GATE rows of an N-line circuit's schedule records, each checked in
+    full in the order they are written, then the values: the first fault
+    in the file is the one named."""
+    gates = np.array([reference_gate(g, n) for g in json_list(records, "schedule")], dtype=GATE)
+    if not all(math.isfinite(value) for *_, value in gates.tolist()):
         raise BadRange("gate values must be finite")
     return gates
+
+
+def reference_branches(n, records):
+    """The (dim, angles, phases) triples of an N-line circuit's branch
+    records, each decoded and checked (shape, then dimension) in the order
+    they are written, then their count."""
+    branches = []
+    for k, b in enumerate(json_list(records, "branches")):
+        if not isinstance(b, dict):
+            raise ValueError("'branches' entries must be JSON objects")
+        dim = json_integer(b["dim"], "dim")
+        angles, phases = reference_numbers(b["angles"], "angles"), reference_numbers(b["phases"], "phases")
+        expected = max(dim - 1, 0)
+        if angles.shape != (expected,) or phases.shape != (expected,):
+            raise ShapeMismatch(f"branch of dimension {shown(dim, 'dim')} needs {shown(expected, 'dim - 1')} angles and phases")
+        if k < n and dim != n - k:
+            raise ShapeMismatch(f"branch {k} must have dimension {n - k}")
+        branches.append((dim, angles, phases))
+    if len(branches) != n:
+        raise ShapeMismatch(f"expected {n} branches, got {len(branches)}")
+    return branches
 
 
 def reference_numbers(values, name):
@@ -222,11 +231,8 @@ def reference_load_circuit(text):
     block = data["parameters"]
     if not isinstance(block, dict):
         raise ValueError("'parameters' must be a JSON object")
-    branches = [
-        (json_integer(b["dim"], "dim"), reference_numbers(b["angles"], "angles"), reference_numbers(b["phases"], "phases"))
-        for b in json_objects(block["branches"], "branches")
-    ]
-    params = CircuitParameters.from_branches(n, reference_numbers(block["weight_angles"], "weight_angles"), branches)
+    weights = reference_numbers(block["weight_angles"], "weight_angles")
+    params = CircuitParameters.from_branches(n, weights, reference_branches(n, block["branches"]))
     gates = reference_gate_table(n, data["schedule"])
     schedule = schedule_from_parameters(params)
     expected = schedule.gates
@@ -875,7 +881,9 @@ LOADERS = {
 
 def short_id(value):
     """A test id for the long values above."""
-    return "DEEP" if value is DEEP else "10**400" if value == 10**400 else None
+    if value is DEEP:
+        return "DEEP"
+    return "10**400" if value == 10**400 else "-10**400" if value == -(10**400) else None
 
 
 def json_paths(value, path=()):
@@ -936,6 +944,7 @@ class TestMalformedInputs:
             ("circuit", ("parameters", "branches", 0, "phases"), 5, 1, "ParseError: 'phases' must be a JSON list"),
             ("circuit", ("schedule", 2), None, 1, "ParseError: 'schedule' entries must be JSON objects"),
             ("circuit", ("schedule", 2, "subspace"), 5, 1, "ParseError: 'subspace' must be a JSON list of two integers"),
+            ("circuit", ("schedule", 2, "control_value"), -(10**400), 2, "OutOfRange: control value control_value outside ancilla register"),
         ],
         ids=short_id,
     )
@@ -981,8 +990,12 @@ class TestMalformedInputs:
              "branch of dimension dim needs dim - 1 angles and phases"),
             ("state", ("ancilla_dim",), 10**400, ShapeMismatch,
              "expected ancilla_dim * system_dim amplitudes, got (4,)"),
+            ("circuit", ("schedule", 1, "control_value"), -(10**400), OutOfRange,
+             "control value control_value outside ancilla register"),
+            ("circuit", ("schedule", 1, "subspace"), [0, 10**400], OutOfRange,
+             "rotation subspace (0, subspace) invalid for dim 2"),
         ],
-        ids=["N", "dim", "ancilla_dim"],
+        ids=["N", "dim", "ancilla_dim", "control_value", "subspace"],
     )
     def test_400_digit_field_names_the_field(self, kind, path, value, error, message):
         # a 400-digit integer field is named in a short message, not printed
@@ -992,6 +1005,35 @@ class TestMalformedInputs:
             load(text)
         assert type(caught.value) is error and str(caught.value) == message
         assert outcome(load, text) == outcome(reference, text)
+
+    @pytest.mark.parametrize(
+        "edits,code,line",
+        [
+            ([(("parameters",), {})], 1, "ParseError: missing key 'weight_angles'"),
+            ([(("schedule", 7, "gate"), "swap"), (("schedule", 2, "control_value"), 3)], 2,
+             "OutOfRange: control value 3 outside ancilla register"),
+            ([(("parameters", "branches", 1), {"dim": 3, "angles": [0.1, 0.2], "phases": [0.5, 0.6]}),
+              (("parameters", "branches", 2), 5)], 2,
+             "ShapeMismatch: branch 1 must have dimension 2"),
+        ],
+        ids=["empty parameters", "gate records 2 and 7", "branches 1 and 2"],
+    )
+    def test_first_fault_in_the_file_is_named(self, runner, tmp_path, edits, code, line):
+        # a circuit file is read in the order it is written: of several
+        # faults, the reader and the CLI name the first
+        data = qutrit_circuit()
+        for path, value in edits:
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        text = json_text(data)
+        assert outcome(io.load_circuit, text) == outcome(reference_load_circuit, text)
+        source, out = tmp_path / "circ.json", tmp_path / "out.json"
+        source.write_text(text)
+        res = runner.invoke(main, ["simulate", "--circuit", str(source), "--out", str(out)])
+        assert res.exit_code == code and res.stderr == line + "\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", sorted(LOADERS))
     def test_huge_integer_is_bad_range(self, kind):

@@ -5,7 +5,7 @@ import pytest
 from test_linalg import same_bits
 
 from qpurify import CounterRng, QuditShape, random_density, random_unitary, validate_density
-from qpurify import rng as rng_module
+from qpurify import errors
 from qpurify.errors import BadShape
 
 # published SplitMix64 outputs for seed 0
@@ -103,10 +103,10 @@ class TestCounterStream:
         # consecutive calls on one generator all give the scalar stream's
         # values, with the cursor carried from call to call
         if block is not None:
-            monkeypatch.setattr(rng_module, "_BLOCK", block)
+            monkeypatch.setattr(errors, "BLOCK_ROWS", block)
         shapes = [(7, 3), (4, 6), (0, 4), (3, 0), (2, 1)]
         if block is None:  # the real block: one boundary crossed, one row wider
-            shapes += [(rng_module._BLOCK // 3 + 2, 3), (2, rng_module._BLOCK + 1)]
+            shapes += [(errors.BLOCK_ROWS // 3 + 2, 3), (2, errors.BLOCK_ROWS + 1)]
         direct, filler = ScalarStream(2**64 - 99), CounterRng(2**64 - 99)
         for shape in shapes:
             matrix = filler.complex_normal_matrix(*shape)
