@@ -24,9 +24,10 @@ into their column, and apply takes its trig once, in step order. Only the
 gate table (:attr:`CircuitParameters.gates`, :data:`GATE` rows) lists them
 in table order. The file writer renders the schedule block from the
 parameters' number tokens and never builds the table; it is built on
-demand by the full parse's schedule check, by :func:`~qpurify.io.dump_circuit`
-when given a schedule that is not its parameters, and by the gate counter
-of ``bench/tracing.py``.
+demand by the full parse's schedule check, which compares it a block of rows
+at a time with each record as the record is read (and which
+:func:`~qpurify.io.dump_circuit` runs on a schedule that is not its
+parameters), and by the gate counter of ``bench/tracing.py``.
 """
 
 from __future__ import annotations

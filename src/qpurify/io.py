@@ -40,12 +40,15 @@ and a text is encoded one window at a time, never copied whole.
 Any other layout goes through a full parse with the same errors; an open
 file is read whole for it and decoded as ``Path.read_text`` decodes it. The
 full parse checks a circuit's branch and gate records in the order they are
-written, as it reads them, so of several faults it names the first.
-Dimension fields and gate indices must be JSON integers, every other number
-a JSON int or float (not a string or bool) within the float range
-(BadRange), and every list or object a JSON list or object. A value of the
-wrong JSON type is a ValueError that names its field; so is a file nested
-too deeply for ``json`` to decode, which names the file kind.
+written, as it reads them, so of several faults it names the first. A gate
+record is checked in full (its fields, its control value, a finite value,
+its subspace or basis, then its agreement with the row the parameters fix)
+before the next is read. Dimension fields and gate indices must be JSON
+integers, every other number a JSON int or float (not a string or bool)
+within the float range (BadRange), and every list or object a JSON list or
+object. A value of the wrong JSON type is a ValueError that names its
+field; so is a file nested too deeply for ``json`` to decode, which names
+the file kind.
 """
 
 from __future__ import annotations
@@ -59,13 +62,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from . import errors
-from .core import (
-    DensityMatrix,
-    PureState,
-    QuditShape,
-    ToleranceConfig,
-    validate_density,
-)
+from .core import DensityMatrix, PureState, QuditShape, validate_density
 from .errors import BadRange, OutOfRange, ReconstructionFailure, ShapeMismatch, shown
 
 
@@ -194,32 +191,29 @@ def _pairs(values: np.ndarray) -> str:
     )
 
 
-def _complex_pieces(values) -> Iterator[str]:
-    """The items of a 1-D or 2-D complex array as json.dumps writes them,
-    without the array's outer brackets, in pieces of about
-    ``errors.BLOCK_ROWS`` pairs (whole rows of a matrix). A non-finite entry
-    is refused here, before any piece is made."""
+def _array_record(head: str, values) -> Iterator[str]:
+    """Pieces of a record whose last key, which ``head`` opens, holds a 1-D
+    or 2-D complex array: ``head``, the array's items as json.dumps writes
+    them in pieces of about ``errors.BLOCK_ROWS`` pairs (whole rows of a
+    matrix), then the record's close. A non-finite entry is refused here,
+    before any piece is made."""
     values = np.asarray(values, dtype=np.complex128)
     finite = np.isfinite(values)
     if not finite.all():
         first = values[~finite][0]
         json.dumps([float(first.real), float(first.imag)], allow_nan=False)  # raises json's ValueError
     width = values.shape[1] if values.ndim == 2 else 1  # pairs per row; a pair is a 1-D row
-    return _blocks(values, _rows_per_block(width))
+    return _array_pieces(head, values, _rows_per_block(width))
 
 
-def _blocks(values: np.ndarray, step: int) -> Iterator[str]:
-    """:func:`_complex_pieces` after its check: ``step`` pairs or rows a piece."""
+def _array_pieces(head: str, values: np.ndarray, step: int) -> Iterator[str]:
+    """:func:`_array_record` after its check: ``step`` pairs or rows a piece."""
+    yield head
     for top in range(0, len(values), step):
         block = values[top : top + step]
         text = _pairs(block) if block.ndim == 1 else ",".join([f"[{_pairs(row)}]" for row in block])
         yield f",{text}" if top else text
-
-
-def _array_record(head: str, values) -> Iterator[str]:
-    """Pieces of a record whose last key, which ``head`` opens, holds a
-    complex array (see :func:`_complex_pieces`)."""
-    return chain((head,), _complex_pieces(values), ("]}\n",))
+    yield "]}\n"
 
 
 def _skeleton(shape: tuple[int, ...]) -> bytes:
@@ -317,7 +311,7 @@ def _parse_complex(pair) -> complex:
 
 
 def density_pieces(rho: DensityMatrix) -> Iterator[str]:
-    """Canonical text of a density matrix, in pieces (see :func:`_complex_pieces`)."""
+    """Canonical text of a density matrix, in pieces (see :func:`_array_record`)."""
     return _array_record(f'{{"d":{rho.shape.d},"n":{rho.shape.n},"matrix":[', rho.entries)
 
 
@@ -325,21 +319,21 @@ def _density_shape(record) -> QuditShape:
     return QuditShape(_integer(record["d"], "d"), _integer(record["n"], "n"))
 
 
-def load_density(source, tol: ToleranceConfig | None = None) -> DensityMatrix:
+def load_density(source) -> DensityMatrix:
     """The validated density matrix of a file: its text, or the open binary file."""
     file = _Cursor(source)
     canonical = _canonical_complex(file, ',"matrix":[', lambda r: (_density_shape(r).N,) * 2)
     if canonical is not None:
         record, matrix = canonical
-        return validate_density(matrix, _density_shape(record), tol)
+        return validate_density(matrix, _density_shape(record))
     data = _record(file.source, "matrix")
     shape = _density_shape(data)
     matrix = _parse_complex_matrix(data["matrix"], shape.N, shape.N)
-    return validate_density(matrix, shape, tol)
+    return validate_density(matrix, shape)
 
 
 def state_pieces(state: PureState) -> Iterator[str]:
-    """Canonical text of a state, in pieces (see :func:`_complex_pieces`)."""
+    """Canonical text of a state, in pieces (see :func:`_array_record`)."""
     head = f'{{"ancilla_dim":{state.ancilla_dim},"system_dim":{state.system_dim},"amplitudes":['
     return _array_record(head, state.amplitudes)
 
@@ -429,15 +423,20 @@ def _render_circuit(shape: QuditShape, lists: list[str]) -> Iterator[str]:
     yield "}]}\n"
 
 
-def _check_schedule(gates: np.ndarray, params: CircuitParameters) -> None:
-    """Raise ReconstructionFailure, naming the first differing row, unless
-    ``gates`` equals the table ``params`` prepare under ==."""
+def _check_schedule(rows, params: CircuitParameters) -> None:
+    """Raise ReconstructionFailure at the first of the gate-table rows
+    ``rows`` (tuples, taken one at a time) that differs under == from the
+    table of ``params``, read ``errors.BLOCK_ROWS`` rows at a time; a table
+    too long or too short differs at the row past the shorter one."""
     expected = params.gates
-    rows = min(len(gates), len(expected))
-    differs = np.flatnonzero(gates[:rows] != expected[:rows])
-    if differs.size or len(gates) != len(expected):
-        k = int(differs[0]) if differs.size else rows
-        raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
+    k = -1
+    for k, row in enumerate(rows):
+        if k % errors.BLOCK_ROWS == 0:
+            block = expected[k : k + errors.BLOCK_ROWS].tolist()
+        if k >= len(expected) or row != block[k % errors.BLOCK_ROWS]:
+            raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
+    if k + 1 != len(expected):
+        raise ReconstructionFailure(f"schedule row {k + 1} disagrees with the parameters block")
 
 
 def circuit_pieces(shape: QuditShape, params: CircuitParameters) -> Iterator[str]:
@@ -462,13 +461,14 @@ def dump_circuit(
     under ==."""
     pieces = circuit_pieces(shape, params)
     if schedule is not params:
-        _check_schedule(schedule.gates, params)
+        _check_schedule(schedule.gates.tolist(), params)
     return "".join(pieces)
 
 
 def _parse_gate(record, n: int) -> tuple:
     """Gate-table row of one JSON record of an N-line circuit's schedule (the
-    inverse of :func:`_render_circuit`), its indices in range (OutOfRange)."""
+    inverse of :func:`_render_circuit`), its value finite (BadRange) and its
+    indices in range (OutOfRange)."""
     if not isinstance(record, dict):
         raise ValueError("'schedule' entries must be JSON objects")
     kind, control = record["gate"], record["control_value"]
@@ -477,6 +477,8 @@ def _parse_gate(record, n: int) -> tuple:
     elif not 0 <= _integer(control, "control_value") < n:
         raise OutOfRange(f"control value {shown(control, 'control_value')} outside ancilla register")
     value = _number(record["value"], "value")
+    if not math.isfinite(value):
+        raise BadRange("gate values must be finite")
     if kind == "rotation":
         pair = record["subspace"]
         if not isinstance(pair, list) or len(pair) != 2:
@@ -492,17 +494,6 @@ def _parse_gate(record, n: int) -> tuple:
             raise OutOfRange(f"phase basis {shown(a, 'basis')} outside register of dim {n}")
         return (True, control, a, 0, value)
     raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def _gate_rows(n: int, records) -> np.ndarray:
-    """The :data:`GATE` table of an N-line circuit's schedule records, each
-    read by :func:`_parse_gate`, with every value finite (BadRange)."""
-    from .circuit import GATE
-
-    gates = np.array([_parse_gate(g, n) for g in _json(records, list, "schedule")], dtype=GATE)
-    if not np.isfinite(gates["value"]).all():
-        raise BadRange("gate values must be finite")
-    return gates
 
 
 def _branch(b) -> tuple:
@@ -564,8 +555,10 @@ def load_circuit(source) -> tuple[QuditShape, CircuitParameters, CircuitParamete
 
     A file as :func:`dump_circuit` writes it is accepted by comparing its
     text with the text its parameter tokens render to. Any other layout is
-    parsed in full, and its schedule must agree with its parameters under
-    ==; the parameters keep their own signed zeros.
+    parsed in full, the head first; then each schedule record is checked in
+    full before the next is read (as the module docstring lists), ending
+    with its agreement under == with the row the parameters fix. The
+    parameters keep their own signed zeros.
     """
     file = _Cursor(source)
     circuit = _load_canonical_circuit(file)
@@ -573,6 +566,7 @@ def load_circuit(source) -> tuple[QuditShape, CircuitParameters, CircuitParamete
         return circuit
     data = _record(file.source, "circuit")
     shape, params = _circuit_head(data)
-    _check_schedule(_gate_rows(params.N, data["schedule"]), params)
+    n = params.N
+    _check_schedule((_parse_gate(g, n) for g in _json(data["schedule"], list, "schedule")), params)
     return shape, params, params
 

@@ -1,0 +1,174 @@
+"""The front door over a distribution of inputs (the two input rules of
+ROADMAP aim 3): every density matrix that validation accepts purifies and
+verifies under each method, and `synth` verifies it too; every single-fault
+mutant of an accepted matrix exits 2 through the command line with its
+named class.
+
+The draws are seeded numpy draws: a shape with N <= 16, a random rank, a
+spectrum spread over 0-14 decades, and a Haar basis or, on every third draw,
+a basis within 1e-12...1e-4 of the identity. The small-coherence matrices of
+test_circuit.py and |0><0| are fixed cases beside them.
+"""
+
+import functools
+import json
+
+import numpy as np
+import pytest
+import test_circuit
+from cli_runner import CliRunner
+from test_core import psd_bound
+from test_io_cli import pair_record, write_density
+
+from qpurify import (
+    QuditShape,
+    cholesky_purify,
+    coefficients_to_state,
+    reshuffle_purify,
+    spectral_purify,
+    validate_density,
+    verify_purification,
+)
+from qpurify.cli import main
+
+#: (d, n) of the draws: N in {2, 3, 4, 5, 8, 9, 16}.
+SHAPES = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)]
+DRAWS = 300
+
+
+def unitary(rng, n, scale):
+    """A Haar unitary (``scale`` None), or the unitary factor of I + scale * G
+    for a complex Gaussian G: within about ``scale`` of the identity."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g if scale is None else np.eye(n) + scale * g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))  # R's diagonal made positive
+
+
+def draw(rng, k):
+    """Draw ``k``: (shape, matrix) of a density matrix of random rank whose
+    spectrum spans up to 14 decades, in a Haar basis or, on every third draw,
+    a nearly diagonal one."""
+    shape = QuditShape(*SHAPES[rng.integers(len(SHAPES))])
+    n = shape.N
+    rank = int(rng.integers(1, n + 1))
+    spectrum = np.zeros(n)
+    spectrum[:rank] = 10.0 ** (-rng.uniform(0.0, 14.0) * rng.uniform(0.0, 1.0, rank))
+    spectrum /= spectrum.sum()
+    u = unitary(rng, n, 10.0 ** rng.uniform(-12.0, -4.0) if k % 3 == 2 else None)
+    matrix = (u * spectrum) @ u.conj().T
+    return shape, (matrix + matrix.conj().T) / 2.0
+
+
+def fixed_cases():
+    """The small-coherence matrices (ROADMAP item 3) and |0><0|."""
+    for d, n, diagonal, corner in test_circuit.TestRoundTrips.NEARLY_DIAGONAL:
+        matrix = np.diag(np.array(diagonal, dtype=complex))
+        matrix[0, -1] = matrix[-1, 0] = corner
+        yield QuditShape(d, n), matrix
+    yield QuditShape(2, 1), np.diag([1.0, 0.0]).astype(complex)
+
+
+@functools.cache
+def accepted():
+    """The validated inputs: the draws, then the fixed cases. Each is a
+    density matrix by construction, so validation must accept it."""
+    rng = np.random.default_rng(20)
+    inputs = [draw(rng, k) for k in range(DRAWS)] + list(fixed_cases())
+    return [validate_density(matrix, shape) for shape, matrix in inputs]
+
+
+def test_every_accepted_input_verifies_under_each_method():
+    for k, rho in enumerate(accepted()):
+        states = {
+            "cholesky": coefficients_to_state(cholesky_purify(rho)),
+            "reshuffle": reshuffle_purify(rho)[1],
+            "spectral": spectral_purify(rho),
+        }
+        for method, state in states.items():
+            report = verify_purification(state, rho)
+            assert report.passed, (k, method, report.max_abs_error)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "synth refuses 101 of the 305 accepted inputs, 97 draws and the four small-coherence cases "
+        "(3 of them DegenerateBranch): angles from a running division (ROADMAP item 3)"
+    ),
+)
+def test_synth_verifies_every_accepted_input(tmp_path):
+    # the command's own checks: extraction, apply, the amplitude comparison
+    # with C under eps_recon, and the partial trace against rho
+    runner, out = CliRunner(), tmp_path / "circuit.json"
+    refused = {}
+    for k, rho in enumerate(accepted()):
+        source = write_density(tmp_path / "rho.json", rho)
+        res = runner.invoke(main, ["synth", "--input", source, "--out", str(out)])
+        if res.exit_code:
+            refused[k] = res.stderr
+    assert not refused, f"synth refuses {len(refused)} of {len(accepted())} accepted inputs"
+
+
+def asymmetric(matrix):
+    out = matrix.copy()
+    out[0, 1] += 1e-6  # its mirror unchanged: asymmetry 1e-6 above eps_herm
+    return out
+
+
+def off_trace(matrix):
+    return matrix * (1.0 + 1e-6)  # trace 1 + 1e-6, off by more than eps_trace
+
+
+def below_psd_bound(matrix):
+    """The matrix with its smallest eigenvalue moved to -1e-6 and its largest
+    up by as much, so the trace holds."""
+    values, vectors = np.linalg.eigh(matrix)
+    shift = values[0] + 1e-6
+    values[0] -= shift
+    values[-1] += shift
+    assert -1e-6 < -psd_bound(values, len(values))
+    out = (vectors * values) @ vectors.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def with_nan(matrix):
+    out = matrix.copy()
+    out[0, 0] = np.nan
+    return out
+
+
+def cut_short(matrix):
+    return matrix[:-1, :-1]  # one row and column fewer than d**n
+
+
+#: Single faults: (mutant builder, the class named on stderr).
+FAULTS = {
+    "asymmetry": (asymmetric, "NotHermitian"),
+    "trace": (off_trace, "TraceDeviation"),
+    "psd": (below_psd_bound, "NotPSD"),
+    "nan": (with_nan, "BadRange"),
+    "shape": (cut_short, "ShapeMismatch"),
+}
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        *sorted(set(FAULTS) - {"shape"}),
+        pytest.param(
+            "shape",
+            marks=pytest.mark.xfail(
+                strict=True, reason="a matrix that is not d**n square is a ParseError (exit 1) in a file"
+            ),
+        ),
+    ],
+)
+def test_every_single_fault_exits_2_with_its_class(tmp_path, fault):
+    mutate, kind = FAULTS[fault]
+    runner, source, out = CliRunner(), tmp_path / "rho.json", tmp_path / "psi.json"
+    for rho in accepted()[::10]:  # every tenth accepted input
+        # json writes a NaN entry as the token NaN, which the full parse reads
+        record = {"d": rho.shape.d, "n": rho.shape.n, "matrix": pair_record(mutate(rho.entries))}
+        source.write_text(json.dumps(record))
+        res = runner.invoke(main, ["purify", "--input", str(source), "--out", str(out)])
+        assert (res.exit_code, res.stderr.partition(":")[0]) == (2, kind), (rho.shape, res.stderr)
+        assert not out.exists()

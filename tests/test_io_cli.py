@@ -157,8 +157,9 @@ def json_record(text, kind):
 
 def reference_gate(record, n):
     """The GATE row of one schedule record of an N-line circuit, checked in
-    full as it is read: an object, its fields' JSON types, its indices in
-    range (an index past sys.maxsize named, not printed)."""
+    full as it is read: an object, its fields' JSON types, its control value
+    in range, a finite value, then its other indices in range (an index past
+    sys.maxsize named, not printed)."""
     if not isinstance(record, dict):
         raise ValueError("'schedule' entries must be JSON objects")
     kind = record["gate"]
@@ -168,6 +169,8 @@ def reference_gate(record, n):
     elif not 0 <= json_integer(control, "control_value") < n:
         raise OutOfRange(f"control value {shown(control, 'control_value')} outside ancilla register")
     value = json_number(record["value"], "value")
+    if not math.isfinite(value):
+        raise BadRange("gate values must be finite")
     if kind == "rotation":
         pair = record["subspace"]
         if not isinstance(pair, list) or len(pair) != 2:
@@ -184,14 +187,20 @@ def reference_gate(record, n):
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def reference_gate_table(n, records):
-    """The GATE rows of an N-line circuit's schedule records, each checked in
-    full in the order they are written, then the values: the first fault
-    in the file is the one named."""
-    gates = np.array([reference_gate(g, n) for g in json_list(records, "schedule")], dtype=GATE)
-    if not all(math.isfinite(value) for *_, value in gates.tolist()):
-        raise BadRange("gate values must be finite")
-    return gates
+def reference_gate_table(n, records, expected):
+    """Check an N-line circuit's schedule records against ``expected``, the
+    GATE table the parameters give, each record in full in the order they
+    are written: its structure and finiteness, then its agreement under ==
+    with the same row of ``expected``. The first fault in the file is the
+    one named; a table too long or too short differs at the row past the
+    shorter one."""
+    records = json_list(records, "schedule")
+    for k, record in enumerate(records):
+        row = np.array(reference_gate(record, n), dtype=GATE)
+        if k >= len(expected) or row != expected[k]:
+            raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
+    if len(records) != len(expected):
+        raise ReconstructionFailure(f"schedule row {len(records)} disagrees with the parameters block")
 
 
 def reference_branches(n, records):
@@ -220,9 +229,10 @@ def reference_numbers(values, name):
 
 
 def reference_load_circuit(text):
-    """The full parse: every schedule record read with json and checked row by
-    row against the table the parameters give. load_circuit must return what
-    this returns, or raise the same exception type and message."""
+    """The full parse: the head, then every schedule record read with json
+    and checked in full, one row at a time, against the table the parameters
+    give. load_circuit must return what this returns, or raise the same
+    exception type and message."""
     data = json_record(text, "circuit")
     shape = QuditShape(json_integer(data["d"], "d"), json_integer(data["n"], "n"))
     n = json_integer(data["N"], "N")
@@ -233,14 +243,8 @@ def reference_load_circuit(text):
         raise ValueError("'parameters' must be a JSON object")
     weights = reference_numbers(block["weight_angles"], "weight_angles")
     params = CircuitParameters.from_branches(n, weights, reference_branches(n, block["branches"]))
-    gates = reference_gate_table(n, data["schedule"])
     schedule = schedule_from_parameters(params)
-    expected = schedule.gates
-    rows = min(len(gates), len(expected))
-    differs = np.flatnonzero(gates[:rows] != expected[:rows])
-    if differs.size or len(gates) != len(expected):
-        k = int(differs[0]) if differs.size else rows
-        raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
+    reference_gate_table(n, data["schedule"], schedule.gates)
     return shape, params, schedule
 
 
@@ -1028,6 +1032,33 @@ class TestMalformedInputs:
                 parent = parent[key]
             parent[path[-1]] = value
         text = json_text(data)
+        assert outcome(io.load_circuit, text) == outcome(reference_load_circuit, text)
+        source, out = tmp_path / "circ.json", tmp_path / "out.json"
+        source.write_text(text)
+        res = runner.invoke(main, ["simulate", "--circuit", str(source), "--out", str(out)])
+        assert res.exit_code == code and res.stderr == line + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit,code,line",
+        [
+            (lambda s: (s[2].update(value=s[2]["value"] + 0.1), s[7].update(gate="swap")), 3,
+             "ReconstructionFailure: schedule row 2 disagrees with the parameters block"),
+            (lambda s: (s[2].update(value="1e400"), s[7].update(control_value=99)), 2,
+             "BadRange: gate values must be finite"),
+            (lambda s: s.append(s[0]), 3, "ReconstructionFailure: schedule row 15 disagrees with the parameters block"),
+            (lambda s: s.pop(), 3, "ReconstructionFailure: schedule row 14 disagrees with the parameters block"),
+        ],
+        ids=["mismatch in 2, gate in 7", "1e400 in 2, control value in 7", "one record too long", "one record too short"],
+    )
+    def test_each_gate_record_is_checked_in_full_before_the_next(self, runner, tmp_path, edit, code, line):
+        # a record's structure, its finite value and its agreement with the
+        # parameters are all checked before the next record is read
+        rho = random_density(2, 2, seed=5)
+        params = extract_parameters(cholesky_purify(rho))
+        data = json.loads(io.dump_circuit(rho.shape, params, params))
+        edit(data["schedule"])
+        text = json.dumps(data, indent=1).replace('"1e400"', "1e400")
         assert outcome(io.load_circuit, text) == outcome(reference_load_circuit, text)
         source, out = tmp_path / "circ.json", tmp_path / "out.json"
         source.write_text(text)

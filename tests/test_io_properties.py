@@ -66,7 +66,7 @@ def test_matrix_round_trip_is_bit_exact(dims, data):
     rho = SimpleNamespace(shape=shape, entries=complex_array(doubles).reshape(shape.N, shape.N))
     with pytest.MonkeyPatch.context() as patch:
         # the parsed matrix itself, before validation; and no per-entry parse
-        patch.setattr(io, "validate_density", lambda matrix, shape, tol: SimpleNamespace(shape=shape, entries=matrix))
+        patch.setattr(io, "validate_density", lambda matrix, shape: SimpleNamespace(shape=shape, entries=matrix))
         patch.setattr(io, "_parse_complex", refuse)
         loaded = io.load_density(dump_density(rho))
     assert loaded.shape == shape
