@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "bloch": ("bloch_surface",),
     "circuit": (
-        "GATE", "CircuitParameters", "apply_schedule", "extract_parameters",
+        "CircuitParameters", "apply_schedule", "extract_parameters",
         "schedule_from_parameters", "simulate_circuit",
     ),
     "core": (

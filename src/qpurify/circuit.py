@@ -20,14 +20,13 @@ two-level rotations and phase shifts applied to |0...0> (numpy trig). The
 parameters fix the schedule: one gate per parameter, in an order that
 depends on N only, so a schedule is its :class:`CircuitParameters`. Each
 reader takes the values in its own order: extraction writes a step's angles
-into their column, and apply takes its trig once, in step order. Only the
-gate table (:attr:`CircuitParameters.gates`, :data:`GATE` rows) lists them
-in table order. The file writer renders the schedule block from the
-parameters' number tokens and never builds the table; it is built on
-demand by the full parse's schedule check, which compares it a block of rows
-at a time with each record as the record is read (and which
-:func:`~qpurify.io.dump_circuit` runs on a schedule that is not its
-parameters), and by the gate counter of ``bench/tracing.py``.
+into their column, and apply takes its trig once, in step order. Only
+:meth:`CircuitParameters.gate_rows` lists them in table order, one tuple at
+a time: for the full parse's schedule check, beside each record as it is
+read (and for :func:`~qpurify.io.dump_circuit`, given a schedule that is not
+its parameters), and for :attr:`CircuitParameters.gates`, which the gate
+counter of ``bench/tracing.py`` reads. The file writer renders the schedule
+block from the parameters' number tokens and lists no gate.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -143,51 +143,30 @@ class CircuitParameters:
     def parameter_count(self) -> int:
         return int(self.weight_angles.size + 2 * np.count_nonzero(_branch_cells(self.N)))
 
-    @property
-    def gates(self) -> np.ndarray:
-        """The gates these parameters fix, as a read-only 1-D :data:`GATE` table
-        built on each access, in the order of :func:`schedule_from_parameters`:
-        the weight chain on (0, t), t descending, then branch k's rotations r
-        on (0, N - 1 - k - r) and its phases r on line r."""
+    def gate_rows(self) -> Iterator[tuple[bool, int, int, int, float]]:
+        """The gates these parameters fix, as ``(phase, control, a, b, value)``
+        tuples in table order: the weight chain on lines (0, t), t descending,
+        then for each branch k its rotations r on lines (0, N - 1 - k - r),
+        then its phases r on line r. ``phase`` False is a rotation
+        [[cos, -sin], [sin, cos]] by ``value`` on lines ``a < b``; True is a
+        phase shift diag(1, e^{-i phi}) on line ``a`` (``b`` is 0) that holds
+        -phi: the line picks up e^{-i value} = e^{i phi}, which keeps each
+        branch's last amplitude real. ``control`` -1 acts on the ancilla
+        register, k on the system register inside ancilla block k.
+        """
         n = self.N
-        cells = _branch_cells(n)
-        rows = np.concatenate([cells, cells], axis=1)  # branch k's rotations, then its phases
-        gates = np.zeros(n * n - 1, dtype=GATE)
-        gates["value"][: n - 1] = self.weight_angles
-        gates["value"][n - 1 :] = np.concatenate([self.angles, -self.phases], axis=1)[rows]
-        gates["control"][: n - 1] = -1
-        gates["b"][: n - 1] = np.arange(n - 1, 0, -1)
-        k, col = np.nonzero(rows)
-        phase = col >= n - 1
-        branches = gates[n - 1 :]
-        branches["phase"] = phase
-        branches["control"] = k
-        branches["a"] = np.where(phase, col - (n - 1), 0)
-        branches["b"] = np.where(phase, 0, n - 1 - k - col)
-        gates.flags.writeable = False
-        return gates
+        weights = self.weight_angles.tolist()
+        yield from ((False, -1, 0, n - 1 - r, weights[r]) for r in range(n - 1))
+        for k in range(n):  # one branch's floats at a time: the rows are never all held
+            m = n - 1 - k
+            angles, phases = self.angles[k, :m].tolist(), self.phases[k, :m].tolist()
+            yield from ((False, k, 0, m - r, angles[r]) for r in range(m))
+            yield from ((True, k, r, 0, -phases[r]) for r in range(m))
 
-
-#: One row per gate of a :attr:`CircuitParameters.gates` table.
-#:
-#: * ``phase`` False: two-level rotation [[cos, -sin], [sin, cos]] on basis
-#:   lines ``a < b``.
-#: * ``phase`` True: phase shift on basis line ``a`` (``b`` unused, 0),
-#:   stored with the sign convention diag(1, e^{-i phi}): ``value`` holds
-#:   -phi and the line picks up e^{-i value} = e^{i phi}, which keeps each
-#:   branch's last amplitude real.
-#: * ``control`` -1: the gate acts on the ancilla register. Otherwise it acts
-#:   on the system register inside the block where the ancilla equals
-#:   ``control``.
-GATE = np.dtype(
-    [
-        ("phase", np.bool_),
-        ("control", np.int64),
-        ("a", np.int64),
-        ("b", np.int64),
-        ("value", np.float64),
-    ]
-)
+    @property
+    def gates(self) -> list[tuple[bool, int, int, int, float]]:
+        """The rows of :meth:`gate_rows`, as a list built on each access."""
+        return list(self.gate_rows())
 
 
 def _extract_weight_angles(weights: np.ndarray) -> np.ndarray:

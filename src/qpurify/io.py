@@ -57,7 +57,7 @@ import json
 import math
 from collections.abc import Iterator
 from io import SEEK_END, BytesIO, TextIOWrapper
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, zip_longest
 
 import numpy as np
 
@@ -293,12 +293,13 @@ def _canonical_complex(file: _Cursor, key: str, shape_of):
 
 
 def _parse_complex_matrix(data, rows: int, cols: int) -> np.ndarray:
+    """A JSON list of rows of [re, im] pairs; a wrong length is a ShapeMismatch."""
     out = np.empty((rows, cols), dtype=np.complex128)
-    if not isinstance(data, list) or len(data) != rows:
-        raise ValueError(f"expected {rows} matrix rows")
+    if len(_json(data, list, "matrix")) != rows:
+        raise ShapeMismatch(f"expected {rows} matrix rows, got {len(data)}")
     for r, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ValueError(f"row {r}: expected {cols} entries")
+        if len(_json(row, list, "matrix")) != cols:
+            raise ShapeMismatch(f"matrix row {r}: expected {cols} entries, got {len(row)}")
         for c, pair in enumerate(row):
             out[r, c] = _parse_complex(pair)
     return out
@@ -390,11 +391,11 @@ def _render_circuit(shape: QuditShape, lists: list[str]) -> Iterator[str]:
     ``lists`` are the parameter lists as comma-joined number tokens of
     finite values: the weight angles, then each branch's angles and phases.
     The block holds the same tokens in table order, a phase negated (see
-    :data:`~qpurify.circuit.GATE`). Every other byte of it depends on N only,
-    so a record joins strings built once per call, with no formatting per
-    gate (a separator, its group's head, its subspace or basis line, its
-    value). :func:`circuit_pieces` hands the pieces out; the reader compares
-    each with the file as it reads it.
+    :meth:`~qpurify.circuit.CircuitParameters.gate_rows`). Every other byte
+    of it depends on N only, so a record joins strings built once per call,
+    with no formatting per gate (a separator, its group's head, its subspace
+    or basis line, its value). :func:`circuit_pieces` hands the pieces out;
+    the reader compares each with the file as it reads it.
     """
     N, weights, angles, phases = shape.N, lists[0], lists[1::2], lists[2::2]
     yield (
@@ -424,19 +425,13 @@ def _render_circuit(shape: QuditShape, lists: list[str]) -> Iterator[str]:
 
 
 def _check_schedule(rows, params: CircuitParameters) -> None:
-    """Raise ReconstructionFailure at the first of the gate-table rows
-    ``rows`` (tuples, taken one at a time) that differs under == from the
-    table of ``params``, read ``errors.BLOCK_ROWS`` rows at a time; a table
-    too long or too short differs at the row past the shorter one."""
-    expected = params.gates
-    k = -1
-    for k, row in enumerate(rows):
-        if k % errors.BLOCK_ROWS == 0:
-            block = expected[k : k + errors.BLOCK_ROWS].tolist()
-        if k >= len(expected) or row != block[k % errors.BLOCK_ROWS]:
+    """Raise ReconstructionFailure at the first of the gate rows ``rows``
+    (tuples, taken one at a time) that differs under == from the row of
+    :meth:`~qpurify.circuit.CircuitParameters.gate_rows` beside it; a
+    schedule too long or too short differs at the row past the shorter one."""
+    for k, (row, expected) in enumerate(zip_longest(rows, params.gate_rows())):
+        if row != expected:
             raise ReconstructionFailure(f"schedule row {k} disagrees with the parameters block")
-    if k + 1 != len(expected):
-        raise ReconstructionFailure(f"schedule row {k + 1} disagrees with the parameters block")
 
 
 def circuit_pieces(shape: QuditShape, params: CircuitParameters) -> Iterator[str]:
@@ -444,8 +439,8 @@ def circuit_pieces(shape: QuditShape, params: CircuitParameters) -> Iterator[str
     reject is refused before the first."""
     if shape.N != params.N:
         raise ShapeMismatch(f"circuit of N={params.N} for a register of N={shape.N}")
-    # one repr per parameter; the table of these parameters holds the weight
-    # angles, then each branch's angles and its phases negated
+    # one repr per parameter; the gate rows of these parameters hold the
+    # weight angles, then each branch's angles and its phases negated
     n = params.N
     arrays = [params.weight_angles]
     for k in range(n):  # branch k's values: the first N - 1 - k of row k
@@ -457,16 +452,16 @@ def dump_circuit(
     shape: QuditShape, params: CircuitParameters, schedule: CircuitParameters
 ) -> str:
     """Canonical text of a circuit whose ``schedule`` is ``params``; other
-    parameters are refused unless their gate table equals that of ``params``
+    parameters are refused unless their gate rows equal those of ``params``
     under ==."""
     pieces = circuit_pieces(shape, params)
     if schedule is not params:
-        _check_schedule(schedule.gates.tolist(), params)
+        _check_schedule(schedule.gate_rows(), params)
     return "".join(pieces)
 
 
 def _parse_gate(record, n: int) -> tuple:
-    """Gate-table row of one JSON record of an N-line circuit's schedule (the
+    """Gate row of one JSON record of an N-line circuit's schedule (the
     inverse of :func:`_render_circuit`), its value finite (BadRange) and its
     indices in range (OutOfRange)."""
     if not isinstance(record, dict):

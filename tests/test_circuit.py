@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qpurify import (
-    GATE,
     CircuitParameters,
     CoefficientMatrix,
     QuditShape,
@@ -80,7 +79,7 @@ def reference_apply(schedule):
     n = schedule.N
     vec = np.zeros(n * n, dtype=np.complex128)
     vec[0] = 1.0
-    for phase, ctrl, a, b, value in schedule.gates.tolist():
+    for phase, ctrl, a, b, value in schedule.gate_rows():
         if ctrl < 0:
             ia, ib = slice(a * n, a * n + n), slice(b * n, b * n + n)
         else:
@@ -237,8 +236,9 @@ class TestCircuitParameters:
         # -0.0 lies in [0, 2*pi): it is kept, sign and all, and its gate holds -phase = +0.0
         params = make_params(3, [0.3, 0.2], [([0.1, 0.2], [0.5, -0.0]), ([0.3], [-0.0]), ([], [])])
         assert np.signbit(params.phases[[0, 1], [1, 0]]).all()
-        values = schedule_from_parameters(params).gates["value"][[5, 7]]
-        assert values.tolist() == [0.0, 0.0] and not np.signbit(values).any()
+        gates = schedule_from_parameters(params).gates
+        values = [gates[5][-1], gates[7][-1]]
+        assert values == [0.0, 0.0] and not np.signbit(values).any()
         # padding written as -0.0 is zero as well
         signed = np.where(params.phases == 0.0, -0.0, params.phases)
         CircuitParameters(3, params.weight_angles, params.angles, signed)
@@ -476,11 +476,26 @@ class TestGatesAndApply:
         params = make_params(2, [alpha], [([theta], [phi]), ([], [])])
         schedule = schedule_from_parameters(params)
         # rows: (phase, control, a, b, value); control -1 is the ancilla register
-        assert schedule.gates.dtype == GATE
-        assert schedule.gates.tolist() == [
+        assert schedule.gates == [
             (False, -1, 0, 1, alpha),
             (False, 0, 0, 1, theta),
             (True, 0, 0, 0, -phi),
+        ]
+
+    def test_qutrit_gate_table_order(self):
+        # every row of an N = 3 table, written out: the weight chain on
+        # (0, 2) then (0, 1); branch 0's rotations on (0, 2), (0, 1) and its
+        # phases on lines 0, 1; branch 1's rotation on (0, 1) and phase on 0
+        params = make_params(3, [0.3, 0.2], [([0.1, 0.2], [0.5, 0.6]), ([0.3], [0.7]), ([], [])])
+        assert list(params.gate_rows()) == [
+            (False, -1, 0, 2, 0.3),
+            (False, -1, 0, 1, 0.2),
+            (False, 0, 0, 2, 0.1),
+            (False, 0, 0, 1, 0.2),
+            (True, 0, 0, 0, -0.5),
+            (True, 0, 1, 0, -0.6),
+            (False, 1, 0, 1, 0.3),
+            (True, 1, 0, 0, -0.7),
         ]
 
     def test_apply_matches_reference_bit_for_bit(self):
@@ -506,7 +521,6 @@ class TestGatesAndApply:
         params = random_params(5, seed=45)
         schedule = schedule_from_parameters(params)
         assert schedule is params  # not wrapped, copied or rebuilt
-        assert not schedule.gates.flags.writeable
         with pytest.raises(AttributeError):
             schedule.gates = schedule.gates
 

@@ -150,18 +150,7 @@ FAULTS = {
     "shape": (cut_short, "ShapeMismatch"),
 }
 
-@pytest.mark.parametrize(
-    "fault",
-    [
-        *sorted(set(FAULTS) - {"shape"}),
-        pytest.param(
-            "shape",
-            marks=pytest.mark.xfail(
-                strict=True, reason="a matrix that is not d**n square is a ParseError (exit 1) in a file"
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_every_single_fault_exits_2_with_its_class(tmp_path, fault):
     mutate, kind = FAULTS[fault]
     runner, source, out = CliRunner(), tmp_path / "rho.json", tmp_path / "psi.json"

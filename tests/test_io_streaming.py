@@ -8,6 +8,7 @@ round trips and the tampered files of ``test_io_cli`` are rerun with blocks of
 error. At N = 256 the transients of the codec are bounded by tracemalloc.
 """
 
+import json
 import math
 import tracemalloc
 from io import BytesIO
@@ -260,6 +261,15 @@ class TestMemoryAtN256:
         given = source()
         _, peak = traced_peak(lambda: load(given))
         assert peak <= 2.0 * len(text), peak / len(text)
+
+    def test_full_parse_builds_no_gate_table(self, n256):
+        # an indented file goes to the full parse: json's records of the
+        # whole file, each checked against a gate row made as it is read
+        rho, _, params, schedule = n256
+        text = json.dumps(json.loads(io.dump_circuit(rho.shape, params, schedule)), indent=1)
+        io.load_circuit(text)  # warm caches
+        _, peak = traced_peak(lambda: io.load_circuit(text))
+        assert peak <= 2.9 * len(text), peak / len(text)
 
 
 class TestCliStreams:

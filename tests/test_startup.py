@@ -29,7 +29,7 @@ SUBMODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"
 HOMES = {
     "bloch_surface": "bloch",
     **dict.fromkeys(
-        ["GATE", "CircuitParameters", "apply_schedule", "extract_parameters",
+        ["CircuitParameters", "apply_schedule", "extract_parameters",
          "schedule_from_parameters", "simulate_circuit"],
         "circuit",
     ),
