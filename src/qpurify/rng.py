@@ -16,7 +16,10 @@ rather than a library generator whose bit stream may change:
 Words are mixed only in :func:`_uniforms`, Box-Muller runs only in
 :meth:`CounterRng.complex_normal_matrix`, and everything downstream of the
 integer stream is plain IEEE-754 double arithmetic, so same seed means the
-same matrix everywhere up to libm rounding of log/cos/sin.
+same matrix everywhere up to libm rounding of log/cos/sin. Box-Muller takes
+``log`` per entry through ``math``, because numpy's SIMD log rounds
+differently; ``cos`` and ``sin`` are one numpy call per block, since numpy's
+float64 cos and sin call the same platform libm as ``math`` does.
 """
 
 from __future__ import annotations
@@ -69,8 +72,10 @@ class CounterRng:
 
         The integer stream is mixed in numpy a block of whole rows, about
         ``errors.BLOCK_ROWS`` entries, at a time. Box-Muller keeps ``math``'s
-        log, cos and sin, one call per entry; its square root and products,
-        which IEEE 754 rounds exactly, run on the block's arrays.
+        log, one call per entry, as numpy's SIMD log rounds differently; its
+        cos and sin are one numpy call each over the block's angles (both
+        call the platform libm), and its square root and products, which
+        IEEE 754 rounds exactly, run on the block's arrays.
         """
         out = np.empty((rows, cols), dtype=np.complex128)
         per_block = max(1, errors.BLOCK_ROWS // max(cols, 1))
@@ -81,9 +86,9 @@ class CounterRng:
             uniforms = _uniforms(self._seed, self._index + steps[: 2 * size])
             self._index += 2 * size
             radii = np.sqrt(-2.0 * np.fromiter(map(math.log, uniforms[0::2].tolist()), float, size))
-            angles = (2.0 * math.pi * uniforms[1::2]).tolist()
-            np.multiply(radii, np.fromiter(map(math.cos, angles), float, size), out=block.real)
-            np.multiply(radii, np.fromiter(map(math.sin, angles), float, size), out=block.imag)
+            angles = 2.0 * math.pi * uniforms[1::2]
+            np.multiply(radii, np.cos(angles), out=block.real)
+            np.multiply(radii, np.sin(angles), out=block.imag)
         return out
 
 
@@ -100,7 +105,9 @@ def random_density(d: int, n: int, seed: int, rank: int | None = None) -> Densit
         raise BadShape(f"rank must lie in [1, {shape.N}], got {shown(rank, 'rank')}")
     g = CounterRng(seed).complex_normal_matrix(shape.N, columns)
     gram = g @ g.conj().T
-    gram = (gram + gram.conj().T) / 2.0
+    del g
+    np.add(gram, gram.conj().T, out=gram)  # conj() copies, so out= does not alias
+    gram /= 2.0
     gram /= float(np.trace(gram).real)
     gram.flags.writeable = False  # held, not copied
     return DensityMatrix(shape, gram)

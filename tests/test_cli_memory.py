@@ -5,9 +5,9 @@ Each command runs twice through ``cli.main``, and the second run's traced peak
 is bounded in N×N complex arrays (N² · 16 bytes), so that imports and
 first-call caches do not count. The bounds are the peaks measured with
 ``random --d 2 --n 8 --seed 1`` (numpy 2.4, x86-64) plus a margin of about
-half an array: random 4.17, purify 4.04, purify --reshuffle 4.04, synth 6.93
-and simulate --expect 5.53 arrays. A change that earns a lower peak lowers its
-bound.
+half an array: random 3.03, random --rank 64 2.17, purify 4.04, purify
+--reshuffle 4.04, synth 6.93 and simulate --expect 5.53 arrays. A change that
+earns a lower peak lowers its bound.
 """
 
 import tracemalloc
@@ -22,7 +22,11 @@ ARRAY_BYTES = N * N * 16
 
 #: Per command path: its arguments and the bound on its peak, in arrays.
 COMMANDS = {
-    "random": (["random", "--d", "2", "--n", "8", "--seed", "1", "--out", "rho.json"], 4.7),
+    "random": (["random", "--d", "2", "--n", "8", "--seed", "1", "--out", "rho.json"], 3.5),
+    "random --rank 64": (
+        ["random", "--d", "2", "--n", "8", "--seed", "1", "--rank", "64", "--out", "rho64.json"],
+        2.7,
+    ),
     "purify": (["purify", "--input", "rho.json", "--out", "psi.json"], 4.5),
     "purify --reshuffle": (["purify", "--input", "rho.json", "--reshuffle", "--out", "psi.json"], 4.5),
     "synth": (["synth", "--input", "rho.json", "--out", "circuit.json"], 7.5),

@@ -7,6 +7,7 @@ from test_linalg import same_bits
 from qpurify import CounterRng, QuditShape, random_density, random_unitary, validate_density
 from qpurify import errors
 from qpurify.errors import BadShape
+from qpurify.rng import _uniforms
 
 # published SplitMix64 outputs for seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -113,6 +114,24 @@ class TestCounterStream:
             assert same_bits(matrix, direct.complex_normals(*shape))
             # the cursor agrees
             assert same_bits(filler.complex_normal_matrix(1, 1), direct.complex_normals(1, 1))
+
+    def test_numpy_trig_is_math_trig(self):
+        # the fill takes each block's cos and sin in one numpy call, and is
+        # bit for bit the scalar stream only while numpy's float64 cos and sin
+        # round as math's do (both call the platform libm; numpy's SIMD log
+        # does not, so log stays per entry). 3 * 2**17 of the stream's own
+        # angles, drawn as the fill draws them, and the edge uniforms
+        counters = np.arange(1, 2**18 + 1, dtype=np.uint64)
+        uniforms = [_uniforms(seed, counters)[1::2] for seed in (1, 2**63, 2**64 - 1)]
+        uniforms.append(np.array([2.0**-53, 0.5, 1.0]))
+        angles = 2.0 * math.pi * np.concatenate(uniforms)
+        for numpy_f, math_f in ((np.cos, math.cos), (np.sin, math.sin)):
+            scalar = np.fromiter(map(math_f, angles.tolist()), float, angles.size)
+            assert same_bits(numpy_f(angles), scalar), (
+                f"numpy {np.__version__} {numpy_f.__name__} rounds unlike math's on the "
+                "Box-Muller angles: CounterRng.complex_normal_matrix must go back to "
+                f"math.{math_f.__name__} per entry"
+            )
 
 
 class TestRandomDensity:
