@@ -162,7 +162,8 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
     option("--method", choices=["cholesky", "spectral"], default="cholesky",
            help="[default: %(default)s]")
     option("--reshuffle", action="store_true",
-           help="Sort the basis by diagonal size before pivoting.")
+           help="Sort the basis once by diagonal size (nonincreasing, stable), "
+                "then eliminate without pivoting.")
     option("--out", dest="out_path", required=True, metavar="PATH", help="Purification state JSON.")
     option("--coeffs", dest="coeffs_path", metavar="PATH", help="Optional coefficient matrix JSON.")
 

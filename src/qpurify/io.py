@@ -32,10 +32,8 @@ and a text is encoded one window at a time, never copied whole.
   shape and the parameter lists' number tokens, with every byte of the
   block but its values built once per N; :func:`dump_circuit` refuses a
   schedule that disagrees with its parameters. The reader decodes the head
-  (the text before the block) with the full parse's own
-  :func:`_circuit_head`, takes the head's innermost lists as the tokens,
-  and accepts the file only if it is, byte for byte, the text those tokens
-  render to, compared a piece at a time.
+  as the full parse decodes it, and accepts the file when, from its first
+  byte to its last, it equals the text the head's tokens render to.
 
 Any other layout goes through a full parse with the same errors; an open
 file is read whole for it and decoded as ``Path.read_text`` decodes it. The
@@ -123,10 +121,6 @@ class _Cursor:
         part = self.source.read(n) if self.file else self.source[self.pos : self.pos + n]
         self.pos += len(part)
         return part if self.file else part.encode("utf-8", "surrogatepass")
-
-    def match(self, piece: str) -> bool:
-        """Whether the file goes on with ``piece`` (ASCII); the cursor moves past it."""
-        return self.read(len(piece)) == piece.encode()
 
     def until(self, key: str) -> str | None:
         """The text up to the next ``key`` (a file's bytes must be ASCII
@@ -514,10 +508,10 @@ def _circuit_head(data) -> tuple[QuditShape, CircuitParameters]:
 
 
 def _load_canonical_circuit(file: _Cursor):
-    """The circuit in a file, read from ``file`` at its start, if the file
-    is, byte for byte, the text its own parameter tokens render to
-    (as :func:`dump_circuit` renders the tokens ``repr`` writes); else None.
-    The schedule block is compared as it is read, a piece at a time."""
+    """The circuit in a file, read from ``file`` at its start; else None.
+    The head is decoded as the full parse decodes it, and the file is
+    accepted when, from its first byte to its last, it equals the text the
+    head's tokens render to (:func:`dump_circuit` renders ``repr``'s tokens)."""
     try:
         head = file.until(_SCHEDULE_KEY)
         if head is None:
@@ -532,28 +526,22 @@ def _load_canonical_circuit(file: _Cursor):
     lists = [p.partition("]")[0] for p in record.split("[")[1:] if "]" in p]
     if any(item.encode().translate(None, b"," + _NUMBER_CHARS) for item in lists):
         return None
-    pieces, pos = _render_circuit(shape, lists), 0
-    for piece in pieces:  # the head, up to the key the cursor has passed
-        if piece == _SCHEDULE_KEY:
-            break
-        if not record.startswith(piece, pos):
-            return None
-        pos += len(piece)
-    if pos != len(record) - 1 or not all(map(file.match, pieces)) or file.read(1):
-        return None
-    return shape, params, params
+    file = _Cursor(file.source)  # from the first byte again
+    same = all(file.read(len(p)) == p.encode() for p in _render_circuit(shape, lists))
+    return (shape, params, params) if same and not file.read(1) else None
 
 
 def load_circuit(source) -> tuple[QuditShape, CircuitParameters, CircuitParameters]:
     """Shape, parameters and gate schedule of a circuit file: its text, or
     the open binary file. The schedule is the parameters, returned twice.
 
-    A file as :func:`dump_circuit` writes it is accepted by comparing its
-    text with the text its parameter tokens render to. Any other layout is
-    parsed in full, the head first; then each schedule record is checked in
-    full before the next is read (as the module docstring lists), ending
-    with its agreement under == with the row the parameters fix. The
-    parameters keep their own signed zeros.
+    A file as :func:`dump_circuit` writes it is read by one comparison: its
+    head is decoded as the full parse decodes it, and the file, from its
+    first byte to its last, must equal the text the head's tokens render
+    to. Any other layout is parsed in full, the head first; then each
+    schedule record is checked in full before the next is read (as the
+    module docstring lists), ending with its agreement under == with the
+    row the parameters fix. The parameters keep their own signed zeros.
     """
     file = _Cursor(source)
     circuit = _load_canonical_circuit(file)

@@ -58,13 +58,13 @@ def cholesky_purify(rho: DensityMatrix, tol: ToleranceConfig | None = None) -> C
 def reshuffle_purify(
     rho: DensityMatrix, tol: ToleranceConfig | None = None
 ) -> tuple[np.ndarray, PureState]:
-    """Alternate pivoting strategy: purify in a basis sorted by diagonal size.
+    """Purify in a basis sorted once by diagonal size; no pivoting.
 
-    Permutes the system basis so the diagonal of rho is nonincreasing,
-    runs the triangular purifier there, and un-permutes the coefficient
-    columns. The returned matrix purifies rho but generally breaks the
-    anti-triangular pattern, so it is handed back as a read-only array
-    alongside the purification state, which views it.
+    Permutes the system basis so the diagonal of rho is nonincreasing (a
+    stable sort), runs the same unpivoted triangular purifier there, and
+    un-permutes the coefficient columns. The returned matrix purifies rho
+    but generally breaks the anti-triangular pattern, so it is handed back
+    as a read-only array alongside the purification state, which views it.
     """
     tol = tol or DEFAULT_TOL
     n = rho.shape.N

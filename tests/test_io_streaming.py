@@ -203,6 +203,36 @@ class TestNonAsciiText:
             assert load_outcome(io.load_circuit, variant) == load_outcome(reference_load_circuit, variant), variant
 
 
+class TestOneByteEdits:
+    """A canonical circuit file is read by comparing it, from its first byte
+    to its last, with the text its head's tokens render to. Every byte of a
+    small file, replaced in turn, must give the full parse's outcome from
+    every source."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_byte_replaced_matches_full_parse(self, d):
+        text = canonical_circuit(d, 1, None)
+        for i, char in enumerate(text):
+            for new in ("1" if char == "0" else "0", " "):
+                variant = text[:i] + new + text[i + 1 :]
+                want = load_outcome(reference_load_circuit, variant)
+                for kind, source in sources(variant).items():
+                    assert load_outcome(io.load_circuit, source()) == want, (i, new, kind)
+
+    def test_head_with_two_parameter_blocks_goes_to_full_parse(self):
+        # json keeps the last "parameters" key, but the head's tokens render
+        # a schedule from the first block's: only the head's comparison with
+        # the file tells this file from a canonical one
+        first, last = canonical_circuit(2, 1, None), canonical_circuit(2, 1, 1)
+        head, block = first.split(io._SCHEDULE_KEY)
+        extra = last[last.index(',"parameters":') : last.index(io._SCHEDULE_KEY)]
+        variant = head + extra + io._SCHEDULE_KEY + block
+        want = load_outcome(reference_load_circuit, variant)
+        assert want[0] is errors.ReconstructionFailure
+        for kind, source in sources(variant).items():
+            assert load_outcome(io.load_circuit, source()) == want, kind
+
+
 def traced_peak(fn):
     """The result of ``fn()`` and the peak of the memory traced while it runs."""
     tracemalloc.start()
